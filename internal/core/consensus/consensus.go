@@ -32,9 +32,12 @@ type Value string
 type TimerID int
 
 // Message is a protocol message. Implementations must be plain data structs
-// (gob-encodable, no pointers shared with the sender) because the live TCP
-// transport serializes them and the simulator may deliver them arbitrarily
-// later.
+// (gob-encodable, no pointers shared with the sender) and immutable once
+// sent: the simulator may deliver one arbitrarily later, the live memory
+// transport hands the same value to the receiver's goroutine, and the live
+// TCP transport serializes it on a writer goroutine after Send has returned.
+// A sender that mutated a sent message (or anything it points to) would race
+// with all three.
 type Message interface {
 	// Type returns a short stable name used for tracing and metrics.
 	Type() string

@@ -1,9 +1,18 @@
 // Package live runs the same consensus protocols natively: one goroutine
-// per process, real clocks, real timers, and pluggable transports (an
+// per process, real clocks, real timers, and pluggable transports — an
 // in-memory channel transport with injectable loss/delay, and a TCP
-// transport over encoding/gob). This is the "simulate rounds with
-// goroutines" substrate: examples and integration tests exercise protocol
-// code identical to what the deterministic simulator verifies.
+// transport. This is the "simulate rounds with goroutines" substrate:
+// examples and integration tests exercise protocol code identical to what
+// the deterministic simulator verifies.
+//
+// The TCP transport keeps the network off the event loops: a Send enqueues
+// on a per-(from,to) link whose writer goroutine dials, encodes and writes,
+// flushing whenever its queue runs empty; a full queue blocks the sender
+// (backpressure, never silent loss), and a send to oneself is a local call.
+// Frames are length-prefixed binary: message types with a codec in the
+// consensus wire registry (modpaxos and rsm) travel in a hand-written
+// compact form, everything else as a gob blob inside the same frame. See
+// tcp.go for the layout and the failure rules.
 //
 // The eventually-synchronous model maps onto real time: the memory
 // transport can drop and delay messages until a configured stabilization

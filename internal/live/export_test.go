@@ -1,0 +1,32 @@
+package live
+
+import (
+	"io"
+
+	"repro/internal/core/consensus"
+)
+
+// Hooks for the external test package, which — unlike this one — can import
+// rsm and so exercise the frame codec on the real serving-path messages.
+
+// FrameEncoder builds one link's frames.
+type FrameEncoder = frameEncoder
+
+// Encode returns m's frame, valid until the next call.
+func (e *frameEncoder) Encode(from, to consensus.ProcessID, m consensus.Message) ([]byte, error) {
+	return e.encode(from, to, m)
+}
+
+// FrameDecoder reads one connection's frames.
+type FrameDecoder = frameDecoder
+
+// NewFrameDecoder decodes the frames in r.
+func NewFrameDecoder(r io.Reader) *FrameDecoder { return newFrameDecoder(r) }
+
+// Next reads and decodes one frame.
+func (d *frameDecoder) Next() (from, to consensus.ProcessID, m consensus.Message, err error) {
+	return d.next()
+}
+
+// MaxFrame is the cap on a frame's declared length.
+const MaxFrame = maxFrame

@@ -151,9 +151,6 @@ func TestLiveCrashRestartRecovers(t *testing.T) {
 }
 
 func TestLiveTCPTransport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping real-TCP cluster test in -short mode")
-	}
 	RegisterMessages()
 	ids := []consensus.ProcessID{0, 1, 2}
 	transport, err := NewTCPTransport(ids)
@@ -258,9 +255,10 @@ func TestTCPLateHandlerRegistration(t *testing.T) {
 	tr.Send(0, 1, modpaxos.Decided{Val: "early"})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		tr.mu.Lock()
-		buffered := len(tr.pending[1])
-		tr.mu.Unlock()
+		ep := tr.endpoint(1)
+		ep.mu.Lock()
+		buffered := len(ep.pending)
+		ep.mu.Unlock()
 		if buffered == 1 {
 			break
 		}

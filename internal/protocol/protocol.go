@@ -102,7 +102,11 @@ type Descriptor struct {
 	// this protocol and the harness rejects it.
 	Obsolete func(Params, ObsoleteSpec) Installer
 	// Messages lists one zero value of every wire message type the
-	// protocol sends; the live TCP transport registers them with gob.
+	// protocol sends. The live TCP transport registers them with gob, which
+	// carries any type that has no codec in the consensus wire registry
+	// (consensus.RegisterCodec) — so listing a type here is all a protocol
+	// needs to run over TCP. Either way the transport encodes a message
+	// after Send returns: values of these types must be immutable.
 	Messages []consensus.Message
 	// SupportsPrepared marks protocols implementing the stable-state fast
 	// path; Build rejects Params.Prepared for all others.

@@ -11,16 +11,24 @@ import (
 	"repro/internal/live"
 )
 
+// wireMessages lists one zero value of every RSM wire type. Each also has a
+// binary codec in wire.go (a test holds the two lists together).
+func wireMessages() []consensus.Message {
+	return []consensus.Message{
+		ClientPropose{}, Redirect{}, Committed{}, Busy{},
+		Query{}, QueryReply{}, SlotMsg{}, Learn{}, LearnReply{},
+		Beat{}, SnapshotMsg{},
+	}
+}
+
 // RegisterMessages registers the RSM wire types (and the protocol messages
-// they wrap) with encoding/gob for the TCP transport.
+// they wrap) with encoding/gob for the TCP transport. Their own frames use
+// the binary codecs in wire.go; gob carries them only inside a SlotMsg whose
+// inner message has no codec.
 func RegisterMessages() {
 	live.RegisterMessages()
 	registerRSMOnce.Do(func() {
-		for _, m := range []consensus.Message{
-			ClientPropose{}, Redirect{}, Committed{}, Busy{},
-			Query{}, QueryReply{}, SlotMsg{}, Learn{}, LearnReply{},
-			Beat{}, SnapshotMsg{},
-		} {
+		for _, m := range wireMessages() {
 			gob.Register(m)
 		}
 	})

@@ -158,12 +158,27 @@ type SlotMsg struct {
 	Inner consensus.Message
 }
 
+// slotTypeNames holds SlotMsg.Type()'s answer for every message a slot
+// instance sends: every backend asks at least twice per message, and
+// concatenating each time allocated.
+var slotTypeNames = func() map[string]string {
+	names := make(map[string]string)
+	for _, m := range modpaxos.Descriptor().Messages {
+		names[m.Type()] = "rsm-" + m.Type()
+	}
+	return names
+}()
+
 // Type implements consensus.Message.
 func (m SlotMsg) Type() string {
 	if m.Inner == nil {
 		return "rsm-slot"
 	}
-	return "rsm-" + m.Inner.Type()
+	inner := m.Inner.Type()
+	if name, ok := slotTypeNames[inner]; ok {
+		return name
+	}
+	return "rsm-" + inner
 }
 
 // Learn asks a peer for decided slots starting at From. Replicas send it on

@@ -1,0 +1,121 @@
+package rsm
+
+import (
+	"encoding/gob"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/core/consensus"
+	"repro/internal/core/consensus/consensustest"
+	"repro/internal/core/modpaxos"
+)
+
+// uncoded is a message type with no wire codec.
+type uncoded struct{ X int }
+
+func (uncoded) Type() string { return "uncoded" }
+
+func TestEveryMessageHasACodec(t *testing.T) {
+	// One check over both lists: the RSM's tags must also stay clear of
+	// the tags of the slot messages a SlotMsg nests.
+	consensustest.CheckCodecs(t, append(wireMessages(), modpaxos.Descriptor().Messages...))
+}
+
+func TestWireRoundTrip(t *testing.T) {
+	RegisterMessages()
+	big := strings.Repeat("v", 1<<20)
+	for _, m := range []consensus.Message{
+		ClientPropose{}, ClientPropose{Client: -3, Seq: math.MaxUint64, Cmd: "set k v"}, ClientPropose{Client: 1, Seq: 1, Cmd: consensus.Value(big)},
+		Redirect{}, Redirect{Leader: -1, Epoch: math.MinInt64}, Redirect{Leader: 4, Epoch: 9},
+		Committed{}, Committed{Slot: -1, Seq: 5, Cmd: "c"}, Committed{Slot: math.MaxInt64, Seq: 1, Cmd: consensus.Value(big)},
+		Busy{}, Busy{QueueLen: 1024}, Busy{QueueLen: -1},
+		Query{}, Query{Key: "k", MinApplied: -1, ReqID: 77}, Query{Key: big},
+		QueryReply{}, QueryReply{Key: "k", Value: "v", Found: true, Applied: 12, ReqID: 3}, QueryReply{Key: "k", Value: big},
+		SlotMsg{}, SlotMsg{Slot: 5}, SlotMsg{Slot: -2, Inner: modpaxos.P1a{Bal: consensus.NoBallot}},
+		SlotMsg{Slot: 1 << 40, Inner: modpaxos.P2a{Bal: 3, Val: consensus.Value(big)}},
+		SlotMsg{Slot: 8, Inner: modpaxos.P1b{Bal: 4, ABal: consensus.NoBallot}},
+		SlotMsg{Slot: 8, Inner: modpaxos.P2b{Bal: 4, Val: EncodeBatch([]Command{{Client: 1, Seq: 2, Op: "set a b"}})}},
+		SlotMsg{Slot: 8, Inner: modpaxos.Decided{}},
+		Learn{}, Learn{From: -1}, Learn{From: 1 << 50},
+		LearnReply{}, LearnReply{Entries: []SlotValue{}}, LearnReply{Entries: []SlotValue{{}}},
+		LearnReply{Entries: []SlotValue{{Slot: 3, Val: "a"}, {Slot: 4, Val: NoOp}, {Slot: 5, Val: consensus.Value(big)}}},
+		Beat{}, Beat{Epoch: 3, MaxSeen: -1},
+		SnapshotMsg{}, SnapshotMsg{Snap: Snapshot{Applied: 64, Sessions: map[int64]Session{}, State: []byte{}, HasState: true}},
+		SnapshotMsg{Snap: Snapshot{
+			Applied:  1 << 33,
+			Sessions: map[int64]Session{-1: {Seq: 1, Slot: -1}, 1000: {Seq: math.MaxUint64, Slot: 63}, 2000: {}},
+			State:    []byte(big),
+			HasState: true,
+		}},
+	} {
+		consensustest.CheckWireRoundTrip(t, m)
+	}
+}
+
+// TestSlotMsgFallsBackWhole pins which SlotMsgs have no binary form — the
+// transport then sends the whole message through gob: an inner type without
+// a codec, and a SlotMsg inside a SlotMsg (refused in both directions, so
+// hostile nesting cannot recurse the decoder).
+func TestSlotMsgFallsBackWhole(t *testing.T) {
+	for _, m := range []SlotMsg{
+		{Slot: 1, Inner: uncoded{X: 1}},
+		{Slot: 1, Inner: SlotMsg{Slot: 2, Inner: modpaxos.P1a{Bal: 1}}},
+	} {
+		prefix := []byte("kept")
+		b, ok := consensus.AppendMessage(prefix, m)
+		if ok || string(b) != "kept" {
+			t.Errorf("AppendMessage(%#v) = %q, %v; want the input back and false", m, b, ok)
+		}
+	}
+	nested, _ := consensus.AppendMessage(nil, SlotMsg{Slot: 2, Inner: modpaxos.P1a{Bal: 1}})
+	hostile := append([]byte{tagSlotMsg, 2}, nested...)
+	if m, err := consensus.DecodeMessage(hostile); err == nil {
+		t.Errorf("nested SlotMsg decoded as %#v", m)
+	}
+}
+
+func TestDecodeRefusesMalformed(t *testing.T) {
+	for name, b := range map[string][]byte{
+		"no tag":                    {},
+		"unknown tag":               {200, 1, 2},
+		"reserved tag":              {0},
+		"truncated varint":          {tagLearn, 0x80},
+		"overlong varint":           {tagLearn, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		"trailing bytes":            {tagLearn, 2, 0},
+		"string past the end":       {tagClientPropose, 2, 1, 9, 'x'},
+		"entry count past the end":  {tagLearnReply, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"session count past end":    {tagSnapshotMsg, 2, 1, 0xff, 0xff, 0x03, 0, 0},
+		"bool out of range":         {tagQueryReply, 0, 0, 2, 0, 0},
+		"inner message malformed":   {tagSlotMsg, 2, 1},
+		"inner message unknown tag": {tagSlotMsg, 2, 200},
+	} {
+		if m, err := consensus.DecodeMessage(b); err == nil {
+			t.Errorf("%s: decoded %v as %#v", name, b, m)
+		}
+	}
+}
+
+// TestSlotMsgTypeDoesNotAllocate pins the precomputed names: Type() is
+// called at least twice per message on every backend.
+func TestSlotMsgTypeDoesNotAllocate(t *testing.T) {
+	want := map[string]consensus.Message{
+		"rsm-slot": nil, "rsm-p1a": modpaxos.P1a{}, "rsm-p1b": modpaxos.P1b{}, "rsm-p2a": modpaxos.P2a{},
+		"rsm-p2b": modpaxos.P2b{}, "rsm-decided": modpaxos.Decided{}, "rsm-uncoded": uncoded{},
+	}
+	for name, inner := range want {
+		if got := (SlotMsg{Inner: inner}).Type(); got != name {
+			t.Errorf("SlotMsg{%T}.Type() = %q, want %q", inner, got, name)
+		}
+	}
+	var sink string
+	for _, inner := range modpaxos.Descriptor().Messages {
+		m := SlotMsg{Slot: 1, Inner: inner}
+		if n := testing.AllocsPerRun(100, func() { sink = m.Type() }); n != 0 {
+			t.Errorf("SlotMsg{%T}.Type() allocates %v times per call", inner, n)
+		}
+	}
+	_ = sink
+}
+
+func init() { gob.Register(uncoded{}) }
