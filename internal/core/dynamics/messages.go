@@ -1,4 +1,4 @@
-package usd
+package dynamics
 
 import "repro/internal/core/consensus"
 
@@ -8,19 +8,13 @@ type Query struct {
 	Round int64
 }
 
-// Type implements consensus.Message.
-func (Query) Type() string { return "usd-query" }
-
 // Reply returns the responder's state for one sampling round. Undecided
-// marks the USD-specific third state, in which Opinion is stale.
+// marks USD's third state, in which Opinion is stale.
 type Reply struct {
 	Round     int64
 	Opinion   consensus.Value
 	Undecided bool
 }
-
-// Type implements consensus.Message.
-func (Reply) Type() string { return "usd-reply" }
 
 // Decided announces a threshold decision so the rest of the population can
 // stop sampling. Receivers adopt without re-broadcasting.
@@ -28,5 +22,7 @@ type Decided struct {
 	Val consensus.Value
 }
 
-// Type implements consensus.Message.
-func (Decided) Type() string { return "usd-decided" }
+// Type implements consensus.Message; one label set for every rule.
+func (Query) Type() string   { return "dyn-query" }
+func (Reply) Type() string   { return "dyn-reply" }
+func (Decided) Type() string { return "dyn-decided" }

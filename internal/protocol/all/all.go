@@ -13,12 +13,10 @@ package all
 
 import (
 	"repro/internal/core/bconsensus"
-	"repro/internal/core/majority"
-	"repro/internal/core/minority"
+	"repro/internal/core/dynamics"
 	"repro/internal/core/modpaxos"
 	"repro/internal/core/paxos"
 	"repro/internal/core/roundbased"
-	"repro/internal/core/usd"
 	"repro/internal/protocol"
 )
 
@@ -34,8 +32,7 @@ func init() {
 	// Hidden population-dynamics family: probabilistic large-N gossip
 	// protocols for the population-scale scenarios and sweeps. Minority is
 	// the deliberate poly(n) contrast to the O(log n) trio.
-	protocol.MustRegister(usd.Descriptor())
-	protocol.MustRegister(majority.Descriptor())
-	protocol.MustRegister(majority.TwoChoicesDescriptor())
-	protocol.MustRegister(minority.Descriptor())
+	for _, d := range dynamics.Descriptors() {
+		protocol.MustRegister(d)
+	}
 }

@@ -33,7 +33,9 @@ const (
 	// BackendLive runs goroutines, real clocks, and the in-memory
 	// transport under policy-driven fault injection.
 	BackendLive = "live"
-	// BackendLiveTCP is BackendLive over loopback TCP with gob encoding.
+	// BackendLiveTCP is BackendLive over loopback TCP: length-prefixed
+	// binary frames, with gob only as the in-frame fallback for message
+	// types that have no wire codec.
 	BackendLiveTCP = "live-tcp"
 )
 

@@ -17,9 +17,9 @@ import (
 // recipient gets its own post-TS delay draw (or pre-TS Policy fate,
 // including drops and duplicates) from the engine RNG in recipient order,
 // and every delivery consumes the same sequence number the unicast loop
-// would have, so the delivery schedule is byte-identical to
-// broadcastUnicast (kept below for A/B benchmarks and the
-// schedule-equality test).
+// would have, so the delivery schedule is byte-identical to a
+// loop of Send calls (broadcast_test.go holds that reference for the
+// schedule-equality test and the A/B benchmark).
 //
 //repro:hotpath
 func (n *Node) Broadcast(m consensus.Message) {
@@ -83,19 +83,4 @@ func (n *Node) Broadcast(m consensus.Message) {
 		nw.collector.DroppedIDN(typeID, dropped)
 	}
 	mc.Commit()
-}
-
-// broadcastUnicast is the pre-batching fan-out: one routed event per
-// recipient. It is the reference implementation the batched Broadcast is
-// tested to schedule identically to, and the baseline BenchmarkBroadcastN1000
-// measures against. The type ID is interned once, not once per recipient.
-//
-//repro:hotpath
-func (n *Node) broadcastUnicast(m consensus.Message) {
-	nw := n.nw
-	typeID := nw.collector.Intern(m.Type())
-	for i := 0; i < nw.cfg.N; i++ {
-		nw.collector.SentID(typeID)
-		nw.routeInterned(n.id, consensus.ProcessID(i), m, typeID)
-	}
 }

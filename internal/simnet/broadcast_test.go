@@ -48,6 +48,16 @@ func (dupChaos) Fate(tx Transmission, rng *rand.Rand) Fate {
 	return f
 }
 
+// broadcastUnicast is the pre-batching fan-out: one routed event per
+// recipient. It is the reference the batched Broadcast is tested to
+// schedule identically to, and the baseline BenchmarkBroadcastN1000
+// measures against.
+func (n *Node) broadcastUnicast(m consensus.Message) {
+	for to := 0; to < n.nw.cfg.N; to++ {
+		n.Send(consensus.ProcessID(to), m)
+	}
+}
+
 // broadcastTrace runs a fixed schedule of fan-outs — overlapping, pre- and
 // post-TS — through either the batched Broadcast or the unicast reference,
 // and returns the full delivery log plus the collector.

@@ -281,14 +281,6 @@ func (nw *Network) AllIDs() []consensus.ProcessID {
 func (nw *Network) route(from, to consensus.ProcessID, m consensus.Message) {
 	typeID := nw.collector.Intern(m.Type())
 	nw.collector.SentID(typeID)
-	nw.routeInterned(from, to, m, typeID)
-}
-
-// routeInterned is route with the type already interned, so loops over many
-// recipients of one message (broadcastUnicast) pay the map read once.
-//
-//repro:hotpath
-func (nw *Network) routeInterned(from, to consensus.ProcessID, m consensus.Message, typeID int) {
 	now := nw.eng.Now()
 
 	var delay time.Duration

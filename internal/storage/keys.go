@@ -32,7 +32,5 @@ const (
 	KeyPaxosState      = "paxos-state"
 	KeyRoundBasedState = "roundbased-state"
 	KeyBConsensusState = "bconsensus-state"
-	KeyUSDState        = "usd-state"
-	KeyMajorityState   = "majority-state"
-	KeyMinorityState   = "minority-state"
+	KeyDynamicsState   = "dynamics-state"
 )
