@@ -156,10 +156,14 @@ type Process struct {
 	// firstDelivered records, per round, the estimate of the first
 	// oracle-delivered message of that round.
 	firstDelivered map[int64]consensus.Value
-	firstVotes     map[int64]map[consensus.ProcessID]consensus.Value
-	secondVotes    map[int64]map[consensus.ProcessID]secondVote
-	maj            consensus.Value
-	hasMaj         bool
+	// firstVotes and secondVotes hold the current round's stage-2 and
+	// stage-3 votes. One tally each is enough: witness moves the process to
+	// a vote's round before the vote is counted, so a vote is for the
+	// current round or for one that is over and never looked at again.
+	firstVotes  consensus.Tally[consensus.Value]
+	secondVotes consensus.Tally[secondVote]
+	maj         consensus.Value
+	hasMaj      bool
 }
 
 var _ consensus.Process = (*Process)(nil)
@@ -189,8 +193,8 @@ func MustNew(cfg Config) consensus.Factory {
 func (p *Process) Init(env consensus.Environment) {
 	p.env = env
 	p.firstDelivered = make(map[int64]consensus.Value)
-	p.firstVotes = make(map[int64]map[consensus.ProcessID]consensus.Value)
-	p.secondVotes = make(map[int64]map[consensus.ProcessID]secondVote)
+	p.firstVotes.Reset()
+	p.secondVotes.Reset()
 
 	var st durable
 	if ok, err := env.Store().Get(stateKey, &st); err != nil {
@@ -242,6 +246,8 @@ func (p *Process) enterRound(r int64) {
 	p.st.SecondVoted = false
 	p.stage = stageWab
 	p.hasMaj = false
+	p.firstVotes.Reset()
+	p.secondVotes.Reset()
 	p.env.Emit("round", r)
 	consensus.BeginSpan(p.env, "round", r)
 	p.wabLC = p.tick()
@@ -298,23 +304,33 @@ func (p *Process) maybeCloseFirst() {
 	if p.stage != stageFirst {
 		return
 	}
-	votes := p.firstVotes[p.st.Round]
-	if len(votes) < p.majority() {
+	if p.firstVotes.Len() < p.majority() {
 		return
 	}
-	counts := make(map[consensus.Value]int)
-	for _, v := range votes {
-		counts[v]++
-	}
-	p.hasMaj = false
-	for v, c := range counts {
-		if c >= p.majority() {
-			// At most one value can reach a majority count, so the winner
-			// is unique whatever order the counts are visited in.
-			//repro:allow detlint at most one value can hold a majority
-			p.maj = v
-			p.hasMaj = true
+	// A value voted by a majority of all N processes is also a strict
+	// majority of the votes in hand, so it can only be the candidate a
+	// Boyer–Moore pass leaves standing; a count settles whether it is one.
+	var cand consensus.Value
+	lead := 0
+	for _, v := range p.firstVotes.All() {
+		switch {
+		case lead == 0:
+			cand, lead = v, 1
+		case v == cand:
+			lead++
+		default:
+			lead--
 		}
+	}
+	count := 0
+	for _, v := range p.firstVotes.All() {
+		if v == cand {
+			count++
+		}
+	}
+	p.hasMaj = count >= p.majority()
+	if p.hasMaj {
+		p.maj = cand
 	}
 	p.stage = stageSecond
 	p.st.SecondVoted = true
@@ -331,19 +347,16 @@ func (p *Process) maybeCloseSecond() {
 	if p.stage != stageSecond {
 		return
 	}
-	votes := p.secondVotes[p.st.Round]
-	if len(votes) < p.majority() {
+	if p.secondVotes.Len() < p.majority() {
 		return
 	}
 	nonBot := 0
 	var v consensus.Value
-	for _, sv := range votes {
+	for _, sv := range p.secondVotes.All() {
 		if sv.hasV {
 			nonBot++
 			// Ben-Or lemma: every non-⊥ SECOND vote of a round carries the
-			// same value (it derives from a majority of FIRST votes), so
-			// whichever vote is seen last yields the same v.
-			//repro:allow detlint all non-bottom second votes carry one value
+			// same value (it derives from a majority of FIRST votes).
 			v = sv.v
 		}
 	}
@@ -384,34 +397,25 @@ func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	case Wab:
 		p.witness(msg.LC, msg.Round, msg.Est)
 		// Into the hold-back queue; actual w-adelivery happens on the
-		// oracle timer, in (timestamp, sender) order.
+		// oracle timer, in (timestamp, sender) order. The queue holds the
+		// message as it arrived — m, not msg, which would be boxed afresh.
 		p.hb.Add(oracle.Item{
 			TS:      msg.LC,
 			Sender:  int(from),
 			ReadyAt: p.env.Now() + p.cfg.holdLocal(),
-			Payload: msg,
+			Payload: m,
 		})
 		p.armOracleTimer()
 	case First:
 		p.witness(msg.LC, msg.Round, msg.Est)
-		votes := p.firstVotes[msg.Round]
-		if votes == nil {
-			votes = make(map[consensus.ProcessID]consensus.Value)
-			p.firstVotes[msg.Round] = votes
-		}
-		votes[from] = msg.Est
 		if msg.Round == p.st.Round {
+			p.firstVotes.Set(from, msg.Est)
 			p.maybeCloseFirst()
 		}
 	case Second:
 		p.witness(msg.LC, msg.Round, msg.Est)
-		votes := p.secondVotes[msg.Round]
-		if votes == nil {
-			votes = make(map[consensus.ProcessID]secondVote)
-			p.secondVotes[msg.Round] = votes
-		}
-		votes[from] = secondVote{hasV: msg.HasV, v: msg.V}
 		if msg.Round == p.st.Round {
+			p.secondVotes.Set(from, secondVote{hasV: msg.HasV, v: msg.V})
 			p.maybeCloseSecond()
 		}
 	case Decided:

@@ -104,8 +104,10 @@ func TestAdoptHigherSessionResetsTimerAndAnnounces(t *testing.T) {
 		t.Fatalf("session entry must broadcast a phase 1a; outbox %v", env.Outbox)
 	}
 	// Contact set resets to {self, sender}.
-	if len(p.contacts) != 2 || !p.contacts[0] || !p.contacts[2] {
-		t.Fatalf("contacts after session entry = %v, want {0,2}", p.contacts)
+	_, self := p.contacts.Get(0)
+	_, sender := p.contacts.Get(2)
+	if p.contacts.Len() != 2 || !self || !sender {
+		t.Fatalf("contacts after session entry: %d, self %v, sender %v; want {0,2}", p.contacts.Len(), self, sender)
 	}
 }
 
@@ -323,12 +325,12 @@ func TestRestartResumesBallotAndChosenValue(t *testing.T) {
 func TestContactsCountedOnlyForCurrentSession(t *testing.T) {
 	p, _ := boot(t, 0, Config{})
 	p.HandleMessage(1, P1a{Bal: consensus.BallotFor(1, 1, n5)}) // enter session 1
-	if len(p.contacts) != 2 {
-		t.Fatalf("contacts = %v", p.contacts)
+	if p.contacts.Len() != 2 {
+		t.Fatalf("contacts = %d, want 2", p.contacts.Len())
 	}
 	// A session-0 message must not count toward session 1.
 	p.HandleMessage(3, P1b{Bal: 3, ABal: consensus.NoBallot})
-	if p.contacts[3] {
+	if _, ok := p.contacts.Get(3); ok {
 		t.Fatal("old-session message counted as a current-session contact")
 	}
 }

@@ -143,16 +143,16 @@ type Process struct {
 	// contacts is the set of processes from which we have received a
 	// message of our current session (condition (ii) of Start Phase 1);
 	// it always contains the process itself.
-	contacts map[consensus.ProcessID]bool
+	contacts consensus.Tally[bool]
 	// timerExpired records that the session timer has fired and Start
 	// Phase 1 is pending condition (ii).
 	timerExpired bool
 
 	// Ballot-owner bookkeeping (meaningful while we own mbal).
-	p1bs map[consensus.ProcessID]P1b
+	p1bs consensus.Tally[P1b]
 
 	// p2bs holds the latest phase 2b from each process.
-	p2bs map[consensus.ProcessID]P2b
+	p2bs consensus.Tally[P2b]
 
 	// lastAnnounce is the local time of the last phase 1a/2a send.
 	lastAnnounce time.Duration
@@ -186,9 +186,9 @@ func MustNew(cfg Config) consensus.Factory {
 // stable storage with a fresh session timer, as the paper prescribes.
 func (p *Process) Init(env consensus.Environment) {
 	p.env = env
-	p.contacts = map[consensus.ProcessID]bool{p.id: true}
-	p.p1bs = make(map[consensus.ProcessID]P1b)
-	p.p2bs = make(map[consensus.ProcessID]P2b)
+	p.resetContacts()
+	p.p1bs.Reset()
+	p.p2bs.Reset()
 
 	ok, err := env.Store().Get(stateKey, &p.st)
 	if err != nil {
@@ -239,6 +239,12 @@ func (p *Process) persist() {
 	if err := p.env.Store().Put(stateKey, p.st); err != nil {
 		p.env.Logf("modpaxos: persist: %v", err)
 	}
+}
+
+// resetContacts empties the contact set down to the process itself.
+func (p *Process) resetContacts() {
+	p.contacts.Reset()
+	p.contacts.Set(p.id, true)
 }
 
 func (p *Process) session() int64   { return p.st.MBal.Session(p.n) }
@@ -293,7 +299,7 @@ func (p *Process) witness(from consensus.ProcessID, b consensus.Ballot) {
 		p.adopt(b)
 	}
 	if b.Session(p.n) == p.session() {
-		p.contacts[from] = true
+		p.contacts.Set(from, true)
 		p.maybeStartPhase1()
 	}
 }
@@ -304,7 +310,7 @@ func (p *Process) adopt(b consensus.Ballot) {
 	p.st.MBal = b
 	p.st.Sent2a = false
 	p.persist()
-	p.p1bs = make(map[consensus.ProcessID]P1b)
+	p.p1bs.Reset()
 	if b.Session(p.n) > oldSession {
 		p.enterSession()
 	}
@@ -314,7 +320,7 @@ func (p *Process) adopt(b consensus.Ballot) {
 // reset the contact set, reset the session timer to the [4δ, σ] window, and
 // broadcast a phase 1a announcing the session (modification 3).
 func (p *Process) enterSession() {
-	p.contacts = map[consensus.ProcessID]bool{p.id: true}
+	p.resetContacts()
 	p.timerExpired = false
 	p.env.SetTimer(sessionTimer, p.cfg.sessionTimerLocal())
 	p.env.Emit("session", p.session())
@@ -331,14 +337,14 @@ func (p *Process) maybeStartPhase1() {
 	if !p.timerExpired {
 		return
 	}
-	if !p.cfg.DisableEntryRule && p.session() != 0 && len(p.contacts) < p.majority() {
+	if !p.cfg.DisableEntryRule && p.session() != 0 && p.contacts.Len() < p.majority() {
 		return
 	}
 	// mbal ← (⌊mbal/N⌋ + 1)·N + p.
 	p.st.MBal = consensus.BallotFor(p.session()+1, p.id, p.n)
 	p.st.Sent2a = false
 	p.persist()
-	p.p1bs = make(map[consensus.ProcessID]P1b)
+	p.p1bs.Reset()
 	p.enterSession()
 }
 
@@ -361,20 +367,16 @@ func (p *Process) onP1b(from consensus.ProcessID, m P1b) {
 		p.env.Send(from, P2a{Bal: p.st.MBal, Val: p.st.Chosen})
 		return
 	}
-	p.p1bs[from] = m
-	if len(p.p1bs) < p.majority() {
+	p.p1bs.Set(from, m)
+	if p.p1bs.Len() < p.majority() {
 		return
 	}
 	// Start Phase 2 with the value of the highest acceptance, or our own
 	// proposal if the quorum reported none.
 	val := p.proposal
 	best := consensus.NoBallot
-	for _, b1 := range p.p1bs {
+	for _, b1 := range p.p1bs.All() {
 		if b1.ABal > best {
-			// Acceptors reporting the same ABal accepted the same value
-			// (one value per ballot), so ties resolve identically in any
-			// visiting order and the strict argmax is order-free.
-			//repro:allow detlint equal ballots carry equal values
 			best = b1.ABal
 			val = b1.AVal
 		}
@@ -396,9 +398,9 @@ func (p *Process) onP2a(m P2a) {
 }
 
 func (p *Process) onP2b(from consensus.ProcessID, m P2b) {
-	p.p2bs[from] = m
+	p.p2bs.Set(from, m)
 	count := 0
-	for _, b2 := range p.p2bs {
+	for _, b2 := range p.p2bs.All() {
 		if b2.Bal == m.Bal {
 			count++
 		}
@@ -469,7 +471,7 @@ func (p *Process) Claim(session int64) {
 	p.st.MBal = b
 	p.st.Sent2a = false
 	p.persist()
-	p.p1bs = make(map[consensus.ProcessID]P1b)
+	p.p1bs.Reset()
 	p.enterSession()
 }
 

@@ -78,8 +78,8 @@ type Process struct {
 
 	// Volatile per-ballot bookkeeping.
 	leader  consensus.ProcessID // current oracle belief; -1 = unknown
-	p1bs    map[consensus.ProcessID]P1b
-	p2bs    map[consensus.ProcessID]P2b
+	p1bs    consensus.Tally[P1b]
+	p2bs    consensus.Tally[P2b]
 	started bool // executed Start Phase 1 at least once for current mbal
 }
 
@@ -97,8 +97,8 @@ func New(cfg Config) consensus.Factory {
 // storage, exactly as §2 prescribes.
 func (p *Process) Init(env consensus.Environment) {
 	p.env = env
-	p.p1bs = make(map[consensus.ProcessID]P1b)
-	p.p2bs = make(map[consensus.ProcessID]P2b)
+	p.p1bs.Reset()
+	p.p2bs.Reset()
 
 	ok, err := env.Store().Get(stateKey, &p.st)
 	if err != nil {
@@ -193,8 +193,8 @@ func (p *Process) startPhase1(atLeast consensus.Ballot) {
 	p.st.MBal = b
 	p.st.Sent2a = false
 	p.persist()
-	p.p1bs = make(map[consensus.ProcessID]P1b)
-	p.p2bs = make(map[consensus.ProcessID]P2b)
+	p.p1bs.Reset()
+	p.p2bs.Reset()
 	p.started = true
 	p.env.Emit("ballot", int64(b))
 	consensus.BeginSpan(p.env, "ballot", int64(b))
@@ -239,20 +239,16 @@ func (p *Process) onP1b(from consensus.ProcessID, m P1b) {
 		p.env.Send(from, P2a{Bal: p.st.MBal, Val: p.st.Chosen})
 		return
 	}
-	p.p1bs[from] = m
-	if len(p.p1bs) < p.majority() {
+	p.p1bs.Set(from, m)
+	if p.p1bs.Len() < p.majority() {
 		return
 	}
 	// Start Phase 2: choose the value of the highest-ballot acceptance
 	// reported, or our own proposal if none.
 	val := p.proposal
 	best := consensus.NoBallot
-	for _, b1 := range p.p1bs {
+	for _, b1 := range p.p1bs.All() {
 		if b1.ABal > best {
-			// Acceptors reporting the same ABal accepted the same value
-			// (one value per ballot), so ties resolve identically in any
-			// visiting order and the strict argmax is order-free.
-			//repro:allow detlint equal ballots carry equal values
 			best = b1.ABal
 			val = b1.AVal
 		}
@@ -277,9 +273,9 @@ func (p *Process) onP2a(from consensus.ProcessID, m P2a) {
 }
 
 func (p *Process) onP2b(from consensus.ProcessID, m P2b) {
-	p.p2bs[from] = m
+	p.p2bs.Set(from, m)
 	count := 0
-	for _, b2 := range p.p2bs {
+	for _, b2 := range p.p2bs.All() {
 		if b2.Bal == m.Bal {
 			count++
 		}

@@ -111,12 +111,12 @@ type Process struct {
 	timedOut bool
 	// inRound tracks which processes are known to have begun the current
 	// round (from InRound and any other current-round message).
-	inRound map[consensus.ProcessID]bool
+	inRound consensus.Tally[bool]
 	// Coordinator bookkeeping for the current round.
-	estimates map[consensus.ProcessID]Estimate
+	estimates consensus.Tally[Estimate]
 	sentCoord bool
 	coordVal  consensus.Value
-	acks      map[consensus.ProcessID]bool
+	acks      consensus.Tally[bool]
 }
 
 var _ consensus.Process = (*Process)(nil)
@@ -180,10 +180,11 @@ func (p *Process) enterRound(r int64) {
 	p.st.Round = r
 	p.persist()
 	p.timedOut = false
-	p.inRound = map[consensus.ProcessID]bool{p.id: true}
-	p.estimates = make(map[consensus.ProcessID]Estimate)
+	p.inRound.Reset()
+	p.inRound.Set(p.id, true)
+	p.estimates.Reset()
 	p.sentCoord = false
-	p.acks = make(map[consensus.ProcessID]bool)
+	p.acks.Reset()
 	p.env.Emit("round", r)
 	consensus.BeginSpan(p.env, "round", r)
 
@@ -199,7 +200,7 @@ func (p *Process) witness(from consensus.ProcessID, r int64) bool {
 		p.enterRound(r)
 	}
 	if r == p.st.Round {
-		p.inRound[from] = true
+		p.inRound.Set(from, true)
 		p.maybeAdvance()
 	}
 	return r == p.st.Round
@@ -211,7 +212,7 @@ func (p *Process) maybeAdvance() {
 	if !p.timedOut || p.st.Decided {
 		return
 	}
-	if len(p.inRound) < p.majority() {
+	if p.inRound.Len() < p.majority() {
 		return
 	}
 	p.enterRound(p.st.Round + 1)
@@ -271,22 +272,18 @@ func (p *Process) onEstimate(from consensus.ProcessID, m Estimate) {
 		p.env.Broadcast(Coord{Round: p.st.Round, V: p.coordVal})
 		return
 	}
-	p.estimates[from] = m
-	if len(p.estimates) < p.majority() {
+	p.estimates.Set(from, m)
+	if p.estimates.Len() < p.majority() {
 		return
 	}
 	// Pick the estimate with the highest tsRound. Ties are legitimate (all
-	// initial estimates carry tsRound -1 with distinct values) and must
-	// break deterministically — lowest sender wins — or the decided value
-	// would follow map iteration order and differ run to run.
+	// initial estimates carry tsRound -1 with distinct values) and go to
+	// the lowest sender: the tally is visited in ascending sender order and
+	// only a strictly higher tsRound displaces the pick.
 	best := Estimate{TSRound: -2}
-	bestFrom := consensus.ProcessID(-1)
-	for from, e := range p.estimates {
-		if e.TSRound > best.TSRound || (e.TSRound == best.TSRound && from < bestFrom) {
-			// The (tsRound, lowest sender) tie-break above totally orders
-			// the candidates, so the argmax is the same in any visit order.
-			//repro:allow detlint tie-break totally orders candidates
-			best, bestFrom = e, from
+	for _, e := range p.estimates.All() {
+		if e.TSRound > best.TSRound {
+			best = e
 		}
 	}
 	p.sentCoord = true
@@ -311,8 +308,8 @@ func (p *Process) onAck(from consensus.ProcessID, m Ack) {
 	if p.coordinator(p.st.Round) != p.id || !p.sentCoord {
 		return
 	}
-	p.acks[from] = true
-	if len(p.acks) >= p.majority() {
+	p.acks.Set(from, true)
+	if p.acks.Len() >= p.majority() {
 		p.decide(p.coordVal)
 	}
 }

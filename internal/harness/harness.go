@@ -310,18 +310,8 @@ func Run(cfg Config) (Result, error) {
 	// enumerate) as well as cfg.Restarts.
 	if violation == nil {
 		ok := nw.Engine().RunUntil(func() bool {
-			if nw.Checker().Violation() != nil {
-				return true
-			}
-			if nw.RestartsPending() > 0 {
-				return false
-			}
-			for _, id := range nw.UpIDs() {
-				if _, d := nw.Node(id).Decided(); !d {
-					return false
-				}
-			}
-			return true
+			// A violation settles the run whatever is still due back.
+			return nw.Settled() && (nw.RestartsPending() == 0 || nw.Checker().Violation() != nil)
 		}, cfg.Horizon)
 		decided = decided && ok
 	}

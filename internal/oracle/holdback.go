@@ -16,10 +16,7 @@
 // received oracle messages in.
 package oracle
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Item is one held message awaiting oracle delivery.
 type Item struct {
@@ -49,13 +46,23 @@ func less(a, b Item) bool {
 // The zero value is an empty queue ready for use.
 type Holdback struct {
 	items     []Item // sorted by (TS, Sender)
+	ready     []Item // the slice Ready last returned, reused by the next call
 	delivered int    // count of delivered messages (for tests/metrics)
 }
 
 // Add inserts a received message. Duplicates — same (TS, Sender) — are
 // ignored, which makes retransmission through the oracle idempotent.
 func (h *Holdback) Add(it Item) {
-	i := sort.Search(len(h.items), func(i int) bool { return !less(h.items[i], it) })
+	// Binary search for the first held item not before it.
+	i, end := 0, len(h.items)
+	for i < end {
+		mid := int(uint(i+end) >> 1)
+		if less(h.items[mid], it) {
+			i = mid + 1
+		} else {
+			end = mid
+		}
+	}
 	if i < len(h.items) && h.items[i].TS == it.TS && h.items[i].Sender == it.Sender {
 		return
 	}
@@ -68,19 +75,27 @@ func (h *Holdback) Add(it Item) {
 // whose hold-back has expired at local time now. Delivery stops at the
 // first unexpired message even if later ones have expired: delivering
 // around it would violate timestamp order.
+//
+// The returned slice is the queue's own scratch space, valid until the next
+// call to Ready; a caller that keeps items longer must copy them.
 func (h *Holdback) Ready(now time.Duration) []Item {
 	n := 0
 	for n < len(h.items) && h.items[n].ReadyAt <= now {
 		n++
 	}
+	clear(h.ready) // drop the payloads the previous call handed out
+	h.ready = h.ready[:0]
 	if n == 0 {
 		return nil
 	}
-	out := make([]Item, n)
-	copy(out, h.items[:n])
-	h.items = h.items[:copy(h.items, h.items[n:])]
+	h.ready = append(h.ready, h.items[:n]...)
+	kept := copy(h.items, h.items[n:])
+	// Clear the vacated tail so the backing array does not keep delivered
+	// payloads reachable.
+	clear(h.items[kept:])
+	h.items = h.items[:kept]
 	h.delivered += n
-	return out
+	return h.ready
 }
 
 // NextDeadline returns the earliest hold-back expiry among messages that

@@ -92,6 +92,52 @@ func TestDeliveredCounter(t *testing.T) {
 	}
 }
 
+// TestReadyReleasesDeliveredPayloads: once the caller is done with a batch —
+// marked by its next Ready call — nothing in the queue may keep the
+// delivered payloads reachable: not the vacated tail of the backing array,
+// not the scratch slice the batch was returned in.
+func TestReadyReleasesDeliveredPayloads(t *testing.T) {
+	var h Holdback
+	for i := 0; i < 4; i++ {
+		h.Add(Item{TS: uint64(i), ReadyAt: time.Duration(i), Payload: i})
+	}
+	first := h.Ready(1)
+	if len(first) != 2 || first[0].Payload != 0 || first[1].Payload != 1 {
+		t.Fatalf("first batch = %+v", first)
+	}
+	if tail := h.items[len(h.items):cap(h.items)]; tail[0].Payload != nil || tail[1].Payload != nil {
+		t.Fatalf("vacated tail still holds payloads: %+v", tail[:2])
+	}
+	if h.Ready(1) != nil {
+		t.Fatal("nothing new was ready")
+	}
+	if first[0].Payload != nil || first[1].Payload != nil {
+		t.Fatalf("scratch slice still holds the previous batch: %+v", first)
+	}
+}
+
+// TestReadyDoesNotAllocate: the oracle timer drains the queue once per
+// delivery deadline; after the first batch sized the scratch slice, Add and
+// Ready run on storage the queue already owns.
+func TestReadyDoesNotAllocate(t *testing.T) {
+	var h Holdback
+	var payload any = "wab"
+	now := time.Duration(0)
+	round := func() {
+		for s := 0; s < 8; s++ {
+			h.Add(Item{TS: uint64(now), Sender: 7 - s, ReadyAt: now, Payload: payload})
+		}
+		if got := h.Ready(now); len(got) != 8 {
+			t.Fatalf("delivered %d, want 8", len(got))
+		}
+		now++
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("Add+Ready allocated %.1f allocs per batch, want 0", allocs)
+	}
+}
+
 // Property: regardless of arrival order, total delivery order is by
 // (TS, Sender), and every message is delivered exactly once.
 func TestQuickTotalOrder(t *testing.T) {

@@ -90,6 +90,15 @@ func Run(spec Spec) (*Report, error) {
 	return aggregate(spec, cells[0])
 }
 
+// arenas holds the simulator storage of idle workers. A worker keeps one
+// arena for as long as it runs, so engine event storage and node state are
+// reused across every simulator cell it executes; taking it from a pool
+// shared by the whole process lets the next Run or Grid.Run start warm too,
+// instead of growing a fresh slot pool (megabytes per worker under the
+// message-hoarding regimes) on every call. Arena runs are byte-identical to
+// fresh runs, so reports stay independent of who ran what before.
+var arenas = sync.Pool{New: func() any { return simnet.NewArena() }}
+
 // execute runs every (protocol, seed) cell of every (already defaulted) spec
 // on one shared worker pool and returns, per spec, the cell matrix in
 // (protocol, seed) order. One pool spans all specs, so a grid's parallelism
@@ -117,12 +126,8 @@ func execute(specs []Spec, workers int) [][][]cell {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns one arena: engine event storage and node
-			// state are reused across every simulator cell the worker
-			// runs, so a population-scale grid stops paying per-cell
-			// construction. Arena runs are byte-identical to fresh runs,
-			// so the report stays independent of the worker count.
-			arena := simnet.NewArena()
+			arena := arenas.Get().(*simnet.Arena)
+			defer arenas.Put(arena)
 			for j := range jobs {
 				spec := specs[j.gi]
 				p := spec.Protocols[j.pi]
@@ -150,9 +155,18 @@ func execute(specs []Spec, workers int) [][][]cell {
 			}
 		}()
 	}
-	for gi, spec := range specs {
-		for pi := range spec.Protocols {
-			for si := 0; si < spec.Seeds; si++ {
+	// Feed the largest clusters first: a run's cost grows faster than N, so
+	// in grid order a pass would end with one worker on the last big cell
+	// while the others idle. Cells are written by index, so the order they
+	// run in cannot reach the report.
+	order := make([]int, len(specs))
+	for gi := range order {
+		order[gi] = gi
+	}
+	sort.SliceStable(order, func(a, b int) bool { return specs[order[a]].N > specs[order[b]].N })
+	for _, gi := range order {
+		for pi := range specs[gi].Protocols {
+			for si := 0; si < specs[gi].Seeds; si++ {
 				jobs <- job{gi, pi, si}
 			}
 		}

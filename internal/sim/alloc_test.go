@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 	"time"
 )
@@ -105,73 +103,6 @@ func TestSecondSinkRegistrationPanics(t *testing.T) {
 	e.SetDeliverySink(func(int32, int32, int64, any) {})
 }
 
-// TestHeapStressAgainstReferenceOrder drives the pooled 4-ary heap through
-// a large randomized schedule/cancel workload and checks execution matches
-// exactly the reference schedule: the uncanceled events in (time, sequence)
-// order — the total order the old binary container/heap implemented, which
-// the determinism guarantee rests on.
-func TestHeapStressAgainstReferenceOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	e := NewEngine(1)
-	type key struct {
-		at  time.Duration
-		seq int
-	}
-	type scheduled struct {
-		ev Event
-		k  key
-	}
-	var got []key
-	var live []scheduled
-	canceled := make(map[key]bool)
-	var all []key
-	seq := 0
-	for i := 0; i < 5000; i++ {
-		if len(live) > 0 && rng.Intn(4) == 0 {
-			// Cancel a random pending event (exercises heapRemove at
-			// arbitrary heap positions).
-			j := rng.Intn(len(live))
-			s := live[j]
-			s.ev.Cancel()
-			if s.ev.Pending() {
-				t.Fatal("event still pending after Cancel")
-			}
-			canceled[s.k] = true
-			live = append(live[:j], live[j+1:]...)
-			continue
-		}
-		seq++
-		k := key{time.Duration(rng.Intn(1000)) * time.Millisecond, seq}
-		ev := e.Schedule(k.at, func() { got = append(got, k) })
-		live = append(live, scheduled{ev, k})
-		all = append(all, k)
-	}
-	e.Run(time.Hour)
-	var want []key
-	for _, k := range all {
-		if !canceled[k] {
-			want = append(want, k)
-		}
-	}
-	sort.Slice(want, func(i, j int) bool {
-		if want[i].at != want[j].at {
-			return want[i].at < want[j].at
-		}
-		return want[i].seq < want[j].seq
-	})
-	if len(got) != len(want) {
-		t.Fatalf("executed %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("execution order diverges at %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("%d events still pending after drain", e.Pending())
-	}
-}
-
 // TestBatchedBroadcastIsAllocFree pins the zero-alloc invariant of the
 // multicast fast path end to end: beginning a fan-out, adding every
 // recipient, committing, and stepping all deliveries through the sink must
@@ -198,5 +129,63 @@ func TestBatchedBroadcastIsAllocFree(t *testing.T) {
 	}
 	if delivered < 1000*fanout {
 		t.Fatalf("sink saw %d deliveries", delivered)
+	}
+}
+
+// TestResetIsAllocFree pins the arena path: resetting a warm engine and
+// refilling it — what a scenario worker does between two cells — allocates
+// nothing, the re-seeded random source included.
+func TestResetIsAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	sink := func(from, to int32, aux int64, payload any) {}
+	fn := func() {}
+	var payload any = struct{ x int }{42}
+	fill := func() {
+		e.SetDeliverySink(sink)
+		for i := 0; i < 64; i++ {
+			e.After(time.Duration(e.Rand().Intn(1000))*time.Microsecond, fn)
+		}
+		mc := e.BeginMulticast(0, 7, payload, 8)
+		for i := 0; i < 8; i++ {
+			mc.Add(int32(i), time.Duration(i)*time.Microsecond)
+		}
+		mc.Commit()
+		for i := 0; i < 16; i++ {
+			e.Step()
+		}
+	}
+	fill() // warm up slot, heap, and vector pools
+	seed := int64(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		e.Reset(seed)
+		fill()
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset + refill allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestResetCostFollowsTheLastRun: an arena engine that once hosted a run
+// with tens of thousands of events in flight must not pay for it at every
+// later reset. Only slots handed out since the previous reset are revisited
+// (their generation is what moves).
+func TestResetCostFollowsTheLastRun(t *testing.T) {
+	e := NewEngine(1)
+	for i := 0; i < 1000; i++ {
+		e.After(time.Millisecond, func() {})
+	}
+	e.Reset(2)
+	first, last := e.slots[0].gen, e.slots[999].gen
+	stale := e.After(time.Millisecond, func() {}) // a small run: slot 0 only
+	e.Reset(3)
+	if e.slots[0].gen == first {
+		t.Fatal("Reset left the generation of a slot it had handed out: stale handles would stay live")
+	}
+	if stale.Pending() {
+		t.Fatal("handle survived Reset")
+	}
+	if e.slots[999].gen != last {
+		t.Fatal("Reset revisited a slot that was not handed out since the previous reset")
 	}
 }

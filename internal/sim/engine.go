@@ -8,16 +8,18 @@
 // (internal/simnet) is built.
 //
 // The engine owns all event storage: scheduling reuses slots from a free
-// list and the ready queue is a specialized 4-ary min-heap of slot indices,
-// so the steady state (schedule, cancel, execute — the simulator's entire
-// inner loop) allocates nothing. Handles returned by Schedule/After are
-// generation-checked values, making a stale Cancel on an already-executed
-// event a safe no-op even after its slot has been reused.
+// list and the ready queue is a specialized 4-ary min-heap whose entries
+// carry their (time, sequence) key inline, so the steady state (schedule,
+// cancel, execute — the simulator's entire inner loop) allocates nothing
+// and ordering the queue never dereferences a slot. Handles returned by
+// Schedule/After are generation-checked values, making a stale Cancel on an
+// already-executed event a safe no-op even after its slot has been reused.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -38,21 +40,27 @@ type Engine struct {
 	stopped bool
 
 	// slots is the engine-owned event storage; free heads the free-slot
-	// list threaded through slot.next (-1 when empty). heap holds the
-	// indices of scheduled slots ordered by (at, seq).
+	// list threaded through slot.next (-1 when empty). used counts the
+	// slots handed out since construction or the last Reset: slots at or
+	// beyond it are clean and are handed out in index order once the free
+	// list is empty, so Reset only has to revisit slots[:used]. heap holds
+	// one keyed entry per scheduled slot, ordered by (at, seq).
 	slots []slot
 	free  int32
-	heap  []int32
+	used  int32
+	heap  []heapEntry
 
 	// mvecs is the engine-owned storage for multicast recipient vectors
-	// (see multicast.go); mfree stacks the indices of vectors not currently
-	// attached to a scheduled multicast slot. Vectors keep their capacity
-	// when released, so steady-state broadcasting allocates nothing.
+	// (see multicast.go); mfree stacks the indices of released vectors and
+	// mused counts the vectors handed out since the last Reset, as used does
+	// for slots. Vectors keep their capacity when released, so steady-state
+	// broadcasting allocates nothing.
 	// multiExtra counts multicast recipients beyond the one the heap entry
 	// represents, so Pending can report undelivered deliveries — the same
 	// number a unicast schedule would — in O(1).
 	mvecs      [][]multiEntry
 	mfree      []int32
+	mused      int32
 	multiExtra int
 
 	sink DeliverySink
@@ -69,8 +77,6 @@ type Engine struct {
 // gen increments every time the slot leaves the scheduled state, which is
 // what invalidates stale Event handles.
 type slot struct {
-	at      time.Duration
-	seq     uint64
 	fn      func()
 	payload any
 	aux     int64
@@ -81,8 +87,9 @@ type slot struct {
 	next    int32
 	// multi indexes the slot's recipient vector in Engine.mvecs when the
 	// slot is a multicast (-1 otherwise); mpos is the next vector entry to
-	// deliver. While scheduled, (at, seq) mirror the entry at mpos, so the
-	// heap orders a multicast by its earliest undelivered recipient.
+	// deliver. While scheduled, the slot's heap entry carries the key of the
+	// entry at mpos, so the heap orders a multicast by its earliest
+	// undelivered recipient.
 	multi int32
 	mpos  int32
 	sink  bool
@@ -163,11 +170,13 @@ func (ev Event) At() time.Duration {
 	if !ev.Pending() {
 		return 0
 	}
-	return ev.e.slots[ev.idx].at
+	return ev.e.heap[ev.e.slots[ev.idx].heapIdx].at
 }
 
-// alloc takes a slot from the free list, growing storage only when every
-// slot is scheduled (amortized; the steady state never grows).
+// alloc takes a slot from the free list, then from the clean tail a Reset
+// left behind, growing storage only when every slot is scheduled (amortized;
+// the steady state never grows). A reset engine therefore hands out the same
+// slot indices as a fresh one: 0, 1, 2, … until the first release.
 //
 //repro:hotpath
 func (e *Engine) alloc() int32 {
@@ -176,8 +185,24 @@ func (e *Engine) alloc() int32 {
 		e.free = e.slots[si].next
 		return si
 	}
-	e.slots = append(e.slots, slot{multi: -1})
-	return int32(len(e.slots) - 1)
+	si := e.used
+	if int(si) == len(e.slots) {
+		e.slots = append(roomForOne(e.slots), slot{multi: -1, heapIdx: -1})
+	}
+	e.used++
+	return si
+}
+
+// roomForOne returns s with capacity for another element, doubling a full
+// slice. append alone grows a large slice by a quarter, which on the way to
+// the million entries of a population-scale unicast round allocates and
+// copies more than twice as much (BenchmarkBroadcastN1000/unicast: 472 MB
+// and 104 allocations, against 210 MB and 52).
+func roomForOne[E any](s []E) []E {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, len(s)+1)
+	}
+	return s
 }
 
 // release returns a slot to the free list, bumping its generation so stale
@@ -208,11 +233,8 @@ func (e *Engine) schedule(at time.Duration, si int32) Event {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	e.seq++
-	s := &e.slots[si]
-	s.at = at
-	s.seq = e.seq
-	e.heapPush(si)
-	return Event{e: e, idx: si, gen: s.gen}
+	e.heapPush(heapEntry{at: at, seq: e.seq, si: si})
+	return Event{e: e, idx: si, gen: e.slots[si].gen}
 }
 
 // Schedule runs fn at virtual time at. Scheduling in the past (before Now)
@@ -269,16 +291,19 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	if e.slots[e.heap[0]].multi >= 0 {
-		return e.stepMulticast(e.heap[0])
+	head := e.heap[0]
+	if head.at < e.now {
+		panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", head.at, e.now))
 	}
-	si := e.popMin()
-	s := &e.slots[si]
-	if s.at < e.now {
-		panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", s.at, e.now))
-	}
-	e.now = s.at
+	e.now = head.at
 	e.executed++
+	si := head.si
+	s := &e.slots[si]
+	if s.multi >= 0 {
+		e.stepMulticast(si)
+		return true
+	}
+	e.popMin()
 	// Copy the callback out and recycle the slot before invoking: the
 	// callback may schedule (and the engine may hand it this very slot),
 	// and growth of e.slots would invalidate s.
@@ -305,7 +330,7 @@ func (e *Engine) Run(until time.Duration) {
 		if e.limit > 0 && e.executed >= e.limit {
 			return
 		}
-		if len(e.heap) == 0 || e.slots[e.heap[0]].at > until {
+		if len(e.heap) == 0 || e.heap[0].at > until {
 			if until > e.now {
 				e.now = until
 			}
@@ -327,7 +352,7 @@ func (e *Engine) RunUntil(pred func() bool, horizon time.Duration) bool {
 		if e.limit > 0 && e.executed >= e.limit {
 			return pred()
 		}
-		if len(e.heap) == 0 || e.slots[e.heap[0]].at > horizon {
+		if len(e.heap) == 0 || e.heap[0].at > horizon {
 			if e.now < horizon {
 				e.now = horizon
 			}
@@ -349,74 +374,84 @@ func (e *Engine) Pending() int { return len(e.heap) + e.multiExtra }
 
 // --- the event queue ---
 //
-// A 4-ary min-heap of slot indices ordered by (at, seq). The ordering key
-// is total (seq is unique per event), so the pop order — and therefore the
-// schedule — is independent of heap arity and internal layout; switching
-// from the binary container/heap changed no schedules. 4-ary trades
-// slightly more comparisons per sift-down for half the tree depth and
-// better cache locality, and the inlined sift loops avoid container/heap's
-// interface dispatch and per-push boxing.
+// A 4-ary min-heap ordered by (at, seq) whose entries hold the key inline
+// beside the slot index. The ordering key is total (seq is unique per
+// event), so the pop order — and therefore the schedule — is independent of
+// heap arity and internal layout; switching from the binary container/heap,
+// and later from a heap of bare slot indices, changed no schedules.
+//
+// The layout is for the queue the paper's regimes build: messages sent
+// before TS and delivered long after sit in it by the thousand (tens of
+// thousands under a duplicating, reordering adversary), so a sift runs many
+// levels through memory that is not in cache. With the key inline a sift
+// compares heap entries only — the four children of a node are 96
+// contiguous bytes — and touches the slot pool just to record where an
+// entry moved (slot.heapIdx, a store nothing waits for). 4-ary trades
+// slightly more comparisons per sift-down for half the tree depth, and the
+// inlined loops avoid container/heap's interface dispatch and per-push
+// boxing.
 //
 // Structural invariant: the heap contains exactly the scheduled slots.
 // Cancel removes its event eagerly (heapRemove) and Step pops before
-// executing, so the head is always live — the defensive canceled-event
-// sweep the old queue needed in peek is gone because the state it swept
-// can no longer exist.
+// executing, so the head is always live.
 
-// before reports whether slot a executes before slot b.
-func (e *Engine) before(a, b *slot) bool {
+// heapEntry is one queued event: its ordering key and the slot holding the
+// rest of it.
+type heapEntry struct {
+	at  time.Duration
+	seq uint64
+	si  int32
+}
+
+// before reports whether a executes before b.
+//
+//repro:hotpath
+func (a heapEntry) before(b heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// heapPush appends a slot and restores the heap property upward.
+// heapPush appends an entry and restores the heap property upward.
 //
 //repro:hotpath
-func (e *Engine) heapPush(si int32) {
-	e.heap = append(e.heap, si)
+func (e *Engine) heapPush(ent heapEntry) {
+	e.heap = append(roomForOne(e.heap), ent)
 	e.siftUp(int32(len(e.heap) - 1))
 }
 
-// popMin removes and returns the earliest slot.
+// popMin removes the earliest entry.
 //
 //repro:hotpath
-func (e *Engine) popMin() int32 {
+func (e *Engine) popMin() {
 	h := e.heap
-	si := h[0]
-	e.slots[si].heapIdx = -1
+	e.slots[h[0].si].heapIdx = -1
 	n := len(h) - 1
+	e.heap = h[:n]
 	if n > 0 {
 		h[0] = h[n]
-		e.slots[h[0]].heapIdx = 0
-		e.heap = h[:n]
 		e.siftDown(0)
-	} else {
-		e.heap = h[:0]
 	}
-	return si
 }
 
-// heapRemove removes the slot at heap position i (Cancel's path).
+// heapRemove removes the entry at heap position i (Cancel's path).
 //
 //repro:hotpath
 func (e *Engine) heapRemove(i int32) {
 	h := e.heap
 	n := int32(len(h)) - 1
-	e.slots[h[i]].heapIdx = -1
+	e.slots[h[i].si].heapIdx = -1
+	e.heap = h[:n]
 	if i == n {
-		e.heap = h[:n]
 		return
 	}
 	moved := h[n]
 	h[i] = moved
-	e.slots[moved].heapIdx = i
-	e.heap = h[:n]
 	e.siftDown(i)
 	// If siftDown left it in place it may still violate the property
 	// upward; siftUp is a no-op otherwise.
-	e.siftUp(e.slots[moved].heapIdx)
+	e.siftUp(e.slots[moved.si].heapIdx)
 }
 
 // siftUp restores the heap property from position i toward the root.
@@ -424,20 +459,18 @@ func (e *Engine) heapRemove(i int32) {
 //repro:hotpath
 func (e *Engine) siftUp(i int32) {
 	h := e.heap
-	si := h[i]
-	s := &e.slots[si]
+	ent := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		ps := h[p]
-		if e.before(&e.slots[ps], s) {
+		if h[p].before(ent) {
 			break
 		}
-		h[i] = ps
-		e.slots[ps].heapIdx = i
+		h[i] = h[p]
+		e.slots[h[i].si].heapIdx = i
 		i = p
 	}
-	h[i] = si
-	s.heapIdx = i
+	h[i] = ent
+	e.slots[ent.si].heapIdx = i
 }
 
 // siftDown restores the heap property from position i toward the leaves.
@@ -446,32 +479,29 @@ func (e *Engine) siftUp(i int32) {
 func (e *Engine) siftDown(i int32) {
 	h := e.heap
 	n := int32(len(h))
-	si := h[i]
-	s := &e.slots[si]
+	ent := h[i]
 	for {
 		c := i*4 + 1
 		if c >= n {
 			break
 		}
 		best := c
-		bs := &e.slots[h[c]]
 		end := c + 4
 		if end > n {
 			end = n
 		}
 		for k := c + 1; k < end; k++ {
-			ks := &e.slots[h[k]]
-			if e.before(ks, bs) {
-				best, bs = k, ks
+			if h[k].before(h[best]) {
+				best = k
 			}
 		}
-		if !e.before(bs, s) {
+		if !h[best].before(ent) {
 			break
 		}
 		h[i] = h[best]
-		bs.heapIdx = i
+		e.slots[h[i].si].heapIdx = i
 		i = best
 	}
-	h[i] = si
-	s.heapIdx = i
+	h[i] = ent
+	e.slots[ent.si].heapIdx = i
 }

@@ -97,6 +97,9 @@ func (n *Node) start() {
 		return
 	}
 	n.up = true
+	if !n.decided {
+		n.nw.undecidedUp++
+	}
 	n.startedAt = n.nw.eng.Now()
 	if n.crashCount > 0 {
 		n.restartedAt = n.startedAt
@@ -115,6 +118,9 @@ func (n *Node) crash() {
 		return
 	}
 	n.up = false
+	if !n.decided {
+		n.nw.undecidedUp--
+	}
 	n.proc = nil
 	n.crashCount++
 	n.nw.collector.Span(n.nw.eng.Now(), int(n.id), trace.SpanDown, true, int64(n.crashCount))
@@ -251,9 +257,14 @@ func (n *Node) Decide(v consensus.Value) {
 	now := n.nw.eng.Now()
 	// The checker flags disagreement and re-decision with a different
 	// value; a repeated identical Decide (restart) is idempotent.
-	_ = n.nw.checker.RecordDecision(consensus.Decision{Proc: n.id, Value: v, At: now})
+	if n.nw.checker.RecordDecision(consensus.Decision{Proc: n.id, Value: v, At: now}) != nil {
+		n.nw.violated = true
+	}
 	if !n.decided {
 		n.decided = true
+		if n.up {
+			n.nw.undecidedUp--
+		}
 		n.decision = v
 		n.decidedAt = now
 		n.nw.collector.Emit(now, int(n.id), "decide", 1)

@@ -87,6 +87,15 @@ type Network struct {
 	// run loops can refuse to stop while a process is still due back.
 	pendingRestarts int
 
+	// undecidedUp counts the processes that are up and have not decided,
+	// and violated records that the checker refused a decision: together
+	// they are the run loops' per-event stop condition (Settled) without a
+	// scan of the nodes or the checker's mutex. Nodes maintain the count in
+	// start, crash and their first Decide — a decision is durable, so a
+	// decided process that crashes and restarts never counts again.
+	undecidedUp int
+	violated    bool
+
 	// Interned histogram IDs for the route() hot path, populated lazily
 	// only when the collector has histograms enabled. deliveryHist is
 	// indexed by interned message-type ID and stores histID+1 (0 =
@@ -247,9 +256,9 @@ func (nw *Network) notifyDelivered(from, to consensus.ProcessID, m consensus.Mes
 func (nw *Network) Up(id consensus.ProcessID) bool { return nw.nodes[id].up }
 
 // UpIDs returns the IDs of all currently-running processes. The slice is a
-// scratch buffer owned by the network, valid until the next UpIDs call —
-// run-loop predicates call this every event, so it must not allocate at
-// population scale. Callers that retain it must copy.
+// scratch buffer owned by the network, valid until the next UpIDs call;
+// callers that retain it must copy. (Run loops do not scan it to decide
+// when to stop: that is Settled.)
 func (nw *Network) UpIDs() []consensus.ProcessID {
 	ids := nw.upScratch[:0]
 	for _, n := range nw.nodes {
@@ -349,21 +358,28 @@ func (nw *Network) observeQueueDepth() {
 	nw.collector.ObserveHistID(nw.queueHist-1, int64(nw.eng.Pending()))
 }
 
+// Settled reports whether a run has nothing left to wait for among the
+// processes currently up: every one of them has decided, or the safety
+// checker has recorded a violation (which ends a run at once). O(1) — run
+// loops ask after every event.
+//
+//repro:hotpath
+func (nw *Network) Settled() bool {
+	settled := nw.undecidedUp == 0 || nw.violated
+	if testHookSettled != nil {
+		testHookSettled(nw, settled)
+	}
+	return settled
+}
+
+// testHookSettled, when a test sets it, sees every answer Settled gives.
+var testHookSettled func(nw *Network, settled bool)
+
 // RunUntilAllDecided runs the simulation until every currently-up process
 // has decided, or the horizon passes. It reports whether all up processes
 // decided and returns any safety violation.
 func (nw *Network) RunUntilAllDecided(horizon time.Duration) (bool, error) {
-	ok := nw.eng.RunUntil(func() bool {
-		if nw.checker.Violation() != nil {
-			return true // stop immediately on violation
-		}
-		for _, n := range nw.nodes {
-			if n.up && !n.decided {
-				return false
-			}
-		}
-		return true
-	}, horizon)
+	ok := nw.eng.RunUntil(nw.Settled, horizon)
 	if err := nw.checker.Violation(); err != nil {
 		return false, err
 	}
