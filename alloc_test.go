@@ -18,12 +18,15 @@ import (
 )
 
 // allocBudgetFullRun bounds allocations for one N=5 modified-Paxos run
-// (unstable start, TS=200ms) on a fresh engine: the measured 356 allocs/run
-// plus 15 %. The pooled event queue, closure-free routing, interned
+// (unstable start, TS=200ms) on a fresh engine: the measured 354 allocs/run
+// plus 2 %. The count is exact on a given toolchain, so the band is only
+// room for a Go release to move it; one allocation per message or per event
+// is hundreds. The pooled event queue, closure-free routing, interned
 // counters and plain-data stable storage brought it down from the
 // pre-overhaul simulator's ~2100 to 392; dense tallies in place of the
-// protocol's per-ballot maps took it to 356.
-const allocBudgetFullRun = 410
+// protocol's per-ballot maps took it to 354. Bytes per run are held by the
+// benchmark (alloc_kb_per_op on sim_grid).
+const allocBudgetFullRun = 361
 
 // allocBudgetObservedRun bounds the same run with Observe on (phase spans,
 // latency histograms). Observation adds bounded per-run structures — the
@@ -47,11 +50,16 @@ func TestSingleRunAllocBudget(t *testing.T) {
 			t.Fatal("run did not decide")
 		}
 	}
+	// raceAllocAllowance is 0 unless the binary was built with -race.
+	const (
+		budget         = allocBudgetFullRun + raceAllocAllowance
+		observedBudget = allocBudgetObservedRun + raceAllocAllowance
+	)
 	run() // warm caches (gob type info, plain-data type table)
 	allocs := testing.AllocsPerRun(20, run)
-	if allocs > allocBudgetFullRun {
+	if allocs > budget {
 		t.Fatalf("full run allocated %.0f allocs, budget %d — the simulator hot path regressed",
-			allocs, allocBudgetFullRun)
+			allocs, budget)
 	}
 
 	// The observability instrumentation must stay a disabled branch on this
@@ -61,9 +69,9 @@ func TestSingleRunAllocBudget(t *testing.T) {
 	cfg.Observe = true
 	run()
 	observed := testing.AllocsPerRun(20, run)
-	if observed > allocBudgetObservedRun {
+	if observed > observedBudget {
 		t.Fatalf("observed run allocated %.0f allocs, budget %d — observation is no longer O(1) per run",
-			observed, allocBudgetObservedRun)
+			observed, observedBudget)
 	}
 	t.Logf("plain %.0f allocs/run, observed %.0f", allocs, observed)
 }

@@ -1,7 +1,7 @@
 package repro_test
 
-// The benchmarks below regenerate every experiment table/figure in
-// EXPERIMENTS.md (DESIGN.md §3 maps them to the paper's claims). They
+// The benchmarks below regenerate every experiment table/figure that
+// `go run ./cmd/experiments` prints (README §Reproduced claims). They
 // report the experiment's headline metric through b.ReportMetric in units
 // of δ, so `go test -bench=.` reproduces the paper's shapes:
 //

@@ -17,6 +17,32 @@ func capture(t *testing.T, args ...string) (string, error) {
 	return buf.String(), err
 }
 
+// traceEvent is one event of a Chrome-trace timeline file.
+type traceEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	PID  int            `json:"pid"`
+	TID  int            `json:"tid"`
+	Args map[string]any `json:"args"`
+}
+
+// loadTimeline reads a -timeline file, which must be valid Chrome-trace JSON.
+func loadTimeline(t *testing.T, path string) []traceEvent {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("timeline is not valid Chrome-trace JSON: %v", err)
+	}
+	return doc.TraceEvents
+}
+
 func TestListShowsLibrary(t *testing.T) {
 	out, err := capture(t, "list")
 	if err != nil {
@@ -163,21 +189,31 @@ func TestListShowsProtocols(t *testing.T) {
 }
 
 func TestSweepCSV(t *testing.T) {
-	out, err := capture(t, "sweep", "-ns", "3", "-seeds", "1", "-format", "csv", "baseline-synchronous")
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if !strings.HasPrefix(lines[0], "scenario,n,delta_ns,ts_ns,rho,") {
-		t.Fatalf("missing CSV header:\n%s", out)
-	}
-	// One row per (protocol) cell at N=3 for each visible protocol.
-	if len(lines) != 1+4 {
-		t.Fatalf("got %d CSV rows, want 4:\n%s", len(lines)-1, out)
-	}
-	for _, line := range lines[1:] {
-		if fields := strings.Split(line, ","); len(fields) != 20 {
-			t.Fatalf("row has %d fields, want 20: %q", len(fields), line)
+	for _, tc := range []struct {
+		args []string
+		rows int
+	}{
+		// One row per visible protocol at N=3.
+		{[]string{"-ns", "3", "baseline-synchronous"}, 4},
+		// The hidden gossip family across a 10× population spread, through
+		// the batched fan-out and arena reuse: 2 cells × 3 protocols.
+		{[]string{"-axis", "n=100,1000", "population-dynamics"}, 6},
+	} {
+		out, err := capture(t, append([]string{"sweep", "-seeds", "1", "-format", "csv"}, tc.args...)...)
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", tc.args, err, out)
+		}
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		if !strings.HasPrefix(lines[0], "scenario,n,delta_ns,ts_ns,rho,") {
+			t.Fatalf("%v: missing CSV header:\n%s", tc.args, out)
+		}
+		if len(lines) != 1+tc.rows {
+			t.Fatalf("%v: got %d CSV rows, want %d:\n%s", tc.args, len(lines)-1, tc.rows, out)
+		}
+		for _, line := range lines[1:] {
+			if fields := strings.Split(line, ","); len(fields) != 20 {
+				t.Fatalf("%v: row has %d fields, want 20: %q", tc.args, len(fields), line)
+			}
 		}
 	}
 }
@@ -213,11 +249,13 @@ func TestSweepRejectsUnknownFormat(t *testing.T) {
 	}
 }
 
-// TestRunLiveBackend is the CLI face of the tentpole: a canned regime on
-// the live runtime, smoke-sized, emitting the same report schema.
+// TestRunLiveBackend is the CLI face of the live runtime: a canned regime,
+// smoke-sized, emitting the same report schema and — wall time standing in
+// for virtual time — the same timeline schema as the simulator.
 func TestRunLiveBackend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tl.json")
 	out, err := capture(t, "run", "-backend", "live", "-short",
-		"-n", "3", "-delta", "5ms", "-ts", "50ms", "total-partition")
+		"-n", "3", "-delta", "5ms", "-ts", "50ms", "-timeline", path, "total-partition")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -230,6 +268,21 @@ func TestRunLiveBackend(t *testing.T) {
 		if f := strings.Fields(line); len(f) > 0 && f[0] == "paxos" {
 			t.Errorf("live run included the simulator-only protocol:\n%s", out)
 		}
+	}
+	// One named process per protocol run, each with its run-level span.
+	named, runs := 0, 0
+	for _, ev := range loadTimeline(t, path) {
+		switch {
+		case ev.Ph == "M" && ev.Name == "process_name":
+			if n, _ := ev.Args["name"].(string); strings.HasSuffix(n, "/live") {
+				named++
+			}
+		case ev.Ph == "X" && ev.Cat == "run":
+			runs++
+		}
+	}
+	if named != 3 || runs != 3 {
+		t.Errorf("live timeline names %d processes and has %d run spans, want 3 and 3", named, runs)
 	}
 }
 
@@ -298,27 +351,11 @@ func TestRunTimelineFlag(t *testing.T) {
 		t.Errorf("-hist output missing merged summaries:\n%s", out)
 	}
 
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Cat  string         `json:"cat"`
-			Ph   string         `json:"ph"`
-			PID  int            `json:"pid"`
-			TID  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("timeline is not valid Chrome-trace JSON: %v", err)
-	}
+	events := loadTimeline(t, path)
 	// Locate the round-based run via its process_name metadata.
 	rbPID := -1
 	pids := make(map[int]bool)
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range events {
 		pids[ev.PID] = true
 		if ev.Ph == "M" && ev.Name == "process_name" {
 			if n, _ := ev.Args["name"].(string); strings.Contains(n, "/roundbased/") {
@@ -335,7 +372,7 @@ func TestRunTimelineFlag(t *testing.T) {
 	// Every node lane (tid = proc+1; tid 0 is the run-level lane) of the
 	// round-based run carries at least one round span.
 	rounds := make(map[int]int)
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range events {
 		if ev.PID == rbPID && ev.Ph == "X" && ev.Cat == "round" {
 			rounds[ev.TID]++
 		}
@@ -415,32 +452,60 @@ func TestRSMBenchMatrix(t *testing.T) {
 	}
 }
 
-// TestRSMBenchJSON pins the report schema the CI artifact is built from.
+// TestRSMBenchJSON pins the report schema on a plain run and on the
+// failure-handling runs: the leader killed mid-run and restarted behind the
+// compaction horizon, on both substrates. The command fails on any
+// exactly-once, agreement or completeness violation; a chaos report carries
+// one rsmlog/ census per replica. (The simulator's failover histogram and
+// compaction bound are TestChaosLeaderCrashCompletes in internal/rsmbench;
+// on live, whether the crash lands before the last ack is wall-clock luck.)
 func TestRSMBenchJSON(t *testing.T) {
-	out, err := capture(t, "rsm-bench", "-clients", "2", "-ops", "3", "-format", "json")
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	var results []struct {
-		Backend   string  `json:"backend"`
-		TotalOps  int64   `json:"total_ops"`
-		OpsPerSec float64 `json:"ops_per_sec"`
-		Completed bool    `json:"completed"`
-		Commit    *struct {
-			P99 float64 `json:"p99"`
-		} `json:"commit_latency"`
-		Violations []string `json:"violations"`
-	}
-	if err := json.Unmarshal([]byte(out), &results); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out)
-	}
-	if len(results) != 1 {
-		t.Fatalf("want 1 result, got %d", len(results))
-	}
-	r := results[0]
-	if r.Backend != "sim" || !r.Completed || r.TotalOps != 6 ||
-		r.OpsPerSec <= 0 || r.Commit == nil || r.Commit.P99 <= 0 || len(r.Violations) != 0 {
-		t.Fatalf("unexpected result: %+v\n%s", r, out)
+	for _, tc := range []struct {
+		args    []string
+		backend string
+		ops     int64
+		chaos   bool
+	}{
+		{[]string{"-clients", "2", "-ops", "3"}, "sim", 6, false},
+		{[]string{"-clients", "32", "-ops", "20", "-batch", "8", "-pipeline", "4",
+			"-crash-leader", "50ms", "-restart-leader", "150ms", "-compact-every", "32"}, "sim", 640, true},
+		{[]string{"-backend", "live", "-clients", "8", "-ops", "10", "-delta", "2ms",
+			"-crash-leader", "60ms", "-restart-leader", "200ms", "-compact-every", "16",
+			"-failover-timeout", "50ms"}, "live", 80, true},
+	} {
+		out, err := capture(t, append([]string{"rsm-bench", "-format", "json"}, tc.args...)...)
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", tc.args, err, out)
+		}
+		var results []struct {
+			Backend   string  `json:"backend"`
+			TotalOps  int64   `json:"total_ops"`
+			OpsPerSec float64 `json:"ops_per_sec"`
+			Completed bool    `json:"completed"`
+			Commit    *struct {
+				P99 float64 `json:"p99"`
+			} `json:"commit_latency"`
+			Failover   *struct{} `json:"failover_latency"`
+			LogKeys    []int64   `json:"log_keys"`
+			Violations []string  `json:"violations"`
+		}
+		if err := json.Unmarshal([]byte(out), &results); err != nil {
+			t.Fatalf("%v: output is not JSON: %v\n%s", tc.args, err, out)
+		}
+		if len(results) != 1 {
+			t.Fatalf("%v: want 1 result, got %d", tc.args, len(results))
+		}
+		r := results[0]
+		if r.Backend != tc.backend || !r.Completed || r.TotalOps != tc.ops ||
+			r.OpsPerSec <= 0 || r.Commit == nil || r.Commit.P99 <= 0 || len(r.Violations) != 0 {
+			t.Fatalf("%v: unexpected result: %+v\n%s", tc.args, r, out)
+		}
+		if tc.chaos && len(r.LogKeys) != 3 {
+			t.Errorf("%v: log_keys = %v, want a census per replica", tc.args, r.LogKeys)
+		}
+		if tc.chaos && tc.backend == "sim" && r.Failover == nil {
+			t.Errorf("%v: no failover_latency in a deterministic leader-crash run", tc.args)
+		}
 	}
 }
 
@@ -466,21 +531,8 @@ func TestRSMBenchTimeline(t *testing.T) {
 	if !strings.Contains(out, "timeline: 1 run(s) written to "+path) {
 		t.Errorf("missing timeline confirmation:\n%s", out)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Cat string `json:"cat"`
-			Ph  string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("timeline is not valid Chrome-trace JSON: %v", err)
-	}
 	ops := 0
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range loadTimeline(t, path) {
 		if ev.Ph == "X" && ev.Cat == "rsm-op" {
 			ops++
 		}

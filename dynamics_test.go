@@ -8,6 +8,7 @@ package repro_test
 // so these tests double as end-to-end coverage for population-scale N.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -88,11 +89,33 @@ func TestDynamicsLogScaling(t *testing.T) {
 	}
 }
 
-// BenchmarkDynamicsUSDN1000 is the population-dynamics sweep point held by
-// the perfgate broadcast ratchet: one full undecided-state-dynamics run at
-// n=1000 per op, on a shared arena — exactly the unit of work a population
-// sweep executes per cell. Seeds rotate so the number is a cross-seed
-// average, not one schedule's.
+// TestDynamicsUSDN1000AllocBudget holds the allocation columns of
+// BenchmarkDynamicsUSDN1000 at three iterations: what a population sweep's
+// worker does with a fresh arena — seeds 1, 2, 3 in turn, the first run
+// paying for the arena. The counts repeat to within ten (48 321 allocations
+// — ≈ 45 300 per warm run plus ≈ 9 000 once for the arena — and 2 431 600
+// bytes per run); the budgets are those plus 2 % and 10 %.
+func TestDynamicsUSDN1000AllocBudget(t *testing.T) {
+	const allocBudget, byteBudget = 49288, 2676240
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	arena := simnet.NewArena()
+	for seed := int64(1); seed <= 3; seed++ {
+		runDynamics(t, arena, "usd", 1000, seed)
+	}
+	runtime.ReadMemStats(&after)
+	allocs, bytes := (after.Mallocs-before.Mallocs)/3, (after.TotalAlloc-before.TotalAlloc)/3
+	if allocs > allocBudget || bytes > byteBudget {
+		t.Fatalf("usd n=1000: %d allocations, %d bytes per run; budget %d, %d",
+			allocs, bytes, allocBudget, byteBudget)
+	}
+	t.Logf("usd n=1000: %d allocations, %d bytes per run", allocs, bytes)
+}
+
+// BenchmarkDynamicsUSDN1000 is the population-dynamics sweep point: one
+// full undecided-state-dynamics run at n=1000 per op, on a shared arena —
+// exactly the unit of work a population sweep executes per cell. Seeds
+// rotate so the number is a cross-seed average, not one schedule's.
 func BenchmarkDynamicsUSDN1000(b *testing.B) {
 	arena := simnet.NewArena()
 	b.ReportAllocs()

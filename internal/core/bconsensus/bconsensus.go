@@ -4,7 +4,7 @@
 // modified so it reaches consensus within O(δ) of stabilization.
 //
 // The paper does not reprint the pseudo-code of B-Consensus, so this is a
-// reconstruction (documented in DESIGN.md) of the standard Ben-Or-shaped
+// reconstruction (documented below) of the standard Ben-Or-shaped
 // algorithm over a weak ordering oracle, with exactly the property the
 // paper relies on: a round reaches consensus if more than N/2 processes are
 // nonfaulty and all messages w-abcast in that round are delivered by the

@@ -6,8 +6,8 @@
 // This is the baseline whose worst case the paper criticizes: obsolete
 // pre-stabilization messages carrying anomalously high ballot numbers can
 // force the leader through O(N) Reject/retry cycles, so consensus can take
-// O(Nδ) after stabilization (claim C1 in DESIGN.md). The modified algorithm
-// that fixes this is in internal/core/modpaxos.
+// O(Nδ) after stabilization (Table 5 of cmd/experiments measures it). The
+// modified algorithm that fixes this is in internal/core/modpaxos.
 package paxos
 
 import (

@@ -24,7 +24,7 @@ type Params struct {
 	Rho float64
 }
 
-// DefaultParams returns the parameters used for EXPERIMENTS.md: δ = 10ms,
+// DefaultParams returns cmd/experiments' default parameters: δ = 10ms,
 // TS = 200ms, 5 seeds, ρ = 1%.
 func DefaultParams() Params {
 	return Params{Delta: 10 * time.Millisecond, TS: 200 * time.Millisecond, Seeds: 5, Rho: 0.01}
@@ -569,7 +569,7 @@ func defaultSigma(delta time.Duration, rho float64) time.Duration {
 	return min + min/20
 }
 
-// All runs every experiment in DESIGN.md order.
+// All runs every experiment, in table order.
 func All(p Params) ([]Table, error) {
 	gens := []func(Params) (Table, error){
 		Table1LatencyVsN,

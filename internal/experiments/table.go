@@ -1,8 +1,8 @@
-// Package experiments regenerates every experiment table and figure in
-// EXPERIMENTS.md (the paper's claims C1–C6 recast as measurable series; see
-// DESIGN.md §3 for the index). Each generator builds its workloads through
-// internal/harness, so the CLI (cmd/experiments), the root benchmarks
-// (bench_test.go), and the tests all run identical code.
+// Package experiments regenerates every experiment table and figure: the
+// paper's claims recast as measurable series, each Table stating the
+// predicted shape beside the measured rows. Each generator builds its
+// workloads through internal/harness, so the CLI (cmd/experiments), the
+// root benchmarks (bench_test.go), and the tests all run identical code.
 package experiments
 
 import (
@@ -11,8 +11,8 @@ import (
 	"time"
 )
 
-// Table is one rendered experiment: an ID matching the DESIGN.md index, the
-// paper's predicted shape, and the measured rows.
+// Table is one rendered experiment: an ID, the paper's predicted shape, and
+// the measured rows.
 type Table struct {
 	// ID is the experiment identifier ("Table 1", "Figure 1", ...).
 	ID string

@@ -4,7 +4,7 @@
 // are stated in (decision latency after stabilization, per-process restart
 // recovery, message counts, session/round progressions).
 //
-// Every experiment table in EXPERIMENTS.md and every benchmark in
+// Every experiment table (cmd/experiments) and every benchmark in
 // bench_test.go is generated through this package, so the CLI, the
 // benchmarks, and the tests all measure exactly the same code paths.
 //

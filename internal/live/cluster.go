@@ -82,6 +82,14 @@ type Cluster struct {
 	mu        sync.Mutex
 	started   bool
 	startedAt time.Time
+
+	// life is the shutdown barrier: Crash and Restart hold it while they
+	// work and do nothing once Stop has set stopped under it, so a caller's
+	// fault timer that fires late cannot boot a node into a stopped cluster.
+	// It is not mu: node goroutines take mu in sinceStart, and stopping a
+	// node joins its goroutine.
+	life    sync.Mutex
+	stopped bool
 }
 
 // NewCluster builds a cluster; processes are created but not started.
@@ -145,8 +153,12 @@ func (c *Cluster) sinceStart() time.Duration {
 }
 
 // Stop gracefully shuts down all processes and the transport, waiting for
-// every goroutine to exit.
+// every goroutine to exit. It waits out a Crash or Restart in progress;
+// later ones are no-ops.
 func (c *Cluster) Stop() error {
+	c.life.Lock()
+	c.stopped = true
+	c.life.Unlock()
 	for _, n := range c.nodes {
 		n.stop()
 	}
@@ -164,15 +176,20 @@ func (c *Cluster) Node(id consensus.ProcessID) *Node { return c.nodes[id] }
 
 // Crash stops one process abruptly (volatile state and timers lost; stable
 // storage kept).
-func (c *Cluster) Crash(id consensus.ProcessID) {
-	c.collector.Span(c.sinceStart(), int(id), trace.SpanDown, true, 1)
-	c.nodes[id].stop()
-}
+func (c *Cluster) Crash(id consensus.ProcessID) { c.fault(id, true, (*Node).stop) }
 
 // Restart boots a crashed process again from its stable storage.
-func (c *Cluster) Restart(id consensus.ProcessID) {
-	c.collector.Span(c.sinceStart(), int(id), trace.SpanDown, false, 1)
-	c.nodes[id].start()
+func (c *Cluster) Restart(id consensus.ProcessID) { c.fault(id, false, (*Node).start) }
+
+// fault takes one process down or brings it back, unless Stop has begun.
+func (c *Cluster) fault(id consensus.ProcessID, down bool, apply func(*Node)) {
+	c.life.Lock()
+	defer c.life.Unlock()
+	if c.stopped {
+		return
+	}
+	c.collector.Span(c.sinceStart(), int(id), trace.SpanDown, down, 1)
+	apply(c.nodes[id])
 }
 
 // AllIDs returns every process ID.
@@ -204,8 +221,14 @@ func (c *Cluster) WaitDecidedAmong(ids []consensus.ProcessID, timeout time.Durat
 			return nil
 		}
 		if time.Now().After(deadline) {
+			decided := 0
+			for _, id := range ids {
+				if _, ok := c.checker.DecisionOf(id); ok {
+					decided++
+				}
+			}
 			return fmt.Errorf("live: %d/%d processes decided within %v",
-				c.checker.DecidedCount(), len(ids), timeout)
+				decided, len(ids), timeout)
 		}
 		time.Sleep(time.Millisecond)
 	}

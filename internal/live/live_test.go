@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -336,6 +337,71 @@ func TestStopIsIdempotentAndWaitsForGoroutines(t *testing.T) {
 	}
 	if err := c.Stop(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFaultsRacingStopLeaveNothingRunning is the shutdown barrier's test: a
+// caller's fault timer can fire while Stop runs or after it returned (a
+// fired timer cannot be stopped), and must not boot a node into a stopped
+// cluster, where nothing would ever join its goroutine.
+func TestFaultsRacingStopLeaveNothingRunning(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		c, err := NewCluster(Config{N: 3, Delta: delta},
+			factory(t, "modpaxos", delta), distinctProposals(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		c.Crash(0)
+		var faults sync.WaitGroup
+		faults.Add(2)
+		go func() { defer faults.Done(); c.Restart(0) }()
+		go func() { defer faults.Done(); c.Crash(1) }()
+		if err := c.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		faults.Wait()
+		c.Restart(0) // the timer that fires after Stop returned
+		for _, n := range c.nodes {
+			n.mu.Lock()
+			running := n.running
+			n.mu.Unlock()
+			if running {
+				t.Fatalf("round %d: node %d is running after Stop", round, n.id)
+			}
+		}
+	}
+}
+
+// mute is a process that takes part in nothing and never decides.
+type mute struct{}
+
+func (mute) Init(consensus.Environment)                           {}
+func (mute) HandleMessage(consensus.ProcessID, consensus.Message) {}
+func (mute) HandleTimer(consensus.TimerID)                        {}
+
+// TestWaitDecidedAmongCountsWithinItsSubset: the timeout error reports how
+// many of the processes waited on decided, not how many decided anywhere.
+func TestWaitDecidedAmongCountsWithinItsSubset(t *testing.T) {
+	paxos := factory(t, "modpaxos", delta)
+	c, err := NewCluster(Config{N: 5, Delta: delta},
+		func(id consensus.ProcessID, n int, v consensus.Value) consensus.Process {
+			if id == 4 {
+				return mute{}
+			}
+			return paxos(id, n, v)
+		}, distinctProposals(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Stop() }()
+	c.Start()
+	if err := c.WaitDecidedAmong([]consensus.ProcessID{0, 1, 2, 3}, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	err = c.WaitDecidedAmong([]consensus.ProcessID{3, 4}, 5*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "1/2 processes decided") {
+		t.Fatalf("waiting on {3,4} with 0-3 decided: got %v, want 1/2 processes decided", err)
 	}
 }
 

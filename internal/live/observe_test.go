@@ -80,7 +80,8 @@ func TestCollectorReadersDuringLiveRun(t *testing.T) {
 	}
 
 	// The run recorded what the instrumentation promises: a decide-latency
-	// sample per process and at least one session span.
+	// sample per process and at least one session span, every one of them
+	// ended by its process deciding.
 	if h, ok := collector.HistogramCopy(trace.HistDecideLatency); !ok || h.Count() != 5 {
 		t.Fatalf("decide-latency count = %v (ok=%v), want 5", h.Count(), ok)
 	}
@@ -88,7 +89,9 @@ func TestCollectorReadersDuringLiveRun(t *testing.T) {
 	for _, s := range collector.Snapshot().Spans {
 		if s.Kind == "session" {
 			sawSession = true
-			break
+		}
+		if s.Open {
+			t.Errorf("%s %d of process %d left open after every process decided", s.Kind, s.Value, s.Proc)
 		}
 	}
 	if !sawSession {

@@ -7,10 +7,10 @@ package rsm
 // heartbeats, no timers, byte-identical schedules to the static-leader
 // code.
 //
-// With failover enabled, the leader broadcasts a Beat every HeartbeatEvery
-// as a liveness signal, an epoch announcement, and a maxSeen gossip.
-// Followers treat leader silence as a crash: each follower waits
-// FailoverTimeout times its distance to the next epoch it owns (so
+// With failover enabled, the leader broadcasts a Beat every quarter of
+// FailoverTimeout as a liveness signal, an epoch announcement, and a
+// maxSeen gossip. Followers treat leader silence as a crash: each follower
+// waits FailoverTimeout times its distance to the next epoch it owns (so
 // candidates are staggered and the closest one moves first), then adopts
 // that epoch and takes over. Takeover reuses the recovery machinery the
 // slot instances already have: the new leader opens an instance for every
@@ -191,7 +191,6 @@ func (r *Replica) becomeLeader() {
 		r.replicaSpan(trace.SpanRSMFailover, true, r.epoch)
 	}
 	r.sendBeat()
-	r.env.SetTimer(beatTimer, r.cfg.HeartbeatEvery)
 	r.tryFlush(false)
 }
 
@@ -228,9 +227,12 @@ func (r *Replica) claimSlot(st *slotState) {
 	}
 }
 
-// sendBeat broadcasts the leader's liveness/epoch/frontier announcement.
+// sendBeat broadcasts the leader's liveness/epoch/frontier announcement and
+// arms the next: four beats per FailoverTimeout, so a follower must miss
+// several in a row before it suspects the leader.
 func (r *Replica) sendBeat() {
 	r.env.Broadcast(Beat{Epoch: r.epoch, MaxSeen: r.maxSeen})
+	r.env.SetTimer(beatTimer, max(r.cfg.FailoverTimeout/4, 1))
 }
 
 // onBeatTimer re-broadcasts while this replica still leads.
@@ -239,7 +241,6 @@ func (r *Replica) onBeatTimer() {
 		return
 	}
 	r.sendBeat()
-	r.env.SetTimer(beatTimer, r.cfg.HeartbeatEvery)
 }
 
 func (r *Replica) onBeat(from consensus.ProcessID, b Beat) {

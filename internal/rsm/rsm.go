@@ -206,12 +206,14 @@ type LearnReply struct {
 // Type implements consensus.Message.
 func (LearnReply) Type() string { return "rsm-learned" }
 
+// maxSlots bounds the log: a backstop against a runaway proposer and
+// against slot numbers from the wire.
+const maxSlots = 1 << 20
+
 // Config configures a replica group.
 type Config struct {
 	// Paxos configures every slot instance; Prepared is forced on.
 	Paxos modpaxos.Config
-	// MaxSlots bounds the log (a runaway-proposer backstop; default 1<<20).
-	MaxSlots int64
 	// MaxBatch is the most client commands coalesced into one slot
 	// (default 8).
 	MaxBatch int
@@ -239,8 +241,6 @@ type Config struct {
 	// itself. Zero keeps the static leader at replica 0 with no heartbeat
 	// traffic — the schedules of existing runs are unchanged.
 	FailoverTimeout time.Duration
-	// HeartbeatEvery is the leader's Beat period (default FailoverTimeout/4).
-	HeartbeatEvery time.Duration
 	// SnapshotEvery enables log compaction: every time this many more
 	// slots have applied, the replica snapshots its applier + session
 	// table and truncates the decision log below the horizon. Zero
@@ -250,9 +250,6 @@ type Config struct {
 
 // withDefaults fills the zero values.
 func (c Config) withDefaults() Config {
-	if c.MaxSlots == 0 {
-		c.MaxSlots = 1 << 20
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
@@ -264,12 +261,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 4096
-	}
-	if c.FailoverTimeout > 0 && c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = c.FailoverTimeout / 4
-		if c.HeartbeatEvery <= 0 {
-			c.HeartbeatEvery = c.FailoverTimeout
-		}
 	}
 	c.Paxos.Prepared = true
 	return c
@@ -717,7 +708,7 @@ func (r *Replica) tryFlush(force bool) {
 		r.forwardQueue()
 		return
 	}
-	for len(r.queue) > 0 && r.inFlight < r.cfg.MaxInFlight && r.nextSlot < r.cfg.MaxSlots {
+	for len(r.queue) > 0 && r.inFlight < r.cfg.MaxInFlight && r.nextSlot < maxSlots {
 		if !force && len(r.queue) < r.cfg.MaxBatch {
 			if r.cfg.Linger > 0 {
 				if wait := r.queue[0].enqueuedAt + r.cfg.Linger - r.env.Now(); wait > 0 {
@@ -824,7 +815,7 @@ func (r *Replica) flushParked() {
 }
 
 func (r *Replica) onSlotMsg(from consensus.ProcessID, msg SlotMsg) {
-	if msg.Slot < 0 || msg.Slot >= r.cfg.MaxSlots || msg.Inner == nil {
+	if msg.Slot < 0 || msg.Slot >= maxSlots || msg.Inner == nil {
 		return
 	}
 	if msg.Slot > r.maxSeen {
@@ -1050,7 +1041,7 @@ func (r *Replica) onLearn(from consensus.ProcessID, msg Learn) {
 func (r *Replica) onLearnReply(from consensus.ProcessID, msg LearnReply) {
 	before := r.applied
 	for _, e := range msg.Entries {
-		if e.Slot < 0 || e.Slot >= r.cfg.MaxSlots {
+		if e.Slot < 0 || e.Slot >= maxSlots {
 			continue
 		}
 		if _, ok := r.decisions[e.Slot]; !ok {

@@ -245,25 +245,12 @@ func runLive(cfg Config, total int, collector *trace.Collector,
 	}
 	started := time.Now()
 	cluster.Start()
-	// Chaos schedule on wall clock. The mutex makes teardown deterministic:
-	// cancelling grabs it, so an in-flight Crash/Restart callback finishes
-	// before cluster.Stop runs, and late timers become no-ops.
-	var chaosMu sync.Mutex
-	chaosOver := false
-	var timers []*time.Timer
-	schedule := func(d time.Duration, f func()) {
-		timers = append(timers, time.AfterFunc(d, func() {
-			chaosMu.Lock()
-			defer chaosMu.Unlock()
-			if !chaosOver {
-				f()
-			}
-		}))
-	}
+	// Chaos schedule on wall clock, stopped on return; a timer that has fired
+	// by the time cluster.Stop runs finds Crash and Restart to be no-ops.
 	if cfg.CrashLeaderAt > 0 {
-		schedule(cfg.CrashLeaderAt, func() { cluster.Crash(0) })
+		defer time.AfterFunc(cfg.CrashLeaderAt, func() { cluster.Crash(0) }).Stop()
 		if cfg.RestartLeaderAt > 0 {
-			schedule(cfg.RestartLeaderAt, func() { cluster.Restart(0) })
+			defer time.AfterFunc(cfg.RestartLeaderAt, func() { cluster.Restart(0) }).Stop()
 		}
 	}
 	res.Completed = cluster.WaitDecidedAmong(clientIDs, cfg.Horizon) == nil
@@ -271,12 +258,6 @@ func runLive(cfg Config, total int, collector *trace.Collector,
 		// Settle window mirroring the sim backend: give the restarted
 		// replica time to catch up and trailing snapshots time to truncate.
 		time.Sleep(50 * cfg.Delta)
-	}
-	chaosMu.Lock()
-	chaosOver = true
-	chaosMu.Unlock()
-	for _, t := range timers {
-		t.Stop()
 	}
 	if d, ok := cluster.Checker().LastDecisionAmong(clientIDs); ok && res.Completed {
 		res.Duration = d

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core/consensus"
@@ -175,50 +174,22 @@ func (b liveBackend) Run(cfg harness.Config) (harness.Result, error) {
 			expected = append(expected, id)
 		}
 	}
-	// Fault timers are guarded: a callback that fires in the instant
-	// between the wait finishing and the deferred Stop must not restart a
-	// node into a stopped cluster (a fired timer cannot be Stop()ped, so
-	// the flag — flipped under the same lock the callbacks take — is the
-	// only reliable barrier).
-	var (
-		faultMu sync.Mutex
-		done    bool
-	)
-	guarded := func(fn func()) func() {
-		return func() {
-			faultMu.Lock()
-			defer faultMu.Unlock()
-			if !done {
-				fn()
-			}
-		}
-	}
-	var faultTimers []*time.Timer
-	defer func() {
-		for _, t := range faultTimers {
-			t.Stop()
-		}
-	}()
 	// The live backend runs real goroutines against the host clock by
 	// design; wall-clock reads here are the point, not a determinism leak.
 	started := time.Now() //repro:allow detlint live backend measures wall time by design
 	cluster.Start()
+	// The timers are stopped on return, before the deferred cluster.Stop; one
+	// that has already fired by then finds Crash and Restart to be no-ops.
 	for _, r := range cfg.Restarts {
-		r := r
 		//repro:allow detlint live faults fire on the wall clock by design
-		faultTimers = append(faultTimers, time.AfterFunc(r.CrashAt,
-			guarded(func() { cluster.Crash(r.Proc) })))
+		defer time.AfterFunc(r.CrashAt, func() { cluster.Crash(r.Proc) }).Stop()
 		if r.RestartAt > 0 {
 			//repro:allow detlint live faults fire on the wall clock by design
-			faultTimers = append(faultTimers, time.AfterFunc(r.RestartAt,
-				guarded(func() { cluster.Restart(r.Proc) })))
+			defer time.AfterFunc(r.RestartAt, func() { cluster.Restart(r.Proc) }).Stop()
 		}
 	}
 
 	decided := cluster.WaitDecidedAmong(expected, liveHorizon(cfg)) == nil
-	faultMu.Lock()
-	done = true
-	faultMu.Unlock()
 	// Run-level phase spans mirror the harness's post-run recording, with
 	// wall time standing in for virtual time.
 	collector.RecordRunPhases(cfg.TS, time.Since(started)) //repro:allow detlint live backend measures wall time by design

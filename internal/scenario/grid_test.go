@@ -162,8 +162,8 @@ func TestGridRejectsDuplicateAxis(t *testing.T) {
 }
 
 func TestGridCSVGolden(t *testing.T) {
-	// The CSV schema is a published interface (plotting scripts and the CI
-	// smoke job consume it): the header is pinned verbatim, and every row
+	// The CSV schema is a published interface (plotting scripts consume
+	// it): the header is pinned verbatim, and every row
 	// must carry the full resolved parameter set in the same column order.
 	const wantHeader = "scenario,n,delta_ns,ts_ns,rho,sigma_ns,eps_ns,attack_k," +
 		"protocol,seeds,decided,latency_median_ns,latency_median_deltas,latency_max_ns," +

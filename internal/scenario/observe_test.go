@@ -177,3 +177,39 @@ func TestHistogramSummaries(t *testing.T) {
 		t.Error("no per-type delivery histograms in the summaries")
 	}
 }
+
+// TestLibrarySpansAreClosed is span pairing as a runtime assertion: on every
+// library regime × protocol, each phase span a process begins is ended on
+// whatever path the process leaves the phase by (deciding, adopting a
+// decision, moving on). What PairSpans closes at run end by design is the
+// last leader epoch, the down span of a process crashed for good, and the
+// phase that process was in when it died — anything else is a begin whose
+// end some path forgot.
+func TestLibrarySpansAreClosed(t *testing.T) {
+	for _, spec := range Library() {
+		spec.Observe, spec.KeepRuns, spec.Seeds = true, true, 2
+		rep, err := Run(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		for _, run := range rep.Runs() {
+			snap := run.Res.Collector.Snapshot()
+			if snap.SpansDropped > 0 {
+				t.Errorf("%s/%s/seed=%d: span ring wrapped (%d events lost); pairing is unchecked",
+					spec.Name, run.Protocol, run.Seed, snap.SpansDropped)
+			}
+			down := make(map[int]bool)
+			for _, s := range snap.Spans {
+				if s.Open && s.Kind == trace.SpanDown {
+					down[s.Proc] = true
+				}
+			}
+			for _, s := range snap.Spans {
+				if s.Open && s.Kind != trace.SpanDown && s.Kind != trace.SpanLeaderEpoch && !down[s.Proc] {
+					t.Errorf("%s/%s/seed=%d: %s %d of process %d, begun at %v, never ended",
+						spec.Name, run.Protocol, run.Seed, s.Kind, s.Value, s.Proc, s.Start)
+				}
+			}
+		}
+	}
+}

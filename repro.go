@@ -18,7 +18,7 @@
 //   - A live goroutine runtime running the identical protocol code over
 //     in-memory or TCP transports.
 //   - Adversaries (obsolete-ballot release, dead coordinators) and the
-//     experiment harness regenerating every table in EXPERIMENTS.md.
+//     experiment harness regenerating every table (cmd/experiments).
 //
 // # Quick start
 //
@@ -32,8 +32,8 @@
 //	// res.LatencyAfterTS ≈ a few δ, and never above the paper's
 //	// ε + 3τ + 5δ bound.
 //
-// See DESIGN.md for the architecture and EXPERIMENTS.md for the measured
-// reproduction of every claim.
+// README.md has the layout; `go run ./cmd/experiments -o EXPERIMENTS.md`
+// writes the measured reproduction of every claim.
 package repro
 
 import (
@@ -121,8 +121,8 @@ type ExperimentParams = experiments.Params
 // ExperimentTable is one rendered experiment table or figure.
 type ExperimentTable = experiments.Table
 
-// DefaultExperimentParams returns the parameters used for EXPERIMENTS.md.
+// DefaultExperimentParams returns cmd/experiments' default parameters.
 func DefaultExperimentParams() ExperimentParams { return experiments.DefaultParams() }
 
-// AllExperiments regenerates every table and figure in EXPERIMENTS.md.
+// AllExperiments regenerates every experiment table and figure.
 func AllExperiments(p ExperimentParams) ([]ExperimentTable, error) { return experiments.All(p) }
