@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -9,13 +10,15 @@ import (
 // per-event/per-message inner loop — for the allocation patterns that
 // AllocsPerRun regression tests catch only after the fact and without a
 // source location: closures that capture state, values boxed into
-// interfaces, fmt calls, and map/slice allocation inside loops.
+// interfaces, fmt calls, string concatenation, and map/slice allocation
+// inside loops.
 //
-// fmt calls whose result only feeds panic are exempt: a panic path runs
-// zero times per event, and the engine's invariant panics are deliberate.
+// fmt calls and concatenations whose result only feeds panic are exempt: a
+// panic path runs zero times per event, and the engine's invariant panics
+// are deliberate.
 var Hotlint = &Analyzer{
 	Name: "hotlint",
-	Doc:  "closures, interface boxing, fmt, and per-iteration allocation in //repro:hotpath functions",
+	Doc:  "closures, interface boxing, fmt, string concatenation, and per-iteration allocation in //repro:hotpath functions",
 	Run:  runHotlint,
 }
 
@@ -63,6 +66,24 @@ func checkHotFunc(p *Pass, fd *ast.FuncDecl) {
 			// execution; it runs whenever the closure is invoked. Its cost
 			// is attributed to whoever calls it.
 			return
+		case *ast.BinaryExpr:
+			if !inPanic && isStringConcat(p, n) {
+				p.Reportf(n.Pos(), "string concatenation on a //repro:hotpath function allocates per call; build the string once, off the hot path")
+				// a + b + c is one allocation: report the chain once and
+				// walk only its operands.
+				var operands func(e ast.Expr)
+				operands = func(e ast.Expr) {
+					if b, ok := ast.Unparen(e).(*ast.BinaryExpr); ok && isStringConcat(p, b) {
+						operands(b.X)
+						operands(b.Y)
+						return
+					}
+					walk(e, loopDepth, inPanic)
+				}
+				operands(n.X)
+				operands(n.Y)
+				return
+			}
 		case *ast.CompositeLit:
 			if loopDepth > 0 && !inPanic {
 				if t := p.TypeOf(n); t != nil {
@@ -85,6 +106,20 @@ func checkHotFunc(p *Pass, fd *ast.FuncDecl) {
 		})
 	}
 	walk(fd.Body, 0, false)
+}
+
+// isStringConcat reports whether e is a + of strings evaluated at run time
+// (a constant expression costs nothing).
+func isStringConcat(p *Pass, e *ast.BinaryExpr) bool {
+	if e.Op != token.ADD {
+		return false
+	}
+	tv, ok := p.Pkg.Info.Types[e]
+	if !ok || tv.Value != nil {
+		return false
+	}
+	b, ok := tv.Type.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
 }
 
 // checkHotCall flags fmt calls, make(map/slice) in loops, and arguments

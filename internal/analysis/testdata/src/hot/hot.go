@@ -18,7 +18,10 @@ type engine struct {
 	out  sink
 	cb   func()
 	seen map[int64]bool
+	name string
 }
+
+const prefix = "hot-"
 
 func takesInterface(v any) {}
 
@@ -43,6 +46,11 @@ func (e *engine) step(ev event) {
 		_ = i
 	}
 	e.cb = func() { e.release(ev.seq) } // want `closure captures "e"`
+	e.name = prefix + e.name + "/"      // want `string concatenation on a //repro:hotpath function allocates per call`
+	e.name = prefix + "constant"        // folded at compile time
+	if e.name == "" {
+		panic("hot: unnamed engine " + e.name) // concatenation inside panic is exempt
+	}
 }
 
 // release is hot but clean: no closures, no boxing, no fmt.
@@ -58,4 +66,5 @@ func (e *engine) coldPath(ev event) {
 	takesInterface(ev)
 	fmt.Printf("cold %d\n", ev.seq)
 	e.cb = func() { e.release(ev.seq) }
+	e.name = prefix + e.name
 }

@@ -1,0 +1,51 @@
+package rsm_test
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/rsmbench"
+)
+
+// slotAllocBudget bounds the allocations of one committed operation: the
+// measured 22.394 plus 2 %. The count is exact on a given toolchain (the run
+// is a seeded simulation), so the band is only room for a Go release to move
+// it. It was 37.453 before PR 20 took the per-slot strings, the gob
+// snapshot, the text batch and the blanket timer cancels off the step.
+const slotAllocBudget = 22.84
+
+// TestSteadyStateSlotAllocBudget holds what a committed operation allocates
+// across the whole simulated stack — three replicas' rsm and modpaxos steps,
+// the simulator, stable storage and the closed-loop clients — at batch 8,
+// pipeline 4, the TestBatchPipelineMatrix shape. It is the marginal cost:
+// the difference between a long and a short run of the same 32 clients, so
+// cluster set-up cancels. A slot that formats a key per persist, decodes
+// its batch at the proposer or cancels timers it never armed shows here as
+// whole allocations per slot, far outside the band.
+func TestSteadyStateSlotAllocBudget(t *testing.T) {
+	mallocs := func(ops int) (uint64, int64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := rsmbench.Run(rsmbench.Config{
+			Backend: rsmbench.BackendSim, Clients: 32, Ops: ops, Seed: 2,
+			MaxBatch: 8, MaxInFlight: 4,
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Passed() {
+			t.Fatalf("run failed: completed=%v violations=%v", res.Completed, res.Violations)
+		}
+		return after.Mallocs - before.Mallocs, res.TotalOps
+	}
+	mallocs(10) // warm caches (gob type info, plain-data type table)
+	short, shortOps := mallocs(50)
+	long, longOps := mallocs(250)
+	perOp := float64(long-short) / float64(longOps-shortOps)
+	t.Logf("%.3f allocs per committed op (%d over %d ops)", perOp, long-short, longOps-shortOps)
+	// raceAllocAllowance is 0 unless the binary was built with -race.
+	if budget := slotAllocBudget + raceAllocAllowance; perOp > budget {
+		t.Fatalf("a committed op allocates %.3f times, budget %.3f — the per-slot path regressed", perOp, budget)
+	}
+}

@@ -1,7 +1,7 @@
 package rsm
 
 import (
-	"strconv"
+	"encoding/binary"
 	"strings"
 
 	"repro/internal/core/consensus"
@@ -18,56 +18,84 @@ type Command struct {
 	Op     consensus.Value
 }
 
-// batchPrefix versions the on-wire batch encoding. A decided value without
-// it is treated as a single sessionless command, so raw values injected by
-// tests (or decided by recovery ballots of older logs) still apply.
-const batchPrefix = "b1|"
+// batchPrefix versions the batch encoding. A decided value that is not this
+// prefix followed by a well-formed body is treated as a single sessionless
+// command, so raw values injected by tests (or decided by recovery ballots
+// of older logs) still apply.
+const batchPrefix = "b2|"
 
-// EncodeBatch packs commands into one consensus value. The encoding is
-// length-prefixed per entry ("client,seq,oplen:op"), so ops may contain any
-// bytes including the separator.
+// minCommand is the smallest encoded command: three one-byte varints and an
+// empty op.
+const minCommand = 3
+
+// EncodeBatch packs commands into one consensus value: the prefix, the
+// command count, then per command `client | seq | len(op) | op` with the
+// integers as encoding/binary varints (the layout consensus.AppendString
+// and WireReader use) — fixed fields in a fixed order, nothing
+// self-describing. The value is built in one exactly sized allocation.
 func EncodeBatch(cmds []Command) consensus.Value {
-	var b strings.Builder
-	b.WriteString(batchPrefix)
+	var buf [3 * binary.MaxVarintLen64]byte
+	size := len(batchPrefix) + len(binary.AppendUvarint(buf[:0], uint64(len(cmds))))
 	for _, c := range cmds {
-		b.WriteString(strconv.FormatInt(c.Client, 10))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatUint(c.Seq, 10))
-		b.WriteByte(',')
-		b.WriteString(strconv.Itoa(len(c.Op)))
-		b.WriteByte(':')
+		size += len(appendCommandHead(buf[:0], c)) + len(c.Op)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(batchPrefix)
+	b.Write(binary.AppendUvarint(buf[:0], uint64(len(cmds))))
+	for _, c := range cmds {
+		b.Write(appendCommandHead(buf[:0], c))
 		b.WriteString(string(c.Op))
 	}
 	return consensus.Value(b.String())
 }
 
-// DecodeBatch unpacks a slot value into its commands. Non-batch values
-// (including anything malformed) decode as a single sessionless command, so
-// every decided non-NoOp value applies exactly once somehow.
+func appendCommandHead(b []byte, c Command) []byte {
+	b = binary.AppendUvarint(binary.AppendVarint(b, c.Client), c.Seq)
+	return binary.AppendUvarint(b, uint64(len(c.Op)))
+}
+
+// DecodeBatch unpacks a slot value into its commands, whose ops share the
+// value's bytes. Non-batch values (including anything malformed: a count or
+// length the remaining bytes cannot hold, a truncated field, trailing
+// bytes) decode as a single sessionless command, so every decided non-NoOp
+// value applies exactly once somehow.
 func DecodeBatch(v consensus.Value) []Command {
-	s := string(v)
-	if !strings.HasPrefix(s, batchPrefix) {
-		return []Command{{Op: v}}
+	if cmds, ok := decodeBatch(v); ok {
+		return cmds
 	}
-	rest := s[len(batchPrefix):]
-	var out []Command
-	for len(rest) > 0 {
-		head, tail, ok := strings.Cut(rest, ":")
-		if !ok {
-			return []Command{{Op: v}}
-		}
-		parts := strings.SplitN(head, ",", 3)
-		if len(parts) != 3 {
-			return []Command{{Op: v}}
-		}
-		client, err1 := strconv.ParseInt(parts[0], 10, 64)
-		seq, err2 := strconv.ParseUint(parts[1], 10, 64)
-		opLen, err3 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil || err3 != nil || opLen < 0 || opLen > len(tail) {
-			return []Command{{Op: v}}
-		}
-		out = append(out, Command{Client: client, Seq: seq, Op: consensus.Value(tail[:opLen])})
-		rest = tail[opLen:]
+	return []Command{{Op: v}}
+}
+
+func decodeBatch(v consensus.Value) ([]Command, bool) {
+	if !strings.HasPrefix(string(v), batchPrefix) {
+		return nil, false
 	}
-	return out
+	b := []byte(v) // only read, so the compiler does not copy
+	off := len(batchPrefix)
+	count, n := binary.Uvarint(b[off:])
+	off += n
+	// The declared count sizes the result, so it must fit what is left.
+	if n <= 0 || count > uint64((len(b)-off)/minCommand) {
+		return nil, false
+	}
+	out := make([]Command, count)
+	for i := range out {
+		client, n1 := binary.Varint(b[off:])
+		if n1 <= 0 {
+			return nil, false
+		}
+		seq, n2 := binary.Uvarint(b[off+n1:])
+		if n2 <= 0 {
+			return nil, false
+		}
+		opLen, n3 := binary.Uvarint(b[off+n1+n2:])
+		off += n1 + n2 + n3
+		if n3 <= 0 || opLen > uint64(len(b)-off) {
+			return nil, false
+		}
+		out[i] = Command{Client: client, Seq: seq, Op: v[off : off+int(opLen)]}
+		off += int(opLen)
+	}
+	return out, off == len(b)
 }

@@ -9,7 +9,9 @@ package rsm
 // observability (failover / catch-up latency histograms).
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -36,6 +38,16 @@ func (b beatBlackout) Fate(tx simnet.Transmission, rng *rand.Rand) simnet.Fate {
 		}
 	}
 	return simnet.Synchronous{}.Fate(tx, rng)
+}
+
+// assertClientOrder checks the client order snapshots encode in against the
+// session table it shadows: it must track every first sight, eviction,
+// restore and install.
+func assertClientOrder(t *testing.T, r *Replica) {
+	t.Helper()
+	if want := slices.Sorted(maps.Keys(r.sessions)); !slices.Equal(r.clients, want) {
+		t.Fatalf("replica %d keeps client order %v for sessions of %v", r.id, r.clients, want)
+	}
 }
 
 // clientCount tallies one client's entries in an apply log.
@@ -186,12 +198,23 @@ func TestSimSnapshotCompactionBoundsLog(t *testing.T) {
 		if slotRecords > 2*4 {
 			t.Fatalf("replica %d keeps %d slot records after compaction (every 4)", id, slotRecords)
 		}
-		var snap Snapshot
-		if ok, err := nw.Node(consensus.ProcessID(id)).Store().Get(storage.KeyRSMSnapshot, &snap); err != nil || !ok {
-			t.Fatalf("replica %d has no snapshot record (ok=%v err=%v)", id, ok, err)
+		if snap, ok := loadSnapshot(nw.Node(consensus.ProcessID(id)).Store()); !ok {
+			t.Fatalf("replica %d has no readable snapshot record", id)
 		} else if snap.Applied < 8 {
 			t.Fatalf("replica %d snapshot horizon %d, want >= 8", id, snap.Applied)
+		} else if len(snap.Sessions) != nclients {
+			// MaxSessions is 2: the third session was spilled and folded in.
+			t.Fatalf("replica %d snapshot holds %d sessions, want %d", id, len(snap.Sessions), nclients)
+		} else {
+			// The record is the wire form of the message that ships it.
+			var rec string
+			_, _ = nw.Node(consensus.ProcessID(id)).Store().Get(storage.KeyRSMSnapshot, &rec)
+			if wire, _ := consensus.AppendMessage(nil, SnapshotMsg{Snap: snap}); rec != string(wire) {
+				t.Fatalf("replica %d snapshot record is %q, its SnapshotMsg encodes as %q", id, rec, wire)
+			}
 		}
+		// Evictions here, a restore at replica 0.
+		assertClientOrder(t, nw.Node(consensus.ProcessID(id)).Process().(*Replica))
 	}
 	r0 := nw.Node(0).Process().(*Replica)
 	if r0.snapBase < 8 {
@@ -261,6 +284,7 @@ func TestSimCatchUpViaSnapshot(t *testing.T) {
 	if r2.Applied() < ops {
 		t.Fatalf("follower applied %d, want >= %d", r2.Applied(), ops)
 	}
+	assertClientOrder(t, r2)
 	// The fresh incarnation replays its own short pre-crash prefix, then
 	// jumps to the frontier via the snapshot: the compacted middle of the
 	// log must never reach its applier.

@@ -384,4 +384,5 @@ func TestSimEvictedSessionsStillDedup(t *testing.T) {
 	if got := len(leader.sessions); got > 2 {
 		t.Fatalf("leader holds %d sessions in memory, MaxSessions is 2", got)
 	}
+	assertClientOrder(t, leader)
 }

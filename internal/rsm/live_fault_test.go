@@ -90,9 +90,9 @@ func TestLiveCrashRestartCatchUpBounded(t *testing.T) {
 	// Catch-up crossed the compaction horizon via snapshot: replica 0 holds
 	// an installed snapshot at least one window deep, and its surviving
 	// rsmlog/ records are bounded by the windows above it, not the full log.
-	var snap Snapshot
-	if ok, err := cluster.Node(0).Store().Get(storage.KeyRSMSnapshot, &snap); err != nil || !ok {
-		t.Fatalf("restarted replica has no snapshot (ok=%v err=%v)", ok, err)
+	snap, ok := loadSnapshot(cluster.Node(0).Store())
+	if !ok {
+		t.Fatal("restarted replica has no readable snapshot")
 	}
 	if snap.Applied < 4 {
 		t.Fatalf("snapshot horizon %d, want ≥ 4", snap.Applied)

@@ -35,6 +35,8 @@ package rsm
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -158,28 +160,32 @@ type SlotMsg struct {
 	Inner consensus.Message
 }
 
-// slotTypeNames holds SlotMsg.Type()'s answer for every message a slot
-// instance sends: every backend asks at least twice per message, and
-// concatenating each time allocated.
-var slotTypeNames = func() map[string]string {
-	names := make(map[string]string)
-	for _, m := range modpaxos.Descriptor().Messages {
-		names[m.Type()] = "rsm-" + m.Type()
-	}
-	return names
-}()
-
-// Type implements consensus.Message.
+// Type implements consensus.Message. Every backend asks at least twice per
+// message, so the five types a slot instance sends answer from a type
+// switch, without hashing or building a string.
+//
+//repro:hotpath
 func (m SlotMsg) Type() string {
-	if m.Inner == nil {
+	switch m.Inner.(type) {
+	case nil:
 		return "rsm-slot"
+	case modpaxos.P1a:
+		return "rsm-p1a"
+	case modpaxos.P1b:
+		return "rsm-p1b"
+	case modpaxos.P2a:
+		return "rsm-p2a"
+	case modpaxos.P2b:
+		return "rsm-p2b"
+	case modpaxos.Decided:
+		return "rsm-decided"
 	}
-	inner := m.Inner.Type()
-	if name, ok := slotTypeNames[inner]; ok {
-		return name
-	}
-	return "rsm-" + inner
+	return wrappedType(m.Inner)
 }
+
+// wrappedType names a SlotMsg around any other inner message (no slot
+// instance sends one; tests do).
+func wrappedType(inner consensus.Message) string { return "rsm-" + inner.Type() }
 
 // Learn asks a peer for decided slots starting at From. Replicas send it on
 // a timer while their log has a gap below a slot they know exists; it
@@ -333,10 +339,22 @@ func (r *Replica) lookupSession(client int64) (Session, bool) {
 // recordSession updates a client's dedup record after its command applied,
 // evicting the oldest records once the in-memory table exceeds MaxSessions.
 func (r *Replica) recordSession(client int64, s Session) {
+	known := len(r.sessions)
 	r.sessions[client] = s
+	if len(r.sessions) > known {
+		i, _ := slices.BinarySearch(r.clients, client)
+		r.clients = slices.Insert(r.clients, i, client)
+	}
 	for len(r.sessions) > r.cfg.MaxSessions {
 		r.evictOldestSession()
 	}
+}
+
+// restoreSessions replaces the dedup table with a snapshot's.
+func (r *Replica) restoreSessions(from map[int64]Session) {
+	r.sessions = make(map[int64]Session, len(from))
+	maps.Copy(r.sessions, from)
+	r.clients = slices.Sorted(maps.Keys(from))
 }
 
 // evictOldestSession spills the session whose last applied slot is oldest
@@ -360,6 +378,8 @@ func (r *Replica) evictOldestSession() {
 		r.env.Logf("rsm: spill session %d: %v", victim, err)
 	}
 	delete(r.sessions, victim)
+	i, _ := slices.BinarySearch(r.clients, victim)
+	r.clients = slices.Delete(r.clients, i, i+1)
 }
 
 // parkedQuery is a read waiting for the log to reach its watermark.
@@ -411,8 +431,11 @@ type Replica struct {
 	lingerArmed bool
 
 	// sessions is the apply-side dedup state, rebuilt from the log on
-	// restart because it is only mutated while applying.
+	// restart because it is only mutated while applying. clients holds its
+	// keys in ascending order — the order a snapshot encodes them in — kept
+	// up as clients are first seen or evicted, so no snapshot sorts the table.
 	sessions map[int64]Session
+	clients  []int64
 
 	// Catch-up: maxSeen is the highest slot this replica knows exists
 	// (decided locally or referenced by any peer message); while the log
@@ -434,8 +457,10 @@ type Replica struct {
 	failoverFrom time.Duration
 
 	// Compaction: snapBase is the snapshot horizon — the lowest slot still
-	// present in the decision log (0 until the first snapshot).
+	// present in the decision log (0 until the first snapshot). snapBuf is
+	// the encode buffer successive snapshots reuse.
 	snapBase int64
+	snapBuf  []byte
 
 	// Restart catch-up timing: set on a non-empty restore, resolved into
 	// HistCatchupLatency once the log is gap-free after hearing a peer.
@@ -451,9 +476,11 @@ type Replica struct {
 	mu sync.Mutex // guards kv reads from outside the event loop (tests)
 }
 
+// slotState is one slot's protocol instance and the environment it runs
+// against, in one allocation.
 type slotState struct {
 	proc consensus.Process
-	env  *slotEnv
+	env  slotEnv
 }
 
 var _ consensus.Process = (*Replica)(nil)
@@ -498,8 +525,7 @@ func (r *Replica) Init(env consensus.Environment) {
 	// A compaction snapshot replaces the log below its horizon: restore
 	// the applier image and the complete session table first, then replay
 	// only the decision records above it.
-	var snap Snapshot
-	if ok, err := env.Store().Get(storage.KeyRSMSnapshot, &snap); err == nil && ok && snap.Applied > 0 {
+	if snap, ok := loadSnapshot(env.Store()); ok && snap.Applied > 0 {
 		if snap.HasState {
 			if sn, ok := r.applier.(Snapshotter); ok {
 				r.mu.Lock()
@@ -510,10 +536,7 @@ func (r *Replica) Init(env consensus.Environment) {
 				}
 			}
 		}
-		r.sessions = make(map[int64]Session, len(snap.Sessions))
-		for c, s := range snap.Sessions {
-			r.sessions[c] = s
-		}
+		r.restoreSessions(snap.Sessions)
 		r.applied = snap.Applied
 		r.snapBase = snap.Applied
 		r.maxSeen = snap.Applied - 1
@@ -848,26 +871,26 @@ func (r *Replica) instance(slot int64, proposal consensus.Value) *slotState {
 	if st, ok := r.slots[slot]; ok {
 		return st
 	}
-	env := &slotEnv{replica: r, slot: slot}
-	st := &slotState{proc: r.factory(r.id, r.n, proposal), env: env}
+	st := &slotState{proc: r.factory(r.id, r.n, proposal), env: newSlotEnv(r, slot)}
 	r.slots[slot] = st
-	st.proc.Init(env)
+	st.proc.Init(&st.env)
 	return st
 }
 
-// retire drops an applied slot's protocol instance: its timers are
-// cancelled and its in-memory state freed. Late messages for the slot are
-// answered from the decision log (onSlotMsg), and gaps elsewhere are filled
-// by the Learn protocol — without this, every decided instance would gossip
-// its decision forever and a long log would drown the event queue.
+// retire drops an applied slot's protocol instance: the timers it holds
+// armed are cancelled and its in-memory state freed. Late messages for the
+// slot are answered from the decision log (onSlotMsg), and gaps elsewhere
+// are filled by the Learn protocol — without this, every decided instance
+// would gossip its decision forever and a long log would drown the event
+// queue.
+//
+//repro:hotpath
 func (r *Replica) retire(slot int64) {
-	if _, ok := r.slots[slot]; !ok {
+	st, ok := r.slots[slot]
+	if !ok {
 		return
 	}
-	base := (slot + 1) * timersPerSlot
-	for i := int64(0); i < timersPerSlot; i++ {
-		r.env.CancelTimer(consensus.TimerID(base + i))
-	}
+	st.env.cancelTimers()
 	delete(r.slots, slot)
 }
 
@@ -925,23 +948,7 @@ func (r *Replica) applyReady() {
 		r.applied++
 		progressed = true
 		if v != NoOp {
-			for i, cmd := range DecodeBatch(v) {
-				if cmd.Seq != 0 {
-					if s, ok := r.lookupSession(cmd.Client); ok && s.Seq >= cmd.Seq {
-						continue // duplicate of an applied op
-					}
-				}
-				r.mu.Lock()
-				if ea, ok := r.applier.(EntryApplier); ok {
-					ea.ApplyEntry(slot, i, cmd)
-				} else {
-					r.applier.Apply(slot, cmd.Op)
-				}
-				r.mu.Unlock()
-				if cmd.Seq != 0 {
-					r.recordSession(cmd.Client, Session{Seq: cmd.Seq, Slot: slot})
-				}
-			}
+			r.applySlot(slot, v)
 		}
 		if batch, ok := r.proposed[slot]; ok {
 			for _, qc := range batch {
@@ -969,6 +976,43 @@ func (r *Replica) applyReady() {
 		r.maybeSnapshot()
 	}
 	r.checkCatchup()
+}
+
+// applySlot executes one decided slot's commands in order under one hold of
+// r.mu. The proposer still holds the commands of a slot that decided the
+// value it proposed (onSlotDecided takes a stolen slot's batch away), so
+// only the other replicas decode, once each.
+func (r *Replica) applySlot(slot int64, v consensus.Value) {
+	ea, _ := r.applier.(EntryApplier)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if batch, ok := r.proposed[slot]; ok {
+		for i, qc := range batch {
+			r.applyCommand(ea, slot, i, qc.cmd)
+		}
+		return
+	}
+	for i, cmd := range DecodeBatch(v) {
+		r.applyCommand(ea, slot, i, cmd)
+	}
+}
+
+// applyCommand executes one command unless its session already applied it,
+// and records the session.
+func (r *Replica) applyCommand(ea EntryApplier, slot int64, idx int, cmd Command) {
+	if cmd.Seq != 0 {
+		if s, ok := r.lookupSession(cmd.Client); ok && s.Seq >= cmd.Seq {
+			return // duplicate of an applied op
+		}
+	}
+	if ea != nil {
+		ea.ApplyEntry(slot, idx, cmd)
+	} else {
+		r.applier.Apply(slot, cmd.Op)
+	}
+	if cmd.Seq != 0 {
+		r.recordSession(cmd.Client, Session{Seq: cmd.Seq, Slot: slot})
+	}
 }
 
 // checkCatchup arms the catch-up timer while the log has a gap below a slot
@@ -1021,8 +1065,7 @@ func (r *Replica) onLearn(from consensus.ProcessID, msg Learn) {
 	if msg.From < r.snapBase {
 		// The requested range is below our compaction horizon: ship the
 		// snapshot instead of slot records we no longer have.
-		var snap Snapshot
-		if ok, err := r.env.Store().Get(storage.KeyRSMSnapshot, &snap); err == nil && ok {
+		if snap, ok := loadSnapshot(r.env.Store()); ok {
 			r.env.Send(from, SnapshotMsg{Snap: snap})
 		}
 		return

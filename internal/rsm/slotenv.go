@@ -3,6 +3,7 @@ package rsm
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"repro/internal/core/consensus"
@@ -14,12 +15,28 @@ import (
 // remapped into the slot's ID block, storage keys are prefixed, and Decide
 // feeds the replica's log instead of the outer consensus checker (an RSM
 // decides many values, one per slot).
+//
+// Everything that names the slot is computed once, when the instance is
+// created: a stable-state slot then costs its messages, not a formatted
+// string per persist, emit and cancel.
 type slotEnv struct {
 	replica *Replica
 	slot    int64
+	store   prefixStore
+	// armed[i] holds while inner timer i may sit in the outer environment's
+	// timer table: set by SetTimer, cleared by CancelTimer. A timer that
+	// fired stays marked, so retiring the slot still removes its entry from
+	// a table that keeps fired timers (live.Node's).
+	armed [timersPerSlot]bool
 }
 
 var _ consensus.Environment = (*slotEnv)(nil)
+
+func newSlotEnv(r *Replica, slot int64) slotEnv {
+	prefix := append(make([]byte, 0, 32), slotNamespace...)
+	prefix = append(strconv.AppendInt(prefix, slot, 10), '/')
+	return slotEnv{replica: r, slot: slot, store: prefixStore{inner: r.env.Store(), prefix: string(prefix)}}
+}
 
 // ID implements consensus.Environment.
 func (e *slotEnv) ID() consensus.ProcessID { return e.replica.id }
@@ -43,22 +60,45 @@ func (e *slotEnv) Broadcast(m consensus.Message) {
 // SetTimer implements consensus.Environment. Inner timer IDs must fit the
 // slot's block, which starts one block up: block 0 belongs to the replica's
 // own serving-path timers (linger, catch-up).
+//
+//repro:hotpath
 func (e *slotEnv) SetTimer(id consensus.TimerID, d time.Duration) {
-	if int64(id) >= timersPerSlot {
-		panic(fmt.Sprintf("rsm: inner timer id %d exceeds block size %d", id, timersPerSlot))
+	if id < 0 || int64(id) >= timersPerSlot {
+		panic(fmt.Sprintf("rsm: inner timer id %d outside block size %d", id, timersPerSlot))
 	}
-	e.replica.env.SetTimer(consensus.TimerID((e.slot+1)*timersPerSlot+int64(id)), d)
+	e.armed[id] = true
+	e.replica.env.SetTimer(e.outerTimer(id), d)
 }
 
-// CancelTimer implements consensus.Environment.
+// CancelTimer implements consensus.Environment. Only this environment arms
+// the slot's block, so an ID it does not hold armed has nothing to cancel.
+//
+//repro:hotpath
 func (e *slotEnv) CancelTimer(id consensus.TimerID) {
-	e.replica.env.CancelTimer(consensus.TimerID((e.slot+1)*timersPerSlot + int64(id)))
+	if id < 0 || int64(id) >= timersPerSlot || !e.armed[id] {
+		return
+	}
+	e.armed[id] = false
+	e.replica.env.CancelTimer(e.outerTimer(id))
+}
+
+// cancelTimers cancels every timer the instance still holds armed.
+func (e *slotEnv) cancelTimers() {
+	for id, armed := range e.armed {
+		if armed {
+			e.CancelTimer(consensus.TimerID(id))
+		}
+	}
+}
+
+func (e *slotEnv) outerTimer(id consensus.TimerID) consensus.TimerID {
+	return consensus.TimerID((e.slot+1)*timersPerSlot + int64(id))
 }
 
 // Store implements consensus.Environment.
-func (e *slotEnv) Store() storage.Store {
-	return prefixStore{inner: e.replica.env.Store(), prefix: slotNamespace + fmt.Sprintf("%d/", e.slot)}
-}
+//
+//repro:hotpath
+func (e *slotEnv) Store() storage.Store { return &e.store }
 
 // Rand implements consensus.Environment.
 func (e *slotEnv) Rand() *rand.Rand { return e.replica.env.Rand() }
@@ -67,9 +107,22 @@ func (e *slotEnv) Rand() *rand.Rand { return e.replica.env.Rand() }
 // replica's log.
 func (e *slotEnv) Decide(v consensus.Value) { e.replica.onSlotDecided(e.slot, v) }
 
-// Emit implements consensus.Environment.
+// Emit implements consensus.Environment. Slot instances share one series per
+// inner kind, so the number of series does not grow with the log; the
+// per-slot lane is the slot<N>-<kind> span.
+//
+//repro:hotpath
 func (e *slotEnv) Emit(kind string, value int64) {
-	e.replica.env.Emit(fmt.Sprintf("slot%d-%s", e.slot, kind), value)
+	e.replica.env.Emit(slotSeries(kind), value)
+}
+
+// slotSeries names the series that slot instances' events of one kind land
+// in. modpaxos emits "session" only.
+func slotSeries(kind string) string {
+	if kind == "session" {
+		return "slot-session"
+	}
+	return "slot-" + kind
 }
 
 // spanEnabler lets the slot env skip the kind-prefix allocation when spans
@@ -77,7 +130,7 @@ func (e *slotEnv) Emit(kind string, value int64) {
 type spanEnabler interface{ SpansEnabled() bool }
 
 // Span implements consensus.SpanSink when the outer environment does,
-// namespacing the kind like Emit so concurrent slots get distinct lanes.
+// namespacing the kind by slot so concurrent slots get distinct lanes.
 func (e *slotEnv) Span(kind string, begin bool, value int64) {
 	sink, ok := e.replica.env.(consensus.SpanSink)
 	if !ok {
@@ -86,7 +139,8 @@ func (e *slotEnv) Span(kind string, begin bool, value int64) {
 	if en, ok := e.replica.env.(spanEnabler); ok && !en.SpansEnabled() {
 		return
 	}
-	sink.Span(fmt.Sprintf("slot%d-%s", e.slot, kind), begin, value)
+	// The store prefix is "slot<N>/": the lane tag without its separator.
+	sink.Span(e.store.prefix[:len(e.store.prefix)-1]+"-"+kind, begin, value)
 }
 
 // ObserveDuration implements consensus.DurationObserver when the outer
@@ -104,31 +158,43 @@ func (e *slotEnv) Logf(format string, args ...any) {
 }
 
 // prefixStore namespaces a storage.Store by key prefix so slot instances
-// cannot collide.
+// cannot collide. A protocol instance persists under one key, so the full
+// key of the last inner key asked for is kept: after an instance's first
+// persist no key is built.
 type prefixStore struct {
-	inner  storage.Store
-	prefix string
+	inner      storage.Store
+	prefix     string
+	last, full string // full == prefix+last
 }
 
-var _ storage.Store = prefixStore{}
+var _ storage.Store = (*prefixStore)(nil)
+
+// key returns the outer key for an inner one.
+func (s *prefixStore) key(inner string) string {
+	if s.full == "" || inner != s.last {
+		s.last, s.full = inner, s.prefix+inner
+	}
+	return s.full
+}
 
 // Put implements storage.Store. The dynamic prefix is opaque to keylint;
-// it is always the registered slot namespace (see slotEnv.Store above).
+// it is always the registered slot namespace (see newSlotEnv above).
 //
-//repro:allow keylint prefix is the registered slot<N>/ namespace, built in slotEnv.Store
-func (s prefixStore) Put(key string, value any) error { return s.inner.Put(s.prefix+key, value) }
+//repro:hotpath
+//repro:allow keylint prefix is the registered slot<N>/ namespace, built in newSlotEnv
+func (s *prefixStore) Put(key string, value any) error { return s.inner.Put(s.key(key), value) }
 
 // Get implements storage.Store.
-func (s prefixStore) Get(key string, out any) (bool, error) {
-	return s.inner.Get(s.prefix+key, out)
-}
+//
+//repro:hotpath
+func (s *prefixStore) Get(key string, out any) (bool, error) { return s.inner.Get(s.key(key), out) }
 
 // Delete implements storage.Store.
-func (s prefixStore) Delete(key string) error { return s.inner.Delete(s.prefix + key) }
+func (s *prefixStore) Delete(key string) error { return s.inner.Delete(s.key(key)) }
 
 // Keys implements storage.Store: only keys in this slot's namespace, with
 // the prefix stripped.
-func (s prefixStore) Keys() ([]string, error) {
+func (s *prefixStore) Keys() ([]string, error) {
 	all, err := s.inner.Keys()
 	if err != nil {
 		return nil, err

@@ -15,6 +15,8 @@ package rsm
 import (
 	"bytes"
 	"encoding/gob"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -67,20 +69,20 @@ func (r *Replica) maybeSnapshot() {
 }
 
 // writeSnapshot folds the current state into a Snapshot, persists it, and
-// truncates everything below the new horizon.
+// truncates everything below the new horizon. The record is encoded
+// straight from the live session table in its maintained client order; the
+// table is copied only when spilled records must be folded into it.
 func (r *Replica) writeSnapshot() {
 	keys, err := r.env.Store().Keys()
 	if err != nil {
 		r.env.Logf("rsm: snapshot: list keys: %v", err)
 		return
 	}
-	snap := Snapshot{Applied: r.applied, Sessions: make(map[int64]Session, len(r.sessions))}
-	for c, s := range r.sessions {
-		snap.Sessions[c] = s
-	}
+	snap, clients := Snapshot{Applied: r.applied, Sessions: r.sessions}, r.clients
 	// Fold the spilled session records in; they are deleted below once the
 	// snapshot is durable.
 	var spilled []string
+	folded := false
 	for _, k := range keys {
 		if !strings.HasPrefix(k, sessKeyPrefix) {
 			continue
@@ -95,8 +97,14 @@ func (r *Replica) writeSnapshot() {
 		}
 		var s Session
 		if ok, err := r.env.Store().Get(k, &s); err == nil && ok {
+			if !folded {
+				snap.Sessions, folded = maps.Clone(r.sessions), true
+			}
 			snap.Sessions[client] = s
 		}
+	}
+	if folded {
+		clients = slices.Sorted(maps.Keys(snap.Sessions))
 	}
 	if sn, ok := r.applier.(Snapshotter); ok {
 		r.mu.Lock()
@@ -108,7 +116,7 @@ func (r *Replica) writeSnapshot() {
 		}
 		snap.State, snap.HasState = img, true
 	}
-	if err := r.env.Store().Put(storage.KeyRSMSnapshot, snap); err != nil {
+	if err := r.persistSnapshot(snap, clients); err != nil {
 		r.env.Logf("rsm: persist snapshot: %v", err)
 		return
 	}
@@ -121,6 +129,27 @@ func (r *Replica) writeSnapshot() {
 	r.truncateBelow(snap.Applied, keys)
 	r.snapBase = snap.Applied
 	r.env.Emit("rsm-snapshot", snap.Applied)
+}
+
+// persistSnapshot writes the durable compaction record: the snapshot in the
+// codec rsm already owns and fuzzes — the `tag | body` that
+// consensus.AppendMessage gives the SnapshotMsg that ships it — held as a
+// string, one immutable value that MemStore keeps as it is and FileStore
+// writes as a gob string. clients is snap.Sessions' keys in ascending order.
+func (r *Replica) persistSnapshot(snap Snapshot, clients []int64) error {
+	r.snapBuf = appendSnapshotOrdered(append(r.snapBuf[:0], tagSnapshotMsg), snap, clients)
+	return r.env.Store().Put(storage.KeyRSMSnapshot, string(r.snapBuf))
+}
+
+// loadSnapshot reads the durable compaction record back.
+func loadSnapshot(st storage.Store) (Snapshot, bool) {
+	var rec string
+	if ok, err := st.Get(storage.KeyRSMSnapshot, &rec); err != nil || !ok {
+		return Snapshot{}, false
+	}
+	m, err := consensus.DecodeMessage([]byte(rec))
+	msg, ok := m.(SnapshotMsg)
+	return msg.Snap, err == nil && ok
 }
 
 // truncateBelow drops decision records and retired instances' namespaced
@@ -185,10 +214,7 @@ func (r *Replica) installSnapshot(snap Snapshot) {
 			}
 		}
 	}
-	r.sessions = make(map[int64]Session, len(snap.Sessions))
-	for c, s := range snap.Sessions {
-		r.sessions[c] = s
-	}
+	r.restoreSessions(snap.Sessions)
 	keys, err := r.env.Store().Keys()
 	if err != nil {
 		r.env.Logf("rsm: install snapshot: list keys: %v", err)
@@ -230,7 +256,7 @@ func (r *Replica) installSnapshot(snap Snapshot) {
 			r.env.Logf("rsm: persist next: %v", err)
 		}
 	}
-	if err := r.env.Store().Put(storage.KeyRSMSnapshot, snap); err != nil {
+	if err := r.persistSnapshot(snap, slices.Sorted(maps.Keys(snap.Sessions))); err != nil {
 		r.env.Logf("rsm: persist snapshot: %v", err)
 	}
 	if keys != nil {

@@ -2,6 +2,7 @@ package rsm
 
 import (
 	"encoding/binary"
+	"maps"
 	"slices"
 
 	"repro/internal/core/consensus"
@@ -134,14 +135,15 @@ func readSlotMsg(r *consensus.WireReader) SlotMsg {
 // snapshots encode to equal bytes. The table's presence is explicit: like
 // gob, the codec hands back a nil map as nil and an empty one as empty.
 func appendSnapshot(b []byte, s Snapshot) []byte {
+	return appendSnapshotOrdered(b, s, slices.Sorted(maps.Keys(s.Sessions)))
+}
+
+// appendSnapshotOrdered is appendSnapshot for a caller that already holds
+// s.Sessions' clients in ascending order.
+func appendSnapshotOrdered(b []byte, s Snapshot, clients []int64) []byte {
 	b = binary.AppendVarint(b, s.Applied)
 	b = consensus.AppendBool(b, s.Sessions != nil)
 	if s.Sessions != nil {
-		clients := make([]int64, 0, len(s.Sessions))
-		for c := range s.Sessions {
-			clients = append(clients, c)
-		}
-		slices.Sort(clients)
 		b = binary.AppendUvarint(b, uint64(len(clients)))
 		for _, c := range clients {
 			sess := s.Sessions[c]

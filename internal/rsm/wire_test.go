@@ -96,26 +96,33 @@ func TestDecodeRefusesMalformed(t *testing.T) {
 	}
 }
 
-// TestSlotMsgTypeDoesNotAllocate pins the precomputed names: Type() is
-// called at least twice per message on every backend.
+// TestSlotMsgTypeDoesNotAllocate pins the type switch: Type() is called at
+// least twice per message on every backend, and for all five messages a slot
+// instance sends it must answer "rsm-" + the inner type without building it.
+// A sixth modpaxos message fails here until the switch names it; any other
+// inner type still gets its name, by concatenation.
 func TestSlotMsgTypeDoesNotAllocate(t *testing.T) {
-	want := map[string]consensus.Message{
-		"rsm-slot": nil, "rsm-p1a": modpaxos.P1a{}, "rsm-p1b": modpaxos.P1b{}, "rsm-p2a": modpaxos.P2a{},
-		"rsm-p2b": modpaxos.P2b{}, "rsm-decided": modpaxos.Decided{}, "rsm-uncoded": uncoded{},
-	}
-	for name, inner := range want {
-		if got := (SlotMsg{Inner: inner}).Type(); got != name {
-			t.Errorf("SlotMsg{%T}.Type() = %q, want %q", inner, got, name)
-		}
+	inners := modpaxos.Descriptor().Messages
+	if len(inners) != 5 {
+		t.Fatalf("modpaxos sends %d message types, SlotMsg.Type switches on 5", len(inners))
 	}
 	var sink string
-	for _, inner := range modpaxos.Descriptor().Messages {
+	for _, inner := range inners {
 		m := SlotMsg{Slot: 1, Inner: inner}
+		if got, want := m.Type(), "rsm-"+inner.Type(); got != want {
+			t.Errorf("SlotMsg{%T}.Type() = %q, want %q", inner, got, want)
+		}
 		if n := testing.AllocsPerRun(100, func() { sink = m.Type() }); n != 0 {
 			t.Errorf("SlotMsg{%T}.Type() allocates %v times per call", inner, n)
 		}
 	}
 	_ = sink
+	if got := (SlotMsg{}).Type(); got != "rsm-slot" {
+		t.Errorf("SlotMsg{}.Type() = %q, want rsm-slot", got)
+	}
+	if got := (SlotMsg{Inner: uncoded{}}).Type(); got != "rsm-uncoded" {
+		t.Errorf("SlotMsg{uncoded}.Type() = %q, want rsm-uncoded", got)
+	}
 }
 
 func init() { gob.Register(uncoded{}) }

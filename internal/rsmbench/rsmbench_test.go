@@ -1,6 +1,8 @@
 package rsmbench
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -198,16 +200,19 @@ func TestObserveSpansRecorded(t *testing.T) {
 	}
 }
 
+// chaosLeaderCrash is the ISSUE 10 acceptance configuration: batch=8, K=4, 32
+// clients, with the leader killed mid-run and restarted behind the
+// compaction horizon.
+var chaosLeaderCrash = Config{
+	Backend: BackendSim, Clients: 32, Ops: 5, Seed: 9,
+	MaxBatch: 8, MaxInFlight: 4,
+	CrashLeaderAt:   10 * time.Millisecond,
+	RestartLeaderAt: 60 * time.Millisecond,
+	CompactEvery:    8,
+}
+
 func TestChaosLeaderCrashCompletes(t *testing.T) {
-	// The ISSUE 10 acceptance configuration: batch=8, K=4, 32 clients, with
-	// the leader killed mid-run and restarted behind the compaction horizon.
-	res, err := Run(Config{
-		Backend: BackendSim, Clients: 32, Ops: 5, Seed: 9,
-		MaxBatch: 8, MaxInFlight: 4,
-		CrashLeaderAt:   10 * time.Millisecond,
-		RestartLeaderAt: 60 * time.Millisecond,
-		CompactEvery:    8,
-	})
+	res, err := Run(chaosLeaderCrash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,5 +271,60 @@ func TestChaosRunIsDeterministic(t *testing.T) {
 	d2, o2, r2 := run()
 	if d1 != d2 || o1 != o2 || r1 != r2 {
 		t.Fatalf("nondeterministic chaos bench: (%v,%d,%d) vs (%v,%d,%d)", d1, o1, r1, d2, o2, r2)
+	}
+}
+
+// TestChaosSchedulePinned is TestBatchPipelineMatrix for the paths the steady
+// state never takes: failover, Claim, snapshot install and log truncation.
+// The values were recorded at 60589cf, before the per-slot work of PR 20; a
+// change that moves a delivery, a timer, an RNG draw, a message or a store
+// key under chaos moves one of them.
+func TestChaosSchedulePinned(t *testing.T) {
+	res, err := Run(chaosLeaderCrash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed() {
+		t.Fatalf("chaos run failed: completed=%v violations=%v", res.Completed, res.Violations)
+	}
+	got := fmt.Sprintf("%d ns, %d slots, %d retries, %d sent, log keys %v",
+		res.Duration, res.Slots, res.Retries, res.Collector().TotalSent(), res.LogKeys)
+	const pinned = "124917459 ns, 23 slots, 64 retries, 2839 sent, log keys [7 7 7]"
+	if got != pinned {
+		t.Errorf("chaos schedule moved:\n got    %s\n pinned %s", got, pinned)
+	}
+}
+
+// TestSeriesNamesDoNotGrowWithLog: slot instances emit under fixed kinds, so
+// the collector holds the same few series after 400 slots as after 40 — on
+// the simulator, and after a closed loop over loopback TCP with no injected
+// delay (the serve_tcp_closed shape). A series per slot was a map key and a
+// slice per slot for the life of the cluster's one mutexed collector.
+func TestSeriesNamesDoNotGrowWithLog(t *testing.T) {
+	series := func(backend string, ops int) ([]string, int64) {
+		res, err := Run(Config{Backend: backend, Clients: 8, Ops: ops, MaxBatch: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Passed() {
+			t.Fatalf("%s run failed: completed=%v violations=%v", backend, res.Completed, res.Violations)
+		}
+		return res.Collector().SeriesNames(), res.Slots
+	}
+	short, shortSlots := series(BackendSim, 5)
+	long, longSlots := series(BackendSim, 50)
+	if longSlots < 10*shortSlots || !slices.Equal(short, long) {
+		t.Errorf("sim: %d slots left series %v, %d slots left %v", shortSlots, short, longSlots, long)
+	}
+	live, liveSlots := series(BackendLiveTCP, 30)
+	if liveSlots < 200 {
+		t.Fatalf("live run too short to show growth: %d slots", liveSlots)
+	}
+	for _, name := range live {
+		// The simulator adds the checker's "decide"; the live runtime emits
+		// nothing of its own.
+		if !slices.Contains(long, name) {
+			t.Errorf("live-tcp: series %q after %d slots, the simulator has only %v", name, liveSlots, long)
+		}
 	}
 }

@@ -341,6 +341,7 @@ func (nw *Network) observeDelivery(typeID int, delay time.Duration) {
 	}
 	id := nw.deliveryHist[typeID]
 	if id == 0 {
+		//repro:allow hotlint built once per message type, then cached in deliveryHist
 		id = nw.collector.InternHist(trace.HistDeliveryPrefix+nw.collector.TypeName(typeID), trace.UnitNanos) + 1
 		nw.deliveryHist[typeID] = id
 	}
