@@ -7,7 +7,7 @@
 //   - hotlint:      no closures, interface boxing, fmt, or per-iteration
 //     allocation in //repro:hotpath functions
 //   - tracelint:    hot-reachable code uses the interned dense trace
-//     counters, never the mutexed string-keyed slow path
+//     counters, never the string-keyed slow path
 //   - registrylint: handler type switches and Descriptor.Messages agree,
 //     one visible descriptor per protocol package
 //   - keylint:      Store.Put keys start with a prefix declared in the

@@ -9,7 +9,7 @@
 //   - hotlint:      no closures, interface boxing, fmt, or per-iteration
 //     map/slice allocation in //repro:hotpath functions
 //   - tracelint:    code reachable from hot paths uses the interned dense
-//     counter API, never the mutexed string-keyed slow path
+//     counter API, never the string-keyed slow path
 //   - registrylint: every message type a protocol's handlers switch on is
 //     listed in its Descriptor.Messages, and each protocol package
 //     registers exactly one visible descriptor

@@ -14,7 +14,7 @@ type router struct {
 //repro:hotpath
 func (r *router) route(msg string) {
 	r.c.SentID(r.sentID) // fast path: fine
-	r.c.MessageSent(msg) // want `c.MessageSent is the mutexed string-keyed slow path, called from \*router.route; use Intern \+ SentID`
+	r.c.MessageSent(msg) // want `c.MessageSent is the string-keyed slow path, called from \*router.route; use Intern \+ SentID`
 	r.helper(msg)
 	r.logDrop(msg)
 }
@@ -26,7 +26,7 @@ func (r *router) helper(msg string) {
 
 // logDrop is reachable too; Emit and Logf are both slow.
 func (r *router) logDrop(msg string) {
-	r.c.Emit("drop", 1) // want `c.Emit is the mutexed string-keyed slow path`
+	r.c.Emit("drop", 1) // want `c.Emit is the string-keyed slow path`
 }
 
 // report is NOT reachable from any hot root; the slow path is fine here.

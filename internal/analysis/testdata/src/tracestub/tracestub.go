@@ -1,5 +1,5 @@
 // Package tracestub is a fixture stand-in for internal/trace: a Collector
-// exposing both the mutexed string-keyed slow path and the interned dense
+// exposing both the string-keyed slow path and the interned dense
 // fast path, so tracelint fixtures type-check without dragging in the real
 // collector. tracelint matches the type by the "/tracestub" path suffix.
 package tracestub
@@ -9,7 +9,8 @@ type Collector struct {
 	counts []int64
 }
 
-// Slow path (string-keyed, mutexed in the real collector).
+// Slow path (string-keyed; all but the three message counters also lock
+// the real collector).
 
 func (c *Collector) MessageSent(name string)             {}
 func (c *Collector) MessageDelivered(name string)        {}

@@ -5,22 +5,25 @@ import (
 	"go/types"
 )
 
-// Tracelint keeps the mutexed, string-keyed trace.Collector slow path off
-// the simulator's hot path. The collector has two write APIs: the interned
+// Tracelint keeps the string-keyed trace.Collector slow path off the
+// simulator's hot path. The collector has two write APIs: the interned
 // dense-ID fast path (Intern/SentID/DeliveredID/DroppedID, InternHist/
-// ObserveHistID) the single-threaded simulator uses, and the lock-and-map
-// slow path (MessageSent/MessageDelivered/MessageDropped, ObserveLatency/
-// ObserveValue, Emit, Logf) that exists for the concurrent live runtime.
-// Any function reachable from a //repro:hotpath root through static calls
-// in its package must use the former.
+// ObserveHistID) the single-threaded simulator uses, and the string-keyed
+// slow path that exists for the concurrent live runtime — MessageSent/
+// MessageDelivered/MessageDropped hash the type name and add atomically
+// (about 8× an interned increment); ObserveLatency/ObserveValue, Emit and
+// Logf also lock the collector. Any function reachable from a
+// //repro:hotpath root through static calls in its package must use the
+// former.
 var Tracelint = &Analyzer{
 	Name: "tracelint",
-	Doc:  "mutexed string-keyed trace.Collector calls reachable from //repro:hotpath functions",
+	Doc:  "string-keyed trace.Collector calls reachable from //repro:hotpath functions",
 	Run:  runTracelint,
 }
 
-// slowCollectorMethods is the mutexed string-keyed API: each call locks the
-// collector and hashes a string key (or formats, for Logf) per event.
+// slowCollectorMethods is the string-keyed API: each call hashes a string
+// key (or formats, for Logf) per event, and all but the three message
+// counters lock the collector.
 var slowCollectorMethods = map[string]string{
 	"MessageSent":      "Intern + SentID",
 	"MessageDelivered": "Intern + DeliveredID",
@@ -136,6 +139,6 @@ func checkTraceCall(p *Pass, call *ast.CallExpr, fd *ast.FuncDecl, root string) 
 	if where != root {
 		via = " (reachable from //repro:hotpath " + root + ")"
 	}
-	p.Reportf(call.Pos(), "%s.%s is the mutexed string-keyed slow path, called from %s%s; use %s",
+	p.Reportf(call.Pos(), "%s.%s is the string-keyed slow path, called from %s%s; use %s",
 		exprString(sel.X), sel.Sel.Name, where, via, alt)
 }

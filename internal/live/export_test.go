@@ -30,3 +30,10 @@ func (d *frameDecoder) Next() (from, to consensus.ProcessID, m consensus.Message
 
 // MaxFrame is the cap on a frame's declared length.
 const MaxFrame = maxFrame
+
+// Deliver hands m to the node the way its transport does.
+func (n *Node) Deliver(from consensus.ProcessID, m consensus.Message) { n.enqueueMessage(from, m) }
+
+// TimerCounts returns how many timers the node has armed and how many
+// entries its heap holds. Loop-owned state: call it from a handler.
+func (n *Node) TimerCounts() (armed, heap int) { return len(n.timers.armed), len(n.timers.heap) }

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -31,16 +32,19 @@ type Sample struct {
 // Message counting has two write paths. The single-threaded simulator
 // interns message-type strings into dense IDs (Intern) and bumps plain
 // per-ID counters (SentID/DeliveredID/DroppedID) — no lock, no map, no
-// allocation per message. The live goroutine runtime keeps using the
-// mutexed string-keyed methods (MessageSent/MessageDelivered/
-// MessageDropped). Every reader merges both tables, so reports are
-// identical whichever substrate fed the collector.
+// allocation per message. The live goroutine runtime calls the string-keyed
+// methods (MessageSent/MessageDelivered/MessageDropped) from many
+// goroutines at once: a lock-free lookup of the type name in a read-only
+// table and an atomic add, with the lock taken only the first time a name
+// is seen. Every reader merges both tables, so reports are identical
+// whichever substrate fed the collector.
 type Collector struct {
 	mu sync.Mutex
 
-	sent      map[string]int // messages sent, by Message.Type
-	delivered map[string]int // messages delivered, by Message.Type
-	dropped   map[string]int // messages dropped (loss or dead recipient)
+	// byName is the string-keyed path's table. The map it points to is
+	// never written after it is published; a new type name replaces it with
+	// a copy, under mu.
+	byName    atomic.Pointer[map[string]*typeCounters]
 	series    map[string][]Sample
 	logs      []string
 	logLimit  int
@@ -83,7 +87,7 @@ func NewCollector() *Collector { return &Collector{} }
 // lock-free: only the deterministic simulator — a single goroutine — calls
 // Intern and the per-ID increment methods, and its results are read after
 // the run completes. Concurrent writers (the live runtime) must use the
-// mutexed string-keyed methods instead.
+// string-keyed methods instead.
 //
 // The protocol registry's Messages lists are pre-interned by the harness at
 // run setup, so in the steady state Intern is a single map read.
@@ -137,37 +141,49 @@ func (c *Collector) EnableLogging(limit int) {
 	c.logLimit = limit
 }
 
-// MessageSent records that a message of the given type was handed to the
-// network.
-func (c *Collector) MessageSent(msgType string) {
+// The columns of a typeCounters.
+const (
+	colSent = iota
+	colDelivered
+	colDropped
+	numCols
+)
+
+// typeCounters holds one message type's counts on the string-keyed path.
+type typeCounters [numCols]atomic.Int64
+
+// counters returns the counters of a message type: a map read when the
+// name has been seen before, a locked copy of the table when it has not.
+func (c *Collector) counters(msgType string) *typeCounters {
+	if tc := c.table()[msgType]; tc != nil {
+		return tc
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.sent == nil {
-		c.sent = make(map[string]int)
+	old := c.table()
+	if tc := old[msgType]; tc != nil {
+		return tc // another goroutine added it while this one waited
 	}
-	c.sent[msgType]++
+	next := make(map[string]*typeCounters, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	tc := new(typeCounters)
+	next[msgType] = tc
+	c.byName.Store(&next)
+	return tc
 }
 
+// MessageSent records that a message of the given type was handed to the
+// network.
+func (c *Collector) MessageSent(msgType string) { c.counters(msgType)[colSent].Add(1) }
+
 // MessageDelivered records a successful delivery.
-func (c *Collector) MessageDelivered(msgType string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.delivered == nil {
-		c.delivered = make(map[string]int)
-	}
-	c.delivered[msgType]++
-}
+func (c *Collector) MessageDelivered(msgType string) { c.counters(msgType)[colDelivered].Add(1) }
 
 // MessageDropped records a message lost in transit or arriving at a crashed
 // process.
-func (c *Collector) MessageDropped(msgType string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dropped == nil {
-		c.dropped = make(map[string]int)
-	}
-	c.dropped[msgType]++
-}
+func (c *Collector) MessageDropped(msgType string) { c.counters(msgType)[colDropped].Add(1) }
 
 // Emit appends an observation to the named series.
 func (c *Collector) Emit(at time.Duration, proc int, kind string, value int64) {
@@ -219,40 +235,43 @@ func (c *Collector) Logs() []string {
 }
 
 // TotalSent returns the total number of messages sent.
-func (c *Collector) TotalSent() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	for _, n := range c.sent {
-		total += n
-	}
-	for _, n := range c.sentByID {
-		total += int(n)
-	}
-	return total
-}
+func (c *Collector) TotalSent() int { return c.total(colSent, c.sentByID) }
 
 // TotalDropped returns the total number of messages dropped.
-func (c *Collector) TotalDropped() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	for _, n := range c.dropped {
-		total += n
+func (c *Collector) TotalDropped() int { return c.total(colDropped, c.droppedByID) }
+
+// total sums one column of the string-keyed table and an interned column.
+func (c *Collector) total(col int, byID []int64) int {
+	sum := 0
+	for _, tc := range c.table() {
+		sum += int(tc[col].Load())
 	}
-	for _, n := range c.droppedByID {
-		total += int(n)
+	for _, n := range byID {
+		sum += int(n)
 	}
-	return total
+	return sum
 }
 
-// merged returns the union of a string-keyed count map and an interned
-// counter column, skipping zero entries of the interned table (a
-// pre-interned type the run never used must not surface as "type: 0").
-func (c *Collector) merged(m map[string]int, byID []int64) map[string]int {
-	out := make(map[string]int, len(m)+len(byID))
-	for k, v := range m {
-		out[k] = v
+// table returns the current string-keyed table (nil before the first call
+// of a string-keyed method). It is read-only.
+func (c *Collector) table() map[string]*typeCounters {
+	if tab := c.byName.Load(); tab != nil {
+		return *tab
+	}
+	return nil
+}
+
+// merged returns the union of one column of the string-keyed table and an
+// interned counter column, skipping zero entries (a type only ever
+// delivered, or pre-interned and never used, must not surface as "type: 0"
+// among the sends).
+func (c *Collector) merged(col int, byID []int64) map[string]int {
+	tab := c.table()
+	out := make(map[string]int, len(tab)+len(byID))
+	for name, tc := range tab {
+		if v := tc[col].Load(); v != 0 {
+			out[name] = int(v)
+		}
 	}
 	for id, v := range byID {
 		if v != 0 {
@@ -263,25 +282,13 @@ func (c *Collector) merged(m map[string]int, byID []int64) map[string]int {
 }
 
 // SentByType returns a copy of the per-type send counts.
-func (c *Collector) SentByType() map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.merged(c.sent, c.sentByID)
-}
+func (c *Collector) SentByType() map[string]int { return c.merged(colSent, c.sentByID) }
 
 // DeliveredByType returns a copy of the per-type delivery counts.
-func (c *Collector) DeliveredByType() map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.merged(c.delivered, c.deliveredID)
-}
+func (c *Collector) DeliveredByType() map[string]int { return c.merged(colDelivered, c.deliveredID) }
 
 // DroppedByType returns a copy of the per-type drop counts.
-func (c *Collector) DroppedByType() map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.merged(c.dropped, c.droppedByID)
-}
+func (c *Collector) DroppedByType() map[string]int { return c.merged(colDropped, c.droppedByID) }
 
 // TypeCount is one entry of a sorted per-type counts listing.
 type TypeCount struct {
@@ -370,15 +377,13 @@ func (c *Collector) MaxSeriesValueAt(kind string, at time.Duration) (int64, bool
 	return best, found
 }
 
-// MessageReport formats the send/deliver/drop counts as a small table. The
-// three tables are snapshotted under one lock so the report is a coherent
-// instant even while a live cluster is still feeding the collector.
+// MessageReport formats the send/deliver/drop counts as a small table.
+// While a live cluster is still feeding the collector each count is exact
+// for the instant it was read, but the columns are read one after another.
 func (c *Collector) MessageReport() string {
-	c.mu.Lock()
-	sent := c.merged(c.sent, c.sentByID)
-	delivered := c.merged(c.delivered, c.deliveredID)
-	dropped := c.merged(c.dropped, c.droppedByID)
-	c.mu.Unlock()
+	sent := c.merged(colSent, c.sentByID)
+	delivered := c.merged(colDelivered, c.deliveredID)
+	dropped := c.merged(colDropped, c.droppedByID)
 	types := make(map[string]bool)
 	for k := range sent {
 		types[k] = true

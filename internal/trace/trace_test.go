@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -190,7 +191,7 @@ func TestSummaryStrings(t *testing.T) {
 }
 
 // TestInternedCountersMergeWithStringPath checks the two write paths — the
-// simulator's interned lock-free counters and the live runtime's mutexed
+// simulator's interned lock-free counters and the live runtime's atomic
 // string-keyed methods — surface as one merged table to every reader, and
 // that pre-interned types the run never used stay invisible.
 func TestInternedCountersMergeWithStringPath(t *testing.T) {
@@ -233,5 +234,92 @@ func TestInternedCountersMergeWithStringPath(t *testing.T) {
 	}
 	if strings.Contains(report, "never-sent") {
 		t.Fatalf("MessageReport shows unused type:\n%s", report)
+	}
+}
+
+// TestMessageCountersConcurrent hammers the string-keyed counters from many
+// goroutines, two of the type names appearing only mid-run: every total is
+// exact and every reader agrees.
+func TestMessageCountersConcurrent(t *testing.T) {
+	const workers, rounds = 8, 2000
+	names := []string{"prepare", "promise", "accept", "late-a", "late-b"}
+	methods := []func(*Collector, string){
+		(*Collector).MessageSent, (*Collector).MessageDelivered, (*Collector).MessageDropped,
+	}
+	c := NewCollector()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				seen := names[:3]
+				if r >= rounds/2 {
+					seen = names
+				}
+				for _, name := range seen {
+					for m, method := range methods {
+						for k := 0; k <= m; k++ { // sent once, delivered twice, dropped thrice
+							method(c, name)
+						}
+					}
+				}
+				_ = c.SentByType() // a reader in the middle of the writers
+			}
+		}()
+	}
+	wg.Wait()
+
+	readers := []func() map[string]int{c.SentByType, c.DeliveredByType, c.DroppedByType}
+	for m, read := range readers {
+		got := read()
+		for i, name := range names {
+			want := workers * rounds * (m + 1)
+			if i >= 3 {
+				want /= 2
+			}
+			if got[name] != want {
+				t.Errorf("column %d, %s: %d, want %d", m, name, got[name], want)
+			}
+		}
+		if len(got) != len(names) {
+			t.Errorf("column %d lists %d types, want %d: %v", m, len(got), len(names), got)
+		}
+	}
+	sent := c.SentByType()
+	total := 0
+	for _, tc := range c.SentCounts() {
+		if sent[tc.Type] != tc.Count {
+			t.Errorf("SentCounts has %s=%d, SentByType %d", tc.Type, tc.Count, sent[tc.Type])
+		}
+		total += tc.Count
+	}
+	if c.TotalSent() != total || c.TotalDropped() != 3*total {
+		t.Errorf("TotalSent %d, TotalDropped %d; want %d and %d", c.TotalSent(), c.TotalDropped(), total, 3*total)
+	}
+	report := c.MessageReport()
+	for _, name := range names {
+		row := fmt.Sprintf("%-14s %8d %10d %8d\n", name, sent[name], 2*sent[name], 3*sent[name])
+		if !strings.Contains(report, row) {
+			t.Errorf("MessageReport lacks the row %q:\n%s", row, report)
+		}
+	}
+}
+
+// TestMessageCountersDoNotAllocate: once a type name has been seen, counting
+// a message of that type allocates nothing.
+func TestMessageCountersDoNotAllocate(t *testing.T) {
+	c := NewCollector()
+	names := []string{"prepare", "promise", "accept"}
+	count := func() {
+		for _, name := range names {
+			c.MessageSent(name)
+			c.MessageDelivered(name)
+			c.MessageDropped(name)
+		}
+	}
+	count()
+	if got := testing.AllocsPerRun(1000, count); got != 0 {
+		t.Fatalf("%v allocations per nine counted messages, want 0", got)
 	}
 }
