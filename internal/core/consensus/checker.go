@@ -3,6 +3,7 @@ package consensus
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -31,6 +32,9 @@ type SafetyChecker struct {
 	decisions map[ProcessID]Decision
 	order     []Decision
 	violation error
+	// decided mirrors len(decisions) so AllDecided can answer "not yet"
+	// without the mutex: run loops ask after every event.
+	decided atomic.Int64
 }
 
 // NewSafetyChecker returns an empty checker.
@@ -81,6 +85,7 @@ func (c *SafetyChecker) RecordDecision(d Decision) error {
 	}
 	c.decisions[d.Proc] = d
 	c.order = append(c.order, d)
+	c.decided.Add(1)
 	return nil
 }
 
@@ -123,8 +128,11 @@ func (c *SafetyChecker) DecidedCount() int {
 	return len(c.decisions)
 }
 
-// AllDecided reports whether every process in ids has decided.
+// AllDecided reports whether every process in ids (distinct IDs) has decided.
 func (c *SafetyChecker) AllDecided(ids []ProcessID) bool {
+	if c.decided.Load() < int64(len(ids)) {
+		return false // fewer decisions than processes asked about
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, id := range ids {

@@ -148,6 +148,14 @@ func TestCheckerQueries(t *testing.T) {
 	if !c.AllDecided([]ProcessID{0, 1}) {
 		t.Fatal("AllDecided([0,1]) should be true")
 	}
+	// Enough decisions in total is not enough: the count only rules out.
+	if c.AllDecided([]ProcessID{1, 2}) {
+		t.Fatal("AllDecided([1,2]) should be false: 2 has not decided")
+	}
+	must(Decision{Proc: 1, Value: "a", At: 12}) // idempotent: counts once
+	if c.AllDecided([]ProcessID{0, 1, 2}) {
+		t.Fatal("a repeated decision counted twice")
+	}
 	if _, ok := c.LastDecisionAmong([]ProcessID{0, 1, 2}); ok {
 		t.Fatal("LastDecisionAmong should report missing decision")
 	}

@@ -8,11 +8,14 @@ import (
 )
 
 // slotAllocBudget bounds the allocations of one committed operation: the
-// measured 22.394 plus 2 %. The count is exact on a given toolchain (the run
+// measured 19.375 plus 2 %. The count is exact on a given toolchain (the run
 // is a seeded simulation), so the band is only room for a Go release to move
 // it. It was 37.453 before PR 20 took the per-slot strings, the gob
-// snapshot, the text batch and the blanket timer cancels off the step.
-const slotAllocBudget = 22.84
+// snapshot, the text batch and the blanket timer cancels off the step, and
+// 22.394 while a retired slot still announced its decision and answered
+// every straggler with a boxed Decided (−2.631) and a slot's store prefix
+// and first key were two strings (−0.388).
+const slotAllocBudget = 19.76
 
 // TestSteadyStateSlotAllocBudget holds what a committed operation allocates
 // across the whole simulated stack — three replicas' rsm and modpaxos steps,

@@ -27,10 +27,24 @@
 //
 // Commands are uninterpreted strings applied in slot order; a KV layer
 // ("set key value") is provided for the examples. Slots decided out of
-// order wait for the gap to fill before applying. Applied slots retire
-// their protocol instances (timers cancelled, state dropped); replicas that
-// miss a decision catch up via the Learn protocol instead of relying on
-// every instance gossiping forever.
+// order wait for the gap to fill before applying.
+//
+// An applied slot retires its protocol instance, and retirement is silence.
+// A slot that decides in order is applied and retired inside its instance's
+// own Decide call; from then on its environment drops what the instance
+// still does (announce Decided, arm the gossip timer), so a stable-case slot
+// costs its phase-2 traffic and no announcement. A slot decided above a gap
+// cannot apply yet: it stays live, announces, and gossips until the gap
+// fills — the one time gossip helps. A retired slot speaks only when asked:
+// a P1a (an instance that has not decided sends one when it opens and every
+// ε after) or a P2a (a ballot owner still proposing) is answered with the
+// logged value; a P1b or P2b answers somebody else's question and is dropped,
+// its sender being covered by its own heartbeat. Below the snapshot horizon
+// there is no record left and nothing is answered. So a replica that missed
+// a decision relies on two things, both its own initiative: the ε heartbeat
+// of its open instance, answered from a peer's decision log, and the catch-up
+// timer's Learn for any gap below a slot it knows exists (which ships the
+// snapshot when the gap is below the peer's horizon).
 package rsm
 
 import (
@@ -845,23 +859,28 @@ func (r *Replica) onSlotMsg(from consensus.ProcessID, msg SlotMsg) {
 		r.maxSeen = msg.Slot
 		r.checkCatchup()
 	}
-	if v, ok := r.decisions[msg.Slot]; ok {
-		if _, live := r.slots[msg.Slot]; !live {
-			// Retired instance: answer stragglers the way a decided modpaxos
-			// process would, except for Decided announcements (the sender
-			// already knows the value).
-			if _, isDecided := msg.Inner.(modpaxos.Decided); !isDecided {
+	st, live := r.slots[msg.Slot]
+	if !live {
+		if v, ok := r.decisions[msg.Slot]; ok {
+			// Retired instance: tell the value to a sender that is asking for
+			// it — a P1a comes from an undecided instance (at open, then every
+			// ε), a P2a from a ballot owner still proposing. A P1b or P2b is an
+			// answer to somebody else's question; its sender, if undecided,
+			// asks with its own P1a within ε, and fills a gap with Learn.
+			switch msg.Inner.(type) {
+			case modpaxos.P1a, modpaxos.P2a:
 				r.env.Send(from, SlotMsg{Slot: msg.Slot, Inner: modpaxos.Decided{Val: v}})
 			}
 			return
 		}
-	} else if msg.Slot < r.applied {
-		// Compacted below the snapshot horizon: there is no decision record
-		// left to answer from. The sender recovers via Learn, which ships
-		// the snapshot for ranges below the horizon.
-		return
+		if msg.Slot < r.applied {
+			// Compacted below the snapshot horizon: there is no decision
+			// record left to answer from. The sender recovers via Learn,
+			// which ships the snapshot for ranges below the horizon.
+			return
+		}
+		st = r.instance(msg.Slot, NoOp)
 	}
-	st := r.instance(msg.Slot, NoOp)
 	st.proc.HandleMessage(from, msg.Inner)
 }
 
@@ -877,12 +896,14 @@ func (r *Replica) instance(slot int64, proposal consensus.Value) *slotState {
 	return st
 }
 
-// retire drops an applied slot's protocol instance: the timers it holds
-// armed are cancelled and its in-memory state freed. Late messages for the
-// slot are answered from the decision log (onSlotMsg), and gaps elsewhere
-// are filled by the Learn protocol — without this, every decided instance
-// would gossip its decision forever and a long log would drown the event
-// queue.
+// retire drops an applied slot's protocol instance: its environment goes
+// silent (the instance is usually still on the stack, inside the Decide that
+// applied the slot, about to announce the decision and arm its gossip timer),
+// the timers it holds armed are cancelled and its in-memory state freed. A
+// peer still asking about the slot is answered from the decision log
+// (onSlotMsg), and gaps elsewhere are filled by the Learn protocol — without
+// this, every decided instance would gossip its decision forever and a long
+// log would drown the event queue.
 //
 //repro:hotpath
 func (r *Replica) retire(slot int64) {
@@ -890,7 +911,7 @@ func (r *Replica) retire(slot int64) {
 	if !ok {
 		return
 	}
-	st.env.cancelTimers()
+	st.env.retire()
 	delete(r.slots, slot)
 }
 

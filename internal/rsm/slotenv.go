@@ -19,9 +19,13 @@ import (
 // Everything that names the slot is computed once, when the instance is
 // created: a stable-state slot then costs its messages, not a formatted
 // string per persist, emit and cancel.
+//
+// Once retired (the slot applied; see Replica.retire) the environment drops
+// Send, Broadcast and SetTimer.
 type slotEnv struct {
 	replica *Replica
 	slot    int64
+	retired bool
 	store   prefixStore
 	// armed[i] holds while inner timer i may sit in the outer environment's
 	// timer table: set by SetTimer, cleared by CancelTimer. A timer that
@@ -32,10 +36,16 @@ type slotEnv struct {
 
 var _ consensus.Environment = (*slotEnv)(nil)
 
+// newSlotEnv builds the one string a slot instance needs: the full store key
+// of the protocol's state record. The "slot<N>/" namespace is its head.
 func newSlotEnv(r *Replica, slot int64) slotEnv {
-	prefix := append(make([]byte, 0, 32), slotNamespace...)
-	prefix = append(strconv.AppendInt(prefix, slot, 10), '/')
-	return slotEnv{replica: r, slot: slot, store: prefixStore{inner: r.env.Store(), prefix: string(prefix)}}
+	key := append(make([]byte, 0, 40), slotNamespace...)
+	key = append(strconv.AppendInt(key, slot, 10), '/')
+	prefix := len(key)
+	full := string(append(key, storage.KeyModPaxosState...))
+	return slotEnv{replica: r, slot: slot, store: prefixStore{
+		inner: r.env.Store(), prefix: full[:prefix], last: full[prefix:], full: full,
+	}}
 }
 
 // ID implements consensus.Environment.
@@ -47,24 +57,33 @@ func (e *slotEnv) N() int { return e.replica.n }
 // Now implements consensus.Environment.
 func (e *slotEnv) Now() time.Duration { return e.replica.env.Now() }
 
-// Send implements consensus.Environment.
+// Send implements consensus.Environment. A retired slot sends nothing.
 func (e *slotEnv) Send(to consensus.ProcessID, m consensus.Message) {
+	if e.retired {
+		return
+	}
 	e.replica.env.Send(to, SlotMsg{Slot: e.slot, Inner: m})
 }
 
-// Broadcast implements consensus.Environment.
+// Broadcast implements consensus.Environment. A retired slot sends nothing.
 func (e *slotEnv) Broadcast(m consensus.Message) {
+	if e.retired {
+		return
+	}
 	e.replica.env.Broadcast(SlotMsg{Slot: e.slot, Inner: m})
 }
 
 // SetTimer implements consensus.Environment. Inner timer IDs must fit the
 // slot's block, which starts one block up: block 0 belongs to the replica's
-// own serving-path timers (linger, catch-up).
+// own serving-path timers (linger, catch-up). A retired slot arms nothing.
 //
 //repro:hotpath
 func (e *slotEnv) SetTimer(id consensus.TimerID, d time.Duration) {
 	if id < 0 || int64(id) >= timersPerSlot {
 		panic(fmt.Sprintf("rsm: inner timer id %d outside block size %d", id, timersPerSlot))
+	}
+	if e.retired {
+		return
 	}
 	e.armed[id] = true
 	e.replica.env.SetTimer(e.outerTimer(id), d)
@@ -82,8 +101,10 @@ func (e *slotEnv) CancelTimer(id consensus.TimerID) {
 	e.replica.env.CancelTimer(e.outerTimer(id))
 }
 
-// cancelTimers cancels every timer the instance still holds armed.
-func (e *slotEnv) cancelTimers() {
+// retire silences the environment, then cancels every timer the instance
+// still holds armed.
+func (e *slotEnv) retire() {
+	e.retired = true
 	for id, armed := range e.armed {
 		if armed {
 			e.CancelTimer(consensus.TimerID(id))
@@ -159,11 +180,11 @@ func (e *slotEnv) Logf(format string, args ...any) {
 
 // prefixStore namespaces a storage.Store by key prefix so slot instances
 // cannot collide. A protocol instance persists under one key, so the full
-// key of the last inner key asked for is kept: after an instance's first
-// persist no key is built.
+// key of the last inner key asked for is kept, starting with the modpaxos
+// state record's (newSlotEnv): a slot instance never builds a key.
 type prefixStore struct {
 	inner      storage.Store
-	prefix     string
+	prefix     string // a slice of the first full key
 	last, full string // full == prefix+last
 }
 
@@ -171,7 +192,7 @@ var _ storage.Store = (*prefixStore)(nil)
 
 // key returns the outer key for an inner one.
 func (s *prefixStore) key(inner string) string {
-	if s.full == "" || inner != s.last {
+	if inner != s.last {
 		s.last, s.full = inner, s.prefix+inner
 	}
 	return s.full

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core/consensus"
+	"repro/internal/core/modpaxos"
 	"repro/internal/storage"
 )
 
@@ -78,7 +79,9 @@ func TestPrefixStoreKeys(t *testing.T) {
 
 // TestRetireCancelsArmedTimers: a slot cancels the timers it holds armed —
 // those it set and has not cancelled, fired or not — and no others, each
-// once. The outer call is a mutex and a map delete on live.Node.
+// once. The outer call is a mutex and a map delete on live.Node. After that
+// the environment is silent: what modpaxos.decide does once Decide has
+// retired the slot (cancel, announce, arm the gossip timer) reaches nothing.
 func TestRetireCancelsArmedTimers(t *testing.T) {
 	env, outer := stubSlotEnv(3)
 	outerID := func(inner consensus.TimerID) consensus.TimerID { return (3+1)*timersPerSlot + inner }
@@ -94,17 +97,22 @@ func TestRetireCancelsArmedTimers(t *testing.T) {
 		t.Fatalf("before retirement the outer environment cancelled %v, want %v", got, want)
 	}
 	outer.cancels = outer.cancels[:0]
-	env.cancelTimers()
+	env.retire()
 	if got, want := outer.cancels, []consensus.TimerID{outerID(0), outerID(2)}; !slices.Equal(got, want) {
 		t.Fatalf("retirement cancelled %v, want %v", got, want)
 	}
 	outer.cancels = outer.cancels[:0]
-	env.cancelTimers()
-	env.CancelTimer(0) // modpaxos cancels after Decide retired the slot
+	env.retire()
+	env.CancelTimer(0) // modpaxos cancels after Decide retired the slot...
 	if got := outer.cancels; len(got) != 0 {
 		t.Fatalf("cancelled again after retirement: %v", got)
 	}
-	if outer.sets != 4 {
-		t.Fatalf("outer environment saw %d SetTimer calls, want 4", outer.sets)
+	// ...then announces and arms. The stub's Send and Broadcast are nil
+	// dereferences, so reaching the outer environment panics.
+	env.Broadcast(modpaxos.Decided{Val: "v"})
+	env.Send(1, modpaxos.Decided{Val: "v"})
+	env.SetTimer(3, time.Second)
+	if outer.sets != 4 || env.armed[3] {
+		t.Fatalf("outer environment saw %d SetTimer calls, want 4 (inner 3 held armed: %v)", outer.sets, env.armed[3])
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Sample is one observation in a named time series.
@@ -51,10 +52,9 @@ type Collector struct {
 	logging   bool
 	observers []func(kind string, s Sample)
 
-	// Interned counter table: ids maps a type name to its dense ID (an
-	// index into types and the three counter slices). Written only by the
-	// single-threaded sim backend; see Intern.
-	ids         map[string]int
+	// Interned counter table: a type name's dense ID is its index in types
+	// and in the three counter slices. Written only by the single-threaded
+	// sim backend; see Intern.
 	types       []string
 	sentByID    []int64
 	deliveredID []int64
@@ -89,17 +89,29 @@ func NewCollector() *Collector { return &Collector{} }
 // the run completes. Concurrent writers (the live runtime) must use the
 // string-keyed methods instead.
 //
-// The protocol registry's Messages lists are pre-interned by the harness at
-// run setup, so in the steady state Intern is a single map read.
+// A run interns a handful of names (a protocol's message set) and a message
+// answers Type() with the same constant every time, so the name is looked
+// for in the table in place, by identity first: same bytes at the same
+// address. The simulator asks once per routed message, where that is a
+// third of hashing the name and probing a map.
 func (c *Collector) Intern(name string) int {
-	if id, ok := c.ids[name]; ok {
-		return id
+	p := unsafe.StringData(name)
+	for id, known := range c.types {
+		if unsafe.StringData(known) == p && len(known) == len(name) {
+			return id
+		}
 	}
-	if c.ids == nil {
-		c.ids = make(map[string]int, 8)
+	return c.internByValue(name)
+}
+
+// internByValue is Intern for a name built at run time or not seen before.
+func (c *Collector) internByValue(name string) int {
+	for id, known := range c.types {
+		if known == name {
+			return id
+		}
 	}
 	id := len(c.types)
-	c.ids[name] = id
 	c.types = append(c.types, name)
 	c.sentByID = append(c.sentByID, 0)
 	c.deliveredID = append(c.deliveredID, 0)

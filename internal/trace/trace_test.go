@@ -190,6 +190,32 @@ func TestSummaryStrings(t *testing.T) {
 	}
 }
 
+// TestInternIsByValue: the table is searched by identity first, and that is
+// only a shortcut — an equal name built at run time (another address), a
+// prefix of a known name at the same address, and the empty name all get the
+// ID their bytes call for, and looking a name up does not allocate.
+func TestInternIsByValue(t *testing.T) {
+	c := NewCollector()
+	names := []string{"rsm-p1a", "rsm-p1b", "rsm-p2a", "rsm-decided", ""}
+	for want, name := range names {
+		if got := c.Intern(name); got != want {
+			t.Fatalf("Intern(%q) = %d, want %d", name, got, want)
+		}
+	}
+	for want, name := range names {
+		built := strings.Clone(name + "x")[:len(name)]
+		if got := c.Intern(built); got != want {
+			t.Errorf("Intern of a run-time copy of %q = %d, want %d", name, got, want)
+		}
+	}
+	if got, want := c.Intern(names[3][:5]), len(names); got != want { // "rsm-d"
+		t.Errorf("Intern of a known name's prefix = %d, want the new ID %d", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Intern(names[3]) }); n != 0 {
+		t.Errorf("Intern of a known name allocates %v times", n)
+	}
+}
+
 // TestInternedCountersMergeWithStringPath checks the two write paths — the
 // simulator's interned lock-free counters and the live runtime's atomic
 // string-keyed methods — surface as one merged table to every reader, and
