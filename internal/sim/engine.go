@@ -7,17 +7,26 @@
 // substrate on which the paper's eventually-synchronous system model
 // (internal/simnet) is built.
 //
-// The engine owns all event storage: scheduling reuses slots from a free
-// list and the ready queue is a specialized 4-ary min-heap whose entries
-// carry their (time, sequence) key inline, so the steady state (schedule,
-// cancel, execute — the simulator's entire inner loop) allocates nothing
-// and ordering the queue never dereferences a slot. Handles returned by
-// Schedule/After are generation-checked values, making a stale Cancel on an
-// already-executed event a safe no-op even after its slot has been reused.
+// The engine owns all event storage and queues each kind of event in the
+// structure it needs. A callback (Schedule/After: a timer, a crash, a
+// restart) can be canceled, and protocols cancel and re-arm one per message,
+// so callbacks live in an indexed 4-ary min-heap that removes from the middle
+// and holds only the handful that are armed. A payload delivery
+// (ScheduleDelivery, Multicast.Add) is never canceled and the paper's hard
+// regimes keep tens of thousands in flight, so deliveries live in a calendar
+// of time buckets (calendar.go) where queuing one costs the same however
+// many are queued. Step takes whichever head is earlier by (time, sequence),
+// one counter numbering both kinds: the order a single queue would give.
+// Slots come from a free list and both queues keep their storage, so the
+// steady state (schedule, cancel, execute) allocates nothing. Handles
+// returned by Schedule/After are generation-checked values, making a stale
+// Cancel on an already-executed event a safe no-op even after its slot has
+// been reused.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -44,24 +53,13 @@ type Engine struct {
 	// slots handed out since construction or the last Reset: slots at or
 	// beyond it are clean and are handed out in index order once the free
 	// list is empty, so Reset only has to revisit slots[:used]. heap holds
-	// one keyed entry per scheduled slot, ordered by (at, seq).
+	// one keyed entry per scheduled callback, ordered by (at, seq); cal
+	// holds one entry per undelivered delivery.
 	slots []slot
 	free  int32
 	used  int32
 	heap  []heapEntry
-
-	// mvecs is the engine-owned storage for multicast recipient vectors
-	// (see multicast.go); mfree stacks the indices of released vectors and
-	// mused counts the vectors handed out since the last Reset, as used does
-	// for slots. Vectors keep their capacity when released, so steady-state
-	// broadcasting allocates nothing.
-	// multiExtra counts multicast recipients beyond the one the heap entry
-	// represents, so Pending can report undelivered deliveries — the same
-	// number a unicast schedule would — in O(1).
-	mvecs      [][]multiEntry
-	mfree      []int32
-	mused      int32
-	multiExtra int
+	cal   calendar
 
 	sink DeliverySink
 
@@ -72,32 +70,27 @@ type Engine struct {
 	limit uint64
 }
 
-// slot is one unit of event storage. A slot is either scheduled (present in
-// the heap, heapIdx ≥ 0) or free (on the free list via next, heapIdx = -1);
-// gen increments every time the slot leaves the scheduled state, which is
-// what invalidates stale Event handles.
+// slot is one unit of event storage. A slot holds a callback (fn, present in
+// the heap, heapIdx ≥ 0), or what the recipients of one fan-out share
+// (payload, from, aux; rcpts calendar entries point at it, heapIdx = -1), or
+// is free (on the free list via next); gen increments every time the slot
+// is released, which is what invalidates stale Event handles.
 type slot struct {
 	fn      func()
 	payload any
 	aux     int64
 	from    int32
-	to      int32
+	rcpts   int32
 	gen     uint32
 	heapIdx int32
 	next    int32
-	// multi indexes the slot's recipient vector in Engine.mvecs when the
-	// slot is a multicast (-1 otherwise); mpos is the next vector entry to
-	// deliver. While scheduled, the slot's heap entry carries the key of the
-	// entry at mpos, so the heap orders a multicast by its earliest
-	// undelivered recipient.
-	multi int32
-	mpos  int32
-	sink  bool
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), free: -1}
+	e := &Engine{rng: rand.New(rand.NewSource(seed)), free: -1}
+	e.cal.reset()
+	return e
 }
 
 // Now returns the current virtual global time.
@@ -187,7 +180,7 @@ func (e *Engine) alloc() int32 {
 	}
 	si := e.used
 	if int(si) == len(e.slots) {
-		e.slots = append(roomForOne(e.slots), slot{multi: -1, heapIdx: -1})
+		e.slots = append(roomForOne(e.slots), slot{heapIdx: -1})
 	}
 	e.used++
 	return si
@@ -220,33 +213,20 @@ func (e *Engine) release(si int32) {
 	e.free = si
 }
 
-// schedule places a freshly-populated slot into the queue and returns its
-// handle. The caller must have set every payload field; schedule assigns
-// the (at, seq) ordering key.
-//
-//repro:hotpath
-func (e *Engine) schedule(at time.Duration, si int32) Event {
-	if at < e.now {
-		// Scheduling in the past always indicates a bug in the model,
-		// never a recoverable condition.
-		e.release(si)
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	e.seq++
-	e.heapPush(heapEntry{at: at, seq: e.seq, si: si})
-	return Event{e: e, idx: si, gen: e.slots[si].gen}
-}
-
 // Schedule runs fn at virtual time at. Scheduling in the past (before Now)
+// always indicates a bug in the model, never a recoverable condition, and
 // panics.
 //
 //repro:hotpath
 func (e *Engine) Schedule(at time.Duration, fn func()) Event {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
+	}
 	si := e.alloc()
-	s := &e.slots[si]
-	s.fn = fn
-	s.sink = false
-	return e.schedule(at, si)
+	e.slots[si].fn = fn
+	e.seq++
+	e.heapPush(heapEntry{at: at, seq: e.seq, si: si})
+	return Event{e: e, idx: si, gen: e.slots[si].gen}
 }
 
 // After runs fn d from now. Negative d is treated as zero.
@@ -262,18 +242,41 @@ func (e *Engine) After(d time.Duration, fn func()) Event {
 // ScheduleDelivery schedules a payload-carrying event: at time at the
 // engine's delivery sink is invoked with (from, to, aux, payload). This is
 // the closure-free path for message traffic — the hot loop of every
-// simulation — and requires SetDeliverySink to have been called.
+// simulation — and requires SetDeliverySink to have been called. A delivery
+// cannot be canceled, so there is no handle to return. Delivery in the past
+// panics, as Schedule does.
 //
 //repro:hotpath
-func (e *Engine) ScheduleDelivery(at time.Duration, from, to int32, aux int64, payload any) Event {
+func (e *Engine) ScheduleDelivery(at time.Duration, from, to int32, aux int64, payload any) {
+	si := e.fanout(from, aux, payload)
+	e.deliverAt(si, to, at)
+}
+
+// fanout takes a slot for what the recipients of one send share.
+//
+//repro:hotpath
+func (e *Engine) fanout(from int32, aux int64, payload any) int32 {
 	si := e.alloc()
 	s := &e.slots[si]
-	s.sink = true
 	s.from = from
-	s.to = to
 	s.aux = aux
 	s.payload = payload
-	return e.schedule(at, si)
+	s.rcpts = 0
+	return si
+}
+
+// deliverAt queues one recipient of the fan-out in slot si, consuming the
+// next sequence number.
+//
+//repro:hotpath
+func (e *Engine) deliverAt(si, to int32, at time.Duration) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: scheduling delivery at %v before now %v", at, e.now))
+	}
+	e.seq++
+	e.slots[si].rcpts++
+	e.cal.n++
+	e.cal.place(calEntry{at: at, seq: e.seq, slot: si, to: to})
 }
 
 // Stop makes the current Run call return after the current event finishes.
@@ -282,40 +285,67 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step executes the next pending event, advancing the clock to its time.
 // It returns false when no events remain.
 //
-// The heap holds exactly the live events — Cancel removes eagerly and
-// execution pops before running the callback — so the head needs no
-// liveness check (the invariant the pooled queue makes structural).
+//repro:hotpath
+func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
+
+// step executes the next pending event unless it is due after until, and
+// reports whether it did. It is the one place a queue head is inspected:
+// the earlier of the calendar's and the heap's by (at, seq) runs.
+//
+// Both queues hold exactly the live events — Cancel removes eagerly, a
+// delivery cannot be canceled, and execution pops before running — so a
+// head needs no liveness check. limit is the time the clock is about to
+// reach at most; the calendar is advanced no further (see calendar.go).
 //
 //repro:hotpath
-func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+func (e *Engine) step(until time.Duration) bool {
+	c := &e.cal
+	limit, timers := until, len(e.heap) > 0
+	if timers && e.heap[0].at < limit {
+		limit = e.heap[0].at
+	}
+	if c.pos < len(c.cur) || c.n > 0 && c.advance(limit) {
+		ent := c.cur[c.pos]
+		if !timers || ent.before(calEntry{at: e.heap[0].at, seq: e.heap[0].seq}) {
+			if ent.at > until {
+				return false
+			}
+			c.pos++
+			c.n--
+			e.advanceClock(ent.at)
+			// Copy the shared fields out and recycle the slot before
+			// invoking: the sink may schedule (and the engine may hand it
+			// this very slot), and growth of e.slots would invalidate s.
+			s := &e.slots[ent.slot]
+			from, aux, payload := s.from, s.aux, s.payload
+			if s.rcpts--; s.rcpts == 0 {
+				e.release(ent.slot)
+			}
+			e.sink(from, ent.to, aux, payload)
+			return true
+		}
+	}
+	if !timers || e.heap[0].at > until {
 		return false
 	}
 	head := e.heap[0]
-	if head.at < e.now {
-		panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", head.at, e.now))
-	}
-	e.now = head.at
-	e.executed++
-	si := head.si
-	s := &e.slots[si]
-	if s.multi >= 0 {
-		e.stepMulticast(si)
-		return true
-	}
+	e.advanceClock(head.at)
 	e.popMin()
-	// Copy the callback out and recycle the slot before invoking: the
-	// callback may schedule (and the engine may hand it this very slot),
-	// and growth of e.slots would invalidate s.
-	fn, isSink := s.fn, s.sink
-	from, to, aux, payload := s.from, s.to, s.aux, s.payload
-	e.release(si)
-	if isSink {
-		e.sink(from, to, aux, payload)
-	} else {
-		fn()
-	}
+	fn := e.slots[head.si].fn
+	e.release(head.si)
+	fn()
 	return true
+}
+
+// advanceClock moves the clock to the event about to execute.
+//
+//repro:hotpath
+func (e *Engine) advanceClock(at time.Duration) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", at, e.now))
+	}
+	e.now = at
+	e.executed++
 }
 
 // Run executes events until the queue drains, the time horizon passes, Stop
@@ -330,13 +360,12 @@ func (e *Engine) Run(until time.Duration) {
 		if e.limit > 0 && e.executed >= e.limit {
 			return
 		}
-		if len(e.heap) == 0 || e.heap[0].at > until {
+		if !e.step(until) {
 			if until > e.now {
 				e.now = until
 			}
 			return
 		}
-		e.Step()
 	}
 }
 
@@ -352,13 +381,12 @@ func (e *Engine) RunUntil(pred func() bool, horizon time.Duration) bool {
 		if e.limit > 0 && e.executed >= e.limit {
 			return pred()
 		}
-		if len(e.heap) == 0 || e.heap[0].at > horizon {
+		if !e.step(horizon) {
 			if e.now < horizon {
 				e.now = horizon
 			}
 			return pred()
 		}
-		e.Step()
 		if pred() {
 			return true
 		}
@@ -366,33 +394,29 @@ func (e *Engine) RunUntil(pred func() bool, horizon time.Duration) bool {
 	return pred()
 }
 
-// Pending returns the number of queued events, counting each undelivered
-// multicast recipient individually — the value is identical to what an
-// equivalent unicast schedule would report. Canceled events are removed
+// Pending returns the number of queued events: scheduled callbacks plus
+// undelivered deliveries, each recipient of a multicast counted — the value
+// an equivalent unicast schedule would report. Canceled events are removed
 // eagerly, so they never count.
-func (e *Engine) Pending() int { return len(e.heap) + e.multiExtra }
+func (e *Engine) Pending() int { return len(e.heap) + e.cal.n }
 
-// --- the event queue ---
+// --- the callback queue ---
 //
 // A 4-ary min-heap ordered by (at, seq) whose entries hold the key inline
-// beside the slot index. The ordering key is total (seq is unique per
-// event), so the pop order — and therefore the schedule — is independent of
-// heap arity and internal layout; switching from the binary container/heap,
-// and later from a heap of bare slot indices, changed no schedules.
+// beside the slot index, and whose slots record where their entry sits
+// (slot.heapIdx) so Cancel can remove it from the middle. The ordering key
+// is total (seq is unique per event), so the pop order — and therefore the
+// schedule — is independent of heap arity and internal layout.
 //
-// The layout is for the queue the paper's regimes build: messages sent
-// before TS and delivered long after sit in it by the thousand (tens of
-// thousands under a duplicating, reordering adversary), so a sift runs many
-// levels through memory that is not in cache. With the key inline a sift
-// compares heap entries only — the four children of a node are 96
-// contiguous bytes — and touches the slot pool just to record where an
-// entry moved (slot.heapIdx, a store nothing waits for). 4-ary trades
-// slightly more comparisons per sift-down for half the tree depth, and the
-// inlined loops avoid container/heap's interface dispatch and per-push
-// boxing.
+// It holds callbacks only: the timers a run has armed (a few per process)
+// and its pending crashes and restarts, so a sift is a handful of levels
+// over entries that stay in cache — 4-ary trading slightly more comparisons
+// per sift-down for half the depth, the inlined loops avoiding
+// container/heap's interface dispatch and per-push boxing. Deliveries, which
+// would bury those entries thousands deep, are queued in the calendar.
 //
-// Structural invariant: the heap contains exactly the scheduled slots.
-// Cancel removes its event eagerly (heapRemove) and Step pops before
+// Structural invariant: the heap contains exactly the scheduled callbacks.
+// Cancel removes its event eagerly (heapRemove) and step pops before
 // executing, so the head is always live.
 
 // heapEntry is one queued event: its ordering key and the slot holding the

@@ -96,8 +96,8 @@ func TestMulticastPendingCountsRecipients(t *testing.T) {
 }
 
 // TestEmptyMulticastSchedulesNothing: a fan-out whose every recipient was
-// dropped must leave no trace — no heap entry, no pending count, and its
-// storage immediately reusable.
+// dropped must leave no trace — no queue entry, no pending count, and its
+// slot, which no delivery will ever recycle, immediately reusable.
 func TestEmptyMulticastSchedulesNothing(t *testing.T) {
 	e := NewEngine(1)
 	e.SetDeliverySink(func(int32, int32, int64, any) {})
@@ -108,6 +108,12 @@ func TestEmptyMulticastSchedulesNothing(t *testing.T) {
 	}
 	if e.Step() {
 		t.Fatal("Step executed something after an empty multicast")
+	}
+	if e.slots[mc.si].payload != nil {
+		t.Fatal("the empty multicast's slot still pins its payload")
+	}
+	if again := e.BeginMulticast(0, 0, "m", 8); again.si != mc.si {
+		t.Fatalf("next fan-out took slot %d, want the empty multicast's slot %d back", again.si, mc.si)
 	}
 }
 
