@@ -8,8 +8,6 @@
 //     allocation in //repro:hotpath functions
 //   - tracelint:    hot-reachable code uses the interned dense trace
 //     counters, never the string-keyed slow path
-//   - registrylint: handler type switches and Descriptor.Messages agree,
-//     one visible descriptor per protocol package
 //   - keylint:      Store.Put keys start with a prefix declared in the
 //     internal/storage key registry
 //

@@ -22,7 +22,6 @@ func main() {
 	const replicas = 3
 	delta := 20 * time.Millisecond
 
-	rsm.RegisterMessages()
 	// 3 replica listeners + 1 client endpoint, all loopback TCP.
 	ids := []consensus.ProcessID{0, 1, 2, 3}
 	transport, err := live.NewTCPTransport(ids)

@@ -16,6 +16,10 @@ import (
 	"repro/internal/core/consensus"
 	"repro/internal/live"
 	"repro/internal/protocol"
+
+	// Registers the built-in protocols; this example skips the harness,
+	// which is what usually links them in.
+	_ "repro/internal/protocol/all"
 )
 
 func main() {

@@ -10,9 +10,6 @@
 //     map/slice allocation in //repro:hotpath functions
 //   - tracelint:    code reachable from hot paths uses the interned dense
 //     counter API, never the string-keyed slow path
-//   - registrylint: every message type a protocol's handlers switch on is
-//     listed in its Descriptor.Messages, and each protocol package
-//     registers exactly one visible descriptor
 //   - keylint:      every key passed to a storage.Store Put starts with a
 //     prefix declared in the internal/storage key registry
 //
@@ -71,7 +68,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in a fixed order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Detlint, Hotlint, Tracelint, Registrylint, Keylint}
+	return []*Analyzer{Detlint, Hotlint, Tracelint, Keylint}
 }
 
 // analyzerNames is the set of valid //repro:allow targets.

@@ -91,11 +91,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"testdata/src/det", "repro/internal/sim/testdata/det", analysis.Detlint},
 		{"testdata/src/hot", "repro/internal/analysis/testdata/src/hot", analysis.Hotlint},
 		{"testdata/src/tr", "repro/internal/analysis/testdata/src/tr", analysis.Tracelint},
-		{"testdata/src/reg1", "repro/internal/core/reg1/testdata/fix", analysis.Registrylint},
-		{"testdata/src/reg2", "repro/internal/core/reg2/testdata/fix", analysis.Registrylint},
-		{"testdata/src/reg3", "repro/internal/core/reg3/testdata/fix", analysis.Registrylint},
-		{"testdata/src/reg4", "repro/internal/core/reg4/testdata/fix", analysis.Registrylint},
-		{"testdata/src/reg5", "repro/internal/core/reg5/testdata/fix", analysis.Registrylint},
 		{"testdata/src/key", "repro/internal/analysis/testdata/src/key", analysis.Keylint},
 	}
 	for _, tc := range cases {
@@ -144,7 +139,7 @@ func TestDirectiveDiagnostics(t *testing.T) {
 
 // TestRealTreeIsClean is the regression pin for the whole suite: the
 // repository's own packages must lint clean. A new wall-clock call, hot-path
-// allocation, or unregistered message type fails this test, not just CI.
+// allocation, or undeclared storage key fails this test, not just CI.
 func TestRealTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")

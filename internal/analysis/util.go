@@ -117,22 +117,6 @@ func exprString(e ast.Expr) string {
 	return "<expr>"
 }
 
-// enclosingFuncDecl returns the top-level function declaration containing
-// pos, if any.
-func enclosingFuncDecl(pkg *Package, pos ast.Node) *ast.FuncDecl {
-	for _, f := range pkg.Files {
-		if pos.Pos() < f.Pos() || pos.Pos() >= f.End() {
-			continue
-		}
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && pos.Pos() >= fd.Pos() && pos.Pos() < fd.End() {
-				return fd
-			}
-		}
-	}
-	return nil
-}
-
 // funcDisplayName renders "Recv.Name" or "Name" for diagnostics.
 func funcDisplayName(fd *ast.FuncDecl) string {
 	if fd.Recv != nil && len(fd.Recv.List) > 0 {

@@ -32,7 +32,7 @@ type Value string
 type TimerID int
 
 // Message is a protocol message. Implementations must be plain data structs
-// (gob-encodable, no pointers shared with the sender) and immutable once
+// (exported fields, no pointers shared with the sender) and immutable once
 // sent: the simulator may deliver one arbitrarily later, the live memory
 // transport hands the same value to the receiver's goroutine, and the live
 // TCP transport serializes it on a writer goroutine after Send has returned.

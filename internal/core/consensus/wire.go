@@ -8,12 +8,12 @@ import (
 	"sync"
 )
 
-// The wire registry: the one place a message type is bound to its compact
-// binary form. A package that owns serving-path messages registers one codec
-// per type from an init function (modpaxos/wire.go, rsm/wire.go); the live
-// TCP transport encodes a registered type as `tag | body` and sends every
-// other type as a gob blob, so a codec is an optimisation a protocol opts
-// into, never a requirement.
+// The wire registry: the one place a message type is bound to its binary
+// form, `tag | body`, the only thing the live TCP transport sends. A package
+// whose messages cross a socket registers one codec per type from an init
+// function in its wire.go. A type without a codec runs on the simulator and
+// the memory transport, which never encode; handing it to the TCP transport
+// is a programming error and panics (AppendMessage).
 //
 // Encoding runs after Send has returned, on a transport goroutine, which is
 // sound only because messages are immutable values (see Message).
@@ -22,7 +22,7 @@ import (
 type codec struct {
 	tag    byte
 	typ    reflect.Type
-	append func(b []byte, m Message) ([]byte, bool)
+	append func(b []byte, m Message) []byte
 	decode func(r *WireReader) Message
 }
 
@@ -32,18 +32,19 @@ var (
 )
 
 // RegisterCodec binds message type M to tag on the wire. app appends m's
-// body to b; it reports false — and the caller discards what it appended —
-// when this particular value has no binary form (a wrapper whose payload
-// type is unregistered). dec reads the fields back in the same order; the
-// registry then requires the body to be fully and cleanly consumed, so dec
-// needs no error handling of its own. Bodies may come from a hostile peer:
-// dec must not panic, and must size allocations only from WireReader.Count.
+// body to b; a wrapper appends its payload with AppendMessage. dec reads the
+// fields back in the same order; the registry then requires the body to be
+// fully and cleanly consumed, so dec needs no error handling of its own.
+// Bodies may come from a hostile peer: dec must not panic, and must size
+// allocations only from WireReader.Count.
 //
-// Tags in use: 1–15 modpaxos, 16–47 rsm; 0 is reserved (the transport's
-// gob-fallback frame). RegisterCodec panics on tag 0, on a duplicate tag and
-// on a duplicate type — two types sharing a tag would decode as each other.
-// Call it only during package initialization: lookups take no lock.
-func RegisterCodec[M Message](tag byte, app func(b []byte, m M) ([]byte, bool), dec func(r *WireReader) M) {
+// Tags in use: 1–15 modpaxos, 16–47 rsm, 48–55 roundbased, 56–63
+// bconsensus, 64–71 dynamics, 240–255 tests; 0 is never a message (it was
+// the gob frame of an older wire format, which a peer must refuse).
+// RegisterCodec panics on tag 0, on a duplicate tag and on a duplicate type
+// — two types sharing a tag would decode as each other. Call it only during
+// package initialization: lookups take no lock.
+func RegisterCodec[M Message](tag byte, app func(b []byte, m M) []byte, dec func(r *WireReader) M) {
 	typ := reflect.TypeFor[M]()
 	switch {
 	case tag == 0:
@@ -56,25 +57,22 @@ func RegisterCodec[M Message](tag byte, app func(b []byte, m M) ([]byte, bool), 
 	c := &codec{
 		tag:    tag,
 		typ:    typ,
-		append: func(b []byte, m Message) ([]byte, bool) { return app(b, m.(M)) },
+		append: func(b []byte, m Message) []byte { return app(b, m.(M)) },
 		decode: func(r *WireReader) Message { return dec(r) },
 	}
 	codecByTag[tag] = c
 	codecByType[typ] = c
 }
 
-// AppendMessage appends `tag | body` for m. It reports false, leaving b's
-// contents as they were, when m has no binary form.
-func AppendMessage(b []byte, m Message) ([]byte, bool) {
+// AppendMessage appends `tag | body` for m. A type with no codec — m's own,
+// or that of a payload m wraps — has no place on the wire: it panics, naming
+// the type.
+func AppendMessage(b []byte, m Message) []byte {
 	c := codecByType[reflect.TypeOf(m)]
 	if c == nil {
-		return b, false
+		panic(fmt.Sprintf("consensus: no wire codec for %T: register one (RegisterCodec) in its package's wire.go", m))
 	}
-	out, ok := c.append(append(b, c.tag), m)
-	if !ok {
-		return b, false
-	}
-	return out, true
+	return c.append(append(b, c.tag), m)
 }
 
 // DecodeMessage parses `tag | body` as written by AppendMessage.

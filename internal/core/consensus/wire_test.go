@@ -27,9 +27,7 @@ const tagWireA, tagWireB = 240, 241
 
 func init() {
 	RegisterCodec(tagWireA,
-		func(b []byte, m wireA) ([]byte, bool) {
-			return AppendString(binary.AppendVarint(b, m.N), m.S), m.N != 13
-		},
+		func(b []byte, m wireA) []byte { return AppendString(binary.AppendVarint(b, m.N), m.S) },
 		func(r *WireReader) wireA { return wireA{N: r.Varint(), S: r.Str()} })
 }
 
@@ -46,7 +44,7 @@ func mustPanic(t *testing.T, want string, f func()) {
 // TestRegisterCodecRejectsCollisions: two types sharing a tag would decode
 // as each other, so registration — process start — is where it must fail.
 func TestRegisterCodecRejectsCollisions(t *testing.T) {
-	app := func(b []byte, m wireB) ([]byte, bool) { return AppendBool(b, m.On), true }
+	app := func(b []byte, m wireB) []byte { return AppendBool(b, m.On) }
 	dec := func(r *WireReader) wireB { return wireB{On: r.Bool()} }
 	mustPanic(t, "reserved tag 0", func() { RegisterCodec(0, app, dec) })
 	mustPanic(t, "registered for both", func() { RegisterCodec(tagWireA, app, dec) })
@@ -58,20 +56,16 @@ func TestRegisterCodecRejectsCollisions(t *testing.T) {
 }
 
 func TestAppendAndDecodeMessage(t *testing.T) {
-	b, ok := AppendMessage([]byte{9}, wireA{N: -2, S: "hi"})
-	if !ok || b[0] != 9 || b[1] != tagWireA {
-		t.Fatalf("AppendMessage = %v, %v", b, ok)
+	b := AppendMessage([]byte{9}, wireA{N: -2, S: "hi"})
+	if b[0] != 9 || b[1] != tagWireA {
+		t.Fatalf("AppendMessage = %v", b)
 	}
 	if m, err := DecodeMessage(b[1:]); err != nil || m != (wireA{N: -2, S: "hi"}) {
 		t.Fatalf("DecodeMessage = %#v, %v", m, err)
 	}
-	// No codec, and a codec that declines this value: the input comes back
-	// untouched for the caller's fallback.
-	for _, m := range []Message{wireNone{}, wireA{N: 13}} {
-		if b, ok := AppendMessage([]byte{9}, m); ok || len(b) != 1 {
-			t.Errorf("AppendMessage(%#v) = %v, %v; want [9], false", m, b, ok)
-		}
-	}
+	// No codec is a programming error, named loudly — as is no message.
+	mustPanic(t, "no wire codec for consensus.wireNone", func() { AppendMessage([]byte{9}, wireNone{}) })
+	mustPanic(t, "no wire codec for <nil>", func() { AppendMessage(nil, nil) })
 	for name, b := range map[string][]byte{
 		"empty":       nil,
 		"unknown tag": {250},
@@ -125,9 +119,10 @@ func (wireWrap) Type() string { return "wire-wrap" }
 func TestNestingIsBounded(t *testing.T) {
 	const tagWrap = 242
 	RegisterCodec(tagWrap,
-		func(b []byte, m wireWrap) ([]byte, bool) { return AppendMessage(b, m.Inner) },
+		func(b []byte, m wireWrap) []byte { return AppendMessage(b, m.Inner) },
 		func(r *WireReader) wireWrap { return wireWrap{Inner: r.Message()} })
-	b, _ := AppendMessage(nil, wireWrap{Inner: wireA{N: 1}})
+	b := AppendMessage(nil, wireWrap{Inner: wireA{N: 1}})
+	mustPanic(t, "no wire codec for consensus.wireNone", func() { AppendMessage(nil, wireWrap{Inner: wireNone{}}) })
 	if m, err := DecodeMessage(b); err != nil || m != (wireWrap{Inner: wireA{N: 1}}) {
 		t.Fatalf("one level of nesting: %#v, %v", m, err)
 	}

@@ -15,7 +15,7 @@ func config(p protocol.Params) Config {
 	return Config{Delta: p.Delta, Sigma: p.Sigma, Eps: p.Eps, Rho: p.Rho, Prepared: p.Prepared}
 }
 
-// messages lists the wire message types for gob registration.
+// messages lists the protocol's message types, for both descriptors.
 func messages() []consensus.Message {
 	return []consensus.Message{P1a{}, P1b{}, P2a{}, P2b{}, Decided{}}
 }

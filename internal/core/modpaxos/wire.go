@@ -27,31 +27,31 @@ func readBallot(r *consensus.WireReader) consensus.Ballot {
 
 func init() {
 	consensus.RegisterCodec(tagP1a,
-		func(b []byte, m P1a) ([]byte, bool) { return appendBallot(b, m.Bal), true },
+		func(b []byte, m P1a) []byte { return appendBallot(b, m.Bal) },
 		func(r *consensus.WireReader) P1a { return P1a{Bal: readBallot(r)} })
 	consensus.RegisterCodec(tagP1b,
-		func(b []byte, m P1b) ([]byte, bool) {
+		func(b []byte, m P1b) []byte {
 			b = appendBallot(appendBallot(b, m.Bal), m.ABal)
-			return consensus.AppendString(b, m.AVal), true
+			return consensus.AppendString(b, m.AVal)
 		},
 		func(r *consensus.WireReader) P1b {
 			return P1b{Bal: readBallot(r), ABal: readBallot(r), AVal: consensus.Value(r.Str())}
 		})
 	consensus.RegisterCodec(tagP2a,
-		func(b []byte, m P2a) ([]byte, bool) {
-			return consensus.AppendString(appendBallot(b, m.Bal), m.Val), true
+		func(b []byte, m P2a) []byte {
+			return consensus.AppendString(appendBallot(b, m.Bal), m.Val)
 		},
 		func(r *consensus.WireReader) P2a {
 			return P2a{Bal: readBallot(r), Val: consensus.Value(r.Str())}
 		})
 	consensus.RegisterCodec(tagP2b,
-		func(b []byte, m P2b) ([]byte, bool) {
-			return consensus.AppendString(appendBallot(b, m.Bal), m.Val), true
+		func(b []byte, m P2b) []byte {
+			return consensus.AppendString(appendBallot(b, m.Bal), m.Val)
 		},
 		func(r *consensus.WireReader) P2b {
 			return P2b{Bal: readBallot(r), Val: consensus.Value(r.Str())}
 		})
 	consensus.RegisterCodec(tagDecided,
-		func(b []byte, m Decided) ([]byte, bool) { return consensus.AppendString(b, m.Val), true },
+		func(b []byte, m Decided) []byte { return consensus.AppendString(b, m.Val) },
 		func(r *consensus.WireReader) Decided { return Decided{Val: consensus.Value(r.Str())} })
 }

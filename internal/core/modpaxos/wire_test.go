@@ -1,7 +1,6 @@
 package modpaxos
 
 import (
-	"encoding/gob"
 	"math"
 	"strings"
 	"testing"
@@ -15,9 +14,6 @@ func TestEveryMessageHasACodec(t *testing.T) {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	for _, m := range Descriptor().Messages {
-		gob.Register(m)
-	}
 	big := consensus.Value(strings.Repeat("v", 1<<20))
 	for _, m := range []consensus.Message{
 		P1a{}, P1a{Bal: 7}, P1a{Bal: consensus.NoBallot}, P1a{Bal: math.MinInt64}, P1a{Bal: math.MaxInt64},

@@ -17,10 +17,9 @@
 // on a per-(from,to) link whose writer goroutine dials, encodes and writes,
 // flushing whenever its queue runs empty; a full queue blocks the sender
 // (backpressure, never silent loss), and a send to oneself is a local call.
-// Frames are length-prefixed binary: message types with a codec in the
-// consensus wire registry (modpaxos and rsm) travel in a hand-written
-// compact form, everything else as a gob blob inside the same frame. See
-// tcp.go for the layout and the failure rules.
+// Frames are length-prefixed binary, each message in the codec its package
+// registered with the consensus wire registry; a type without one cannot be
+// sent. See tcp.go for the layout and the failure rules.
 //
 // The eventually-synchronous model maps onto real time: the memory
 // transport can drop and delay messages until a configured stabilization

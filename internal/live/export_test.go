@@ -31,6 +31,9 @@ func (d *frameDecoder) Next() (from, to consensus.ProcessID, m consensus.Message
 // MaxFrame is the cap on a frame's declared length.
 const MaxFrame = maxFrame
 
+// ErrBadFrame is what the decoder reports for a frame it cannot parse.
+var ErrBadFrame = errBadFrame
+
 // Deliver hands m to the node the way its transport does.
 func (n *Node) Deliver(from consensus.ProcessID, m consensus.Message) { n.enqueueMessage(from, m) }
 

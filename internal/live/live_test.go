@@ -10,6 +10,10 @@ import (
 	"repro/internal/core/consensus"
 	"repro/internal/core/modpaxos"
 	"repro/internal/protocol"
+
+	// The registry's built-in protocols; this package itself takes a
+	// consensus.Factory and never resolves a name.
+	_ "repro/internal/protocol/all"
 )
 
 const delta = 20 * time.Millisecond
@@ -151,34 +155,51 @@ func TestLiveCrashRestartRecovers(t *testing.T) {
 	}
 }
 
+// TestLiveTCPTransport takes every kind of live-capable protocol to a
+// decision over loopback sockets: each message type it sends has crossed
+// the wire through its codec, so a codec that round-trips but writes the
+// wrong field fails a run here. usd stands for the dynamics family, whose
+// four rules share one message set; a dynamics decision is a streak of
+// unanimous samples, so its population starts agreed where the others must
+// choose.
 func TestLiveTCPTransport(t *testing.T) {
-	RegisterMessages()
-	ids := []consensus.ProcessID{0, 1, 2}
-	transport, err := NewTCPTransport(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCluster(Config{N: 3, Delta: delta, Transport: transport},
-		factory(t, "modpaxos", delta), distinctProposals(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := c.Stop(); err != nil {
-			t.Errorf("Stop: %v", err)
-		}
-	}()
-	for _, id := range ids {
-		if transport.Addr(id) == "" {
-			t.Fatalf("no listen address for %d", id)
-		}
-	}
-	c.Start()
-	if err := c.WaitAllDecided(15 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Checker().Violation(); err != nil {
-		t.Fatal(err)
+	agreed := []consensus.Value{"v", "v", "v"}
+	for name, proposals := range map[string][]consensus.Value{
+		"modpaxos":        distinctProposals(3),
+		"modpaxos-norule": distinctProposals(3),
+		"roundbased":      distinctProposals(3),
+		"bconsensus":      distinctProposals(3),
+		"usd":             agreed,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ids := []consensus.ProcessID{0, 1, 2}
+			transport, err := NewTCPTransport(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewCluster(Config{N: 3, Delta: delta, Transport: transport},
+				factory(t, name, delta), proposals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := c.Stop(); err != nil {
+					t.Errorf("Stop: %v", err)
+				}
+			}()
+			for _, id := range ids {
+				if transport.Addr(id) == "" {
+					t.Fatalf("no listen address for %d", id)
+				}
+			}
+			c.Start()
+			if err := c.WaitAllDecided(15 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Checker().Violation(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -9,14 +9,13 @@ package live
 //
 //	len uint32 big-endian | from varint | to varint | tag byte | body
 //
-// len counts everything after itself and is capped at maxFrame. A message
-// type with a codec in the consensus wire registry travels as its tag and
-// hand-written binary body (modpaxos and rsm register theirs). Every other
-// type — the other protocols, test-defined messages, an rsm.SlotMsg whose
-// inner message has no codec — travels under tagGob, its body a blob from a
-// gob encoder/decoder pair that lives as long as the connection, so gob's
-// type descriptors cross once per link. gob needs those types registered
-// (RegisterMessages, or gob.Register for application messages).
+// len counts everything after itself and is capped at maxFrame. `tag | body`
+// is the message's codec from the consensus wire registry, the one wire
+// format: every protocol the live runtime accepts registers its messages
+// there (a wire.go per package). Sending a type with no codec is a
+// programming error, not an omission: the link's writer panics, naming the
+// type. The simulator and the memory transport never encode, so tests are
+// free to send ad-hoc types there.
 //
 // Flush rule: the writer flushes its buffer exactly when its queue is empty
 // (and, like any bufio.Writer, when the buffer fills). A burst of sends to
@@ -30,9 +29,8 @@ package live
 // Omission: a dial, encode or write error drops whatever that link had
 // queued and ends its writer; the next Send to that peer starts a fresh link
 // and redials. A reader that sees an oversize, truncated, unknown or
-// malformed frame — or any gob error, since that poisons the stream — closes
-// its connection, which the writer at the other end discovers as a write
-// error. Either way both ends start over with clean codec state.
+// malformed frame closes its connection, which the writer at the other end
+// discovers as a write error.
 //
 // A send to oneself never touches a socket: it calls the registered handler
 // directly.
@@ -42,7 +40,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -52,17 +49,9 @@ import (
 	"time"
 
 	"repro/internal/core/consensus"
-	"repro/internal/protocol"
-
-	// The registry is the source of wire message types; make sure the
-	// built-in protocols are in it even when the importer skips the harness.
-	_ "repro/internal/protocol/all"
 )
 
 const (
-	// tagGob marks a frame whose body is a gob blob; the wire registry
-	// reserves 0 for it.
-	tagGob = 0
 	// maxFrame caps a frame's declared length. The largest legitimate frame
 	// is an rsm snapshot (a whole applier image plus the session table).
 	maxFrame = 64 << 20
@@ -91,21 +80,6 @@ var (
 	errFrameTooBig = errors.New("live: frame exceeds maxFrame")
 	errBadFrame    = errors.New("live: malformed frame")
 )
-
-// RegisterMessages registers every message type declared by the protocol
-// registry's descriptors with encoding/gob, so the TCP transport's fallback
-// frame can carry them. It is idempotent (gob tolerates identical
-// re-registration) and may be called again after registering a new
-// protocol. Additional application-defined messages can be registered
-// directly with gob.Register. Types with a wire codec never reach gob, but
-// registering them is harmless.
-func RegisterMessages() {
-	for _, d := range protocol.All() {
-		for _, m := range d.Messages {
-			gob.Register(m)
-		}
-	}
-}
 
 // TCPTransport connects processes over loopback (or real) TCP; see the top
 // of this file for the frame format and the flush, backpressure and
@@ -165,7 +139,6 @@ var _ Transport = (*TCPTransport)(nil)
 
 // NewTCPTransport starts one loopback listener per process id in ids.
 func NewTCPTransport(ids []consensus.ProcessID) (*TCPTransport, error) {
-	RegisterMessages()
 	ctx, cancel := context.WithCancel(context.Background())
 	t := &TCPTransport{
 		addrs:     make(map[consensus.ProcessID]string),
@@ -398,25 +371,16 @@ func (t *TCPTransport) Close() error {
 
 // frameEncoder builds one link's outgoing frames.
 type frameEncoder struct {
-	buf  []byte       // the previous frame's storage, reused
-	blob bytes.Buffer // gob's output for one fallback frame
-	gob  *gob.Encoder // made on the first fallback frame, then kept
+	buf []byte // the previous frame's storage, reused
 }
 
-// encode returns m's frame, valid until the next call.
+// encode returns m's frame, valid until the next call. It panics on a
+// message with no wire codec (consensus.AppendMessage) and stays usable.
 func (e *frameEncoder) encode(from, to consensus.ProcessID, m consensus.Message) ([]byte, error) {
 	b := append(e.buf[:0], 0, 0, 0, 0) // len, patched below
 	b = binary.AppendVarint(b, int64(from))
 	b = binary.AppendVarint(b, int64(to))
-	if coded, ok := consensus.AppendMessage(b, m); ok {
-		b = coded
-	} else {
-		blob, err := e.gobBlob(m)
-		if err != nil {
-			return nil, err
-		}
-		b = append(append(b, tagGob), blob...)
-	}
+	b = consensus.AppendMessage(b, m)
 	if len(b)-4 > maxFrame {
 		return nil, errFrameTooBig
 	}
@@ -427,19 +391,6 @@ func (e *frameEncoder) encode(from, to consensus.ProcessID, m consensus.Message)
 	return b, nil
 }
 
-// gobBlob runs m through the link's gob stream and returns what it emitted:
-// any type descriptors not yet sent on this link, then the value.
-func (e *frameEncoder) gobBlob(m consensus.Message) ([]byte, error) {
-	if e.gob == nil {
-		e.gob = gob.NewEncoder(&e.blob)
-	}
-	e.blob.Reset()
-	if err := e.gob.Encode(&m); err != nil {
-		return nil, err
-	}
-	return e.blob.Bytes(), nil
-}
-
 // frameDecoder reads one connection's incoming frames. Its input is
 // untrusted: it allocates only as bytes actually arrive, never from a
 // declared length, and reports every irregularity as an error.
@@ -447,8 +398,6 @@ type frameDecoder struct {
 	r     *bufio.Reader
 	frame io.LimitedReader // r, limited to the current frame
 	buf   bytes.Buffer     // the current frame
-	blob  bytes.Reader     // the current fallback body, as gob's input
-	gob   *gob.Decoder     // made on the first fallback frame, then kept
 }
 
 func newFrameDecoder(conn io.Reader) *frameDecoder {
@@ -490,31 +439,11 @@ func (d *frameDecoder) decode(b []byte) (from, to consensus.ProcessID, m consens
 	}
 	b = b[k:]
 	t, k := binary.Varint(b)
-	if k <= 0 || len(b) == k {
+	if k <= 0 {
 		return 0, 0, nil, errBadFrame
 	}
-	b = b[k:]
-	if b[0] == tagGob {
-		m, err = d.gobValue(b[1:])
-	} else {
-		m, err = consensus.DecodeMessage(b)
+	if m, err = consensus.DecodeMessage(b[k:]); err != nil {
+		return 0, 0, nil, errBadFrame
 	}
-	return consensus.ProcessID(f), consensus.ProcessID(t), m, err
-}
-
-// gobValue feeds one fallback body to the connection's gob stream, which
-// must consume exactly that and yield a message.
-func (d *frameDecoder) gobValue(blob []byte) (consensus.Message, error) {
-	if d.gob == nil {
-		d.gob = gob.NewDecoder(&d.blob)
-	}
-	d.blob.Reset(blob)
-	var m consensus.Message
-	if err := d.gob.Decode(&m); err != nil {
-		return nil, err
-	}
-	if m == nil || d.blob.Len() != 0 {
-		return nil, errBadFrame
-	}
-	return m, nil
+	return consensus.ProcessID(f), consensus.ProcessID(t), m, nil
 }

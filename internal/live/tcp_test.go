@@ -1,8 +1,10 @@
 package live
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"net"
+	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"sync"
@@ -18,7 +20,8 @@ import (
 // timers — so they are fast enough to run under -short and -race, which is
 // where the writer/reader goroutines most need watching.
 
-// seqMsg has no wire codec: it travels in the gob-fallback frame.
+// seqMsg is a test-defined message with a codec in the registry's test
+// range, as an application's own message type would have.
 type seqMsg struct {
 	Seq int
 	Pad string
@@ -26,7 +29,19 @@ type seqMsg struct {
 
 func (seqMsg) Type() string { return "test-seq" }
 
-func init() { gob.Register(seqMsg{}) }
+// uncodedMsg has no wire codec: only self-sends and the crash test below
+// ever hand it to the transport.
+type uncodedMsg struct{ X int }
+
+func (uncodedMsg) Type() string { return "test-uncoded" }
+
+func init() {
+	consensus.RegisterCodec(250,
+		func(b []byte, m seqMsg) []byte {
+			return consensus.AppendString(binary.AppendVarint(b, int64(m.Seq)), m.Pad)
+		},
+		func(r *consensus.WireReader) seqMsg { return seqMsg{Seq: int(r.Varint()), Pad: r.Str()} })
+}
 
 // seqOf reads the sequence number out of either kind of test message.
 func seqOf(t *testing.T, m consensus.Message) int {
@@ -110,10 +125,9 @@ func TestTCPPerLinkFIFO(t *testing.T) {
 	waitFor(t, "all messages", func() bool { return check.got.Load() == senders*each })
 }
 
-// TestTCPInterleavedFramesKeepOrder alternates binary frames with
-// gob-fallback frames on one link: they share the queue and the connection,
-// so they arrive in send order, and the fallback's gob stream survives
-// being interleaved.
+// TestTCPInterleavedFramesKeepOrder alternates two message types on one
+// link: they share the queue and the connection, so they arrive in send
+// order.
 func TestTCPInterleavedFramesKeepOrder(t *testing.T) {
 	const n = 2000
 	tr := newTCP(t, 2)
@@ -244,8 +258,8 @@ func TestTCPSelfSendIsLocal(t *testing.T) {
 		got = append(got, m)
 	})
 	tr.Send(1, 1, modpaxos.Decided{Val: "me"})
-	tr.Send(1, 1, seqMsg{Seq: 1})
-	if len(got) != 2 || got[0] != (modpaxos.Decided{Val: "me"}) || got[1] != (seqMsg{Seq: 1}) {
+	tr.Send(1, 1, uncodedMsg{X: 1}) // never encoded, so it needs no codec
+	if len(got) != 2 || got[0] != (modpaxos.Decided{Val: "me"}) || got[1] != (uncodedMsg{X: 1}) {
 		t.Fatalf("self-sends delivered %#v", got)
 	}
 	tr.mu.RLock()
@@ -259,8 +273,7 @@ func TestTCPSelfSendIsLocal(t *testing.T) {
 // TestTCPRedialAfterPeerDropsConnection points process 1's address at a
 // receiver the test owns, which reads one frame and hangs up. The link's
 // writer must notice, the traffic queued behind it is an omission, and a
-// later Send must dial afresh — with fresh gob state, since the new
-// connection's decoder has seen no type descriptors.
+// later Send must dial afresh.
 func TestTCPRedialAfterPeerDropsConnection(t *testing.T) {
 	tr := newTCP(t, 2)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -323,8 +336,8 @@ func TestTCPHostileConnectionIsDropped(t *testing.T) {
 	for name, junk := range map[string][]byte{
 		"oversize length": {0xff, 0xff, 0xff, 0xff},
 		"unknown tag":     {0, 0, 0, 3, 0, 2, 250},
-		"wrong recipient": {0, 0, 0, 4, 0, 0, 1, 2}, // a well-formed P1a, addressed to process 0
-		"corrupt gob":     {0, 0, 0, 5, 0, 2, tagGob, 0xde, 0xad},
+		"wrong recipient": {0, 0, 0, 4, 0, 0, 1, 2},          // a well-formed P1a, addressed to process 0
+		"tag 0":           {0, 0, 0, 5, 0, 2, 0, 0xde, 0xad}, // the gob frame of the old format
 	} {
 		conn, err := net.Dial("tcp", tr.Addr(1))
 		if err != nil {
@@ -346,4 +359,28 @@ func TestTCPHostileConnectionIsDropped(t *testing.T) {
 	}
 	tr.Send(0, 1, modpaxos.P1a{Bal: 1})
 	waitFor(t, "honest traffic", func() bool { return got.Load() == 1 })
+}
+
+// TestTCPSendOfUncodedTypePanics: a message type with no wire codec is a
+// programming error, and the transport says so instead of dropping it. The
+// panic is raised on the link's writer goroutine, so it takes the process
+// down; the test watches that happen to a copy of itself.
+func TestTCPSendOfUncodedTypePanics(t *testing.T) {
+	const crashEnv = "LIVE_TEST_SEND_UNCODED"
+	if os.Getenv(crashEnv) != "" {
+		tr := newTCP(t, 2)
+		tr.Register(1, func(consensus.ProcessID, consensus.Message) {})
+		tr.Send(0, 1, uncodedMsg{X: 1})
+		time.Sleep(2 * time.Second) // the writer's panic ends the process first
+		return                      // a quiet pass: exit status 0, which the parent reports
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestTCPSendOfUncodedTypePanics$")
+	cmd.Env = append(os.Environ(), crashEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("a Send of uncodedMsg over TCP went through quietly:\n%s", out)
+	}
+	if want := "no wire codec for live.uncodedMsg"; !strings.Contains(string(out), want) {
+		t.Errorf("the process died without saying %q:\n%s", want, out)
+	}
 }

@@ -101,12 +101,12 @@ type Descriptor struct {
 	// obsolete-message adversary. Nil means the attack is undefined for
 	// this protocol and the harness rejects it.
 	Obsolete func(Params, ObsoleteSpec) Installer
-	// Messages lists one zero value of every wire message type the
-	// protocol sends. The live TCP transport registers them with gob, which
-	// carries any type that has no codec in the consensus wire registry
-	// (consensus.RegisterCodec) — so listing a type here is all a protocol
-	// needs to run over TCP. Either way the transport encodes a message
-	// after Send returns: values of these types must be immutable.
+	// Messages lists one zero value of every message type the protocol
+	// sends. The harness pre-interns their trace counters from it, and the
+	// codec tests read it: each type of a protocol the live runtime accepts
+	// needs a codec in the consensus wire registry (consensus.RegisterCodec)
+	// to cross the TCP transport, which encodes a message after Send
+	// returns — values of these types must be immutable.
 	Messages []consensus.Message
 	// SupportsPrepared marks protocols implementing the stable-state fast
 	// path; Build rejects Params.Prepared for all others.

@@ -1,7 +1,6 @@
 package rsm
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,30 +10,11 @@ import (
 	"repro/internal/live"
 )
 
-// wireMessages lists one zero value of every RSM wire type. Each also has a
-// binary codec in wire.go (a test holds the two lists together).
-func wireMessages() []consensus.Message {
-	return []consensus.Message{
-		ClientPropose{}, Redirect{}, Committed{}, Busy{},
-		Query{}, QueryReply{}, SlotMsg{}, Learn{}, LearnReply{},
-		Beat{}, SnapshotMsg{},
-	}
-}
-
-// RegisterMessages registers the RSM wire types (and the protocol messages
-// they wrap) with encoding/gob for the TCP transport. Their own frames use
-// the binary codecs in wire.go; gob carries them only inside a SlotMsg whose
-// inner message has no codec.
-func RegisterMessages() {
-	live.RegisterMessages()
-	registerRSMOnce.Do(func() {
-		for _, m := range wireMessages() {
-			gob.Register(m)
-		}
-	})
-}
-
-var registerRSMOnce sync.Once
+// RegisterMessages does nothing: every RSM message reaches the wire through
+// its codec in wire.go, registered at package initialization. It remains
+// only because bench/serve.go and bench/layers.go, which this repository's
+// benchmark freezes, still call it; nothing else may.
+func RegisterMessages() {}
 
 // ClientStats counts a client's traffic for observability and tests.
 type ClientStats struct {

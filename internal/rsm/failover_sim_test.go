@@ -209,7 +209,7 @@ func TestSimSnapshotCompactionBoundsLog(t *testing.T) {
 			// The record is the wire form of the message that ships it.
 			var rec string
 			_, _ = nw.Node(consensus.ProcessID(id)).Store().Get(storage.KeyRSMSnapshot, &rec)
-			if wire, _ := consensus.AppendMessage(nil, SnapshotMsg{Snap: snap}); rec != string(wire) {
+			if wire := consensus.AppendMessage(nil, SnapshotMsg{Snap: snap}); rec != string(wire) {
 				t.Fatalf("replica %d snapshot record is %q, its SnapshotMsg encodes as %q", id, rec, wire)
 			}
 		}

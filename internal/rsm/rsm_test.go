@@ -157,7 +157,6 @@ func TestLeaderRestartRecoversLog(t *testing.T) {
 }
 
 func TestRSMOverTCP(t *testing.T) {
-	RegisterMessages()
 	ids := []consensus.ProcessID{0, 1, 2, 3} // 3 replicas + 1 client
 	transport, err := live.NewTCPTransport(ids)
 	if err != nil {

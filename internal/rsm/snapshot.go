@@ -13,8 +13,7 @@ package rsm
 // longer has.
 
 import (
-	"bytes"
-	"encoding/gob"
+	"fmt"
 	"maps"
 	"slices"
 	"strconv"
@@ -135,7 +134,7 @@ func (r *Replica) writeSnapshot() {
 // codec rsm already owns and fuzzes — the `tag | body` that
 // consensus.AppendMessage gives the SnapshotMsg that ships it — held as a
 // string, one immutable value that MemStore keeps as it is and FileStore
-// writes as a gob string. clients is snap.Sessions' keys in ascending order.
+// writes as one. clients is snap.Sessions' keys in ascending order.
 func (r *Replica) persistSnapshot(snap Snapshot, clients []int64) error {
 	r.snapBuf = appendSnapshotOrdered(append(r.snapBuf[:0], tagSnapshotMsg), snap, clients)
 	return r.env.Store().Put(storage.KeyRSMSnapshot, string(r.snapBuf))
@@ -268,31 +267,35 @@ func (r *Replica) installSnapshot(snap Snapshot) {
 	r.applyReady()
 }
 
-// kvImage is the KVStore's gob snapshot layout.
+// kvImage is the KVStore's snapshot layout: the data in key order, so that
+// equal stores snapshot to equal bytes on every replica, then the log. It is
+// not a message any process sends; it has a codec in the wire registry
+// (wire.go) so that a peer's SnapshotMsg.State is read by the same bounded,
+// fuzzed reader as the frame that carried it.
 type kvImage struct {
-	Data map[string]string
-	Log  []consensus.Value
+	data map[string]string
+	log  []consensus.Value
 }
+
+// Type implements consensus.Message.
+func (kvImage) Type() string { return "rsm-kv-image" }
 
 // Snapshot implements Snapshotter.
 func (s *KVStore) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	img := kvImage{Data: s.data, Log: s.log}
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return consensus.AppendMessage(nil, kvImage{data: s.data, log: s.log}), nil
 }
 
-// Restore implements Snapshotter.
+// Restore implements Snapshotter. data may come from a peer: anything but
+// one whole image is an error and leaves the store as it was.
 func (s *KVStore) Restore(data []byte) error {
-	var img kvImage
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
-		return err
+	m, err := consensus.DecodeMessage(data)
+	if err != nil {
+		return fmt.Errorf("rsm: KVStore image: %w", err)
 	}
-	if img.Data == nil {
-		img.Data = make(map[string]string)
+	img, ok := m.(kvImage)
+	if !ok {
+		return fmt.Errorf("rsm: KVStore image holds a %T", m)
 	}
-	s.data, s.log = img.Data, img.Log
+	s.data, s.log = img.data, img.log
 	return nil
 }

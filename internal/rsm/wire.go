@@ -8,9 +8,9 @@ import (
 	"repro/internal/core/consensus"
 )
 
-// Wire tags of the eleven RSM messages (range 16–47, see
-// consensus.RegisterCodec). A new message needs a tag and a codec here, or
-// TestEveryMessageHasACodec fails.
+// Wire tags of the eleven RSM messages, and of the KVStore's snapshot image
+// (range 16–47, see consensus.RegisterCodec). A new message needs a tag and
+// a codec here, or TestEveryMessageHasACodec fails.
 const (
 	tagClientPropose byte = iota + 16
 	tagRedirect
@@ -23,69 +23,76 @@ const (
 	tagLearnReply
 	tagBeat
 	tagSnapshotMsg
+	tagKVImage
 )
 
 // Minimum encoded sizes, for WireReader.Count.
 const (
 	minSlotValue = 2 // slot varint, empty value
 	minSession   = 3 // client, seq and slot varints
+	minKVPair    = 2 // empty key, empty value
 )
+
+// maxKVHint caps the size readKVImage's map starts at. A map entry costs many
+// times the two bytes an empty pair does, and the image's tag is decodable
+// from any frame, so the claimed count alone must not size the table.
+const maxKVHint = 1 << 12
 
 func init() {
 	consensus.RegisterCodec(tagClientPropose,
-		func(b []byte, m ClientPropose) ([]byte, bool) {
+		func(b []byte, m ClientPropose) []byte {
 			b = binary.AppendUvarint(binary.AppendVarint(b, m.Client), m.Seq)
-			return consensus.AppendString(b, m.Cmd), true
+			return consensus.AppendString(b, m.Cmd)
 		},
 		func(r *consensus.WireReader) ClientPropose {
 			return ClientPropose{Client: r.Varint(), Seq: r.Uvarint(), Cmd: consensus.Value(r.Str())}
 		})
 	consensus.RegisterCodec(tagRedirect,
-		func(b []byte, m Redirect) ([]byte, bool) {
-			return binary.AppendVarint(binary.AppendVarint(b, int64(m.Leader)), m.Epoch), true
+		func(b []byte, m Redirect) []byte {
+			return binary.AppendVarint(binary.AppendVarint(b, int64(m.Leader)), m.Epoch)
 		},
 		func(r *consensus.WireReader) Redirect {
 			return Redirect{Leader: consensus.ProcessID(r.Varint()), Epoch: r.Varint()}
 		})
 	consensus.RegisterCodec(tagCommitted,
-		func(b []byte, m Committed) ([]byte, bool) {
+		func(b []byte, m Committed) []byte {
 			b = binary.AppendUvarint(binary.AppendVarint(b, m.Slot), m.Seq)
-			return consensus.AppendString(b, m.Cmd), true
+			return consensus.AppendString(b, m.Cmd)
 		},
 		func(r *consensus.WireReader) Committed {
 			return Committed{Slot: r.Varint(), Seq: r.Uvarint(), Cmd: consensus.Value(r.Str())}
 		})
 	consensus.RegisterCodec(tagBusy,
-		func(b []byte, m Busy) ([]byte, bool) { return binary.AppendVarint(b, int64(m.QueueLen)), true },
+		func(b []byte, m Busy) []byte { return binary.AppendVarint(b, int64(m.QueueLen)) },
 		func(r *consensus.WireReader) Busy { return Busy{QueueLen: int(r.Varint())} })
 	consensus.RegisterCodec(tagQuery,
-		func(b []byte, m Query) ([]byte, bool) {
+		func(b []byte, m Query) []byte {
 			b = binary.AppendVarint(consensus.AppendString(b, m.Key), m.MinApplied)
-			return binary.AppendUvarint(b, m.ReqID), true
+			return binary.AppendUvarint(b, m.ReqID)
 		},
 		func(r *consensus.WireReader) Query {
 			return Query{Key: r.Str(), MinApplied: r.Varint(), ReqID: r.Uvarint()}
 		})
 	consensus.RegisterCodec(tagQueryReply,
-		func(b []byte, m QueryReply) ([]byte, bool) {
+		func(b []byte, m QueryReply) []byte {
 			b = consensus.AppendString(consensus.AppendString(b, m.Key), m.Value)
 			b = binary.AppendVarint(consensus.AppendBool(b, m.Found), m.Applied)
-			return binary.AppendUvarint(b, m.ReqID), true
+			return binary.AppendUvarint(b, m.ReqID)
 		},
 		func(r *consensus.WireReader) QueryReply {
 			return QueryReply{Key: r.Str(), Value: r.Str(), Found: r.Bool(), Applied: r.Varint(), ReqID: r.Uvarint()}
 		})
 	consensus.RegisterCodec(tagSlotMsg, appendSlotMsg, readSlotMsg)
 	consensus.RegisterCodec(tagLearn,
-		func(b []byte, m Learn) ([]byte, bool) { return binary.AppendVarint(b, m.From), true },
+		func(b []byte, m Learn) []byte { return binary.AppendVarint(b, m.From) },
 		func(r *consensus.WireReader) Learn { return Learn{From: r.Varint()} })
 	consensus.RegisterCodec(tagLearnReply,
-		func(b []byte, m LearnReply) ([]byte, bool) {
+		func(b []byte, m LearnReply) []byte {
 			b = binary.AppendUvarint(b, uint64(len(m.Entries)))
 			for _, e := range m.Entries {
 				b = consensus.AppendString(binary.AppendVarint(b, e.Slot), e.Val)
 			}
-			return b, true
+			return b
 		},
 		func(r *consensus.WireReader) LearnReply {
 			var m LearnReply
@@ -98,27 +105,27 @@ func init() {
 			return m
 		})
 	consensus.RegisterCodec(tagBeat,
-		func(b []byte, m Beat) ([]byte, bool) {
-			return binary.AppendVarint(binary.AppendVarint(b, m.Epoch), m.MaxSeen), true
+		func(b []byte, m Beat) []byte {
+			return binary.AppendVarint(binary.AppendVarint(b, m.Epoch), m.MaxSeen)
 		},
 		func(r *consensus.WireReader) Beat { return Beat{Epoch: r.Varint(), MaxSeen: r.Varint()} })
 	consensus.RegisterCodec(tagSnapshotMsg,
-		func(b []byte, m SnapshotMsg) ([]byte, bool) { return appendSnapshot(b, m.Snap), true },
+		func(b []byte, m SnapshotMsg) []byte { return appendSnapshot(b, m.Snap) },
 		func(r *consensus.WireReader) SnapshotMsg { return SnapshotMsg{Snap: readSnapshot(r)} })
+	consensus.RegisterCodec(tagKVImage, appendKVImage, readKVImage)
 }
 
 // appendSlotMsg writes `slot | inner tag | inner body`, the inner message
 // through the same registry; a nil Inner is an empty tail. An inner type
-// without a codec sends the whole SlotMsg down the gob fallback, and so
-// does a SlotMsg inside a SlotMsg: no slot instance sends one, and the
-// decoder's nesting bound would refuse it.
-func appendSlotMsg(b []byte, m SlotMsg) ([]byte, bool) {
+// without a codec panics there. So does a SlotMsg inside a SlotMsg: no slot
+// instance sends one, and the decoder's nesting bound would refuse it.
+func appendSlotMsg(b []byte, m SlotMsg) []byte {
 	b = binary.AppendVarint(b, m.Slot)
 	if m.Inner == nil {
-		return b, true
+		return b
 	}
 	if _, nested := m.Inner.(SlotMsg); nested {
-		return b, false
+		panic("rsm: a SlotMsg inside a SlotMsg has no wire form")
 	}
 	return consensus.AppendMessage(b, m.Inner)
 }
@@ -132,8 +139,8 @@ func readSlotMsg(r *consensus.WireReader) SlotMsg {
 }
 
 // appendSnapshot writes the session table in client order, so equal
-// snapshots encode to equal bytes. The table's presence is explicit: like
-// gob, the codec hands back a nil map as nil and an empty one as empty.
+// snapshots encode to equal bytes. The table's presence is explicit: a nil
+// map comes back nil and an empty one empty.
 func appendSnapshot(b []byte, s Snapshot) []byte {
 	return appendSnapshotOrdered(b, s, slices.Sorted(maps.Keys(s.Sessions)))
 }
@@ -167,4 +174,34 @@ func readSnapshot(r *consensus.WireReader) Snapshot {
 	s.State = r.Bytes()
 	s.HasState = r.Bool()
 	return s
+}
+
+// appendKVImage writes `pairs | (key | value)… | entries | command…`, the
+// pairs in key order.
+func appendKVImage(b []byte, img kvImage) []byte {
+	b = binary.AppendUvarint(b, uint64(len(img.data)))
+	for _, k := range slices.Sorted(maps.Keys(img.data)) {
+		b = consensus.AppendString(consensus.AppendString(b, k), img.data[k])
+	}
+	b = binary.AppendUvarint(b, uint64(len(img.log)))
+	for _, cmd := range img.log {
+		b = consensus.AppendString(b, cmd)
+	}
+	return b
+}
+
+func readKVImage(r *consensus.WireReader) kvImage {
+	n := r.Count(minKVPair)
+	img := kvImage{data: make(map[string]string, min(n, maxKVHint))}
+	for i := 0; i < n; i++ {
+		k := r.Str()
+		img.data[k] = r.Str()
+	}
+	if n = r.Count(1); n > 0 {
+		img.log = make([]consensus.Value, n)
+		for i := range img.log {
+			img.log[i] = consensus.Value(r.Str())
+		}
+	}
+	return img
 }

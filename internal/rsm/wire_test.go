@@ -1,7 +1,7 @@
 package rsm
 
 import (
-	"encoding/gob"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -16,6 +16,15 @@ type uncoded struct{ X int }
 
 func (uncoded) Type() string { return "uncoded" }
 
+// wireMessages lists one zero value of every RSM wire type.
+func wireMessages() []consensus.Message {
+	return []consensus.Message{
+		ClientPropose{}, Redirect{}, Committed{}, Busy{},
+		Query{}, QueryReply{}, SlotMsg{}, Learn{}, LearnReply{},
+		Beat{}, SnapshotMsg{},
+	}
+}
+
 func TestEveryMessageHasACodec(t *testing.T) {
 	// One check over both lists: the RSM's tags must also stay clear of
 	// the tags of the slot messages a SlotMsg nests.
@@ -23,7 +32,6 @@ func TestEveryMessageHasACodec(t *testing.T) {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	RegisterMessages()
 	big := strings.Repeat("v", 1<<20)
 	for _, m := range []consensus.Message{
 		ClientPropose{}, ClientPropose{Client: -3, Seq: math.MaxUint64, Cmd: "set k v"}, ClientPropose{Client: 1, Seq: 1, Cmd: consensus.Value(big)},
@@ -53,22 +61,26 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSlotMsgFallsBackWhole pins which SlotMsgs have no binary form — the
-// transport then sends the whole message through gob: an inner type without
-// a codec, and a SlotMsg inside a SlotMsg (refused in both directions, so
-// hostile nesting cannot recurse the decoder).
+// TestSlotMsgFallsBackWhole pins which SlotMsgs have no wire form — an
+// inner type without a codec, and a SlotMsg inside a SlotMsg (refused in
+// both directions, so hostile nesting cannot recurse the decoder) — and
+// that there is nothing to fall back to: encoding one panics, naming the
+// culprit.
 func TestSlotMsgFallsBackWhole(t *testing.T) {
-	for _, m := range []SlotMsg{
-		{Slot: 1, Inner: uncoded{X: 1}},
-		{Slot: 1, Inner: SlotMsg{Slot: 2, Inner: modpaxos.P1a{Bal: 1}}},
+	for want, m := range map[string]SlotMsg{
+		"no wire codec for rsm.uncoded": {Slot: 1, Inner: uncoded{X: 1}},
+		"SlotMsg inside a SlotMsg":      {Slot: 1, Inner: SlotMsg{Slot: 2, Inner: modpaxos.P1a{Bal: 1}}},
 	} {
-		prefix := []byte("kept")
-		b, ok := consensus.AppendMessage(prefix, m)
-		if ok || string(b) != "kept" {
-			t.Errorf("AppendMessage(%#v) = %q, %v; want the input back and false", m, b, ok)
-		}
+		func() {
+			defer func() {
+				if r := fmt.Sprint(recover()); !strings.Contains(r, want) {
+					t.Errorf("AppendMessage(%#v): recovered %q, want a panic mentioning %q", m, r, want)
+				}
+			}()
+			consensus.AppendMessage(nil, m)
+		}()
 	}
-	nested, _ := consensus.AppendMessage(nil, SlotMsg{Slot: 2, Inner: modpaxos.P1a{Bal: 1}})
+	nested := consensus.AppendMessage(nil, SlotMsg{Slot: 2, Inner: modpaxos.P1a{Bal: 1}})
 	hostile := append([]byte{tagSlotMsg, 2}, nested...)
 	if m, err := consensus.DecodeMessage(hostile); err == nil {
 		t.Errorf("nested SlotMsg decoded as %#v", m)
@@ -124,5 +136,3 @@ func TestSlotMsgTypeDoesNotAllocate(t *testing.T) {
 		t.Errorf("SlotMsg{uncoded}.Type() = %q, want rsm-uncoded", got)
 	}
 }
-
-func init() { gob.Register(uncoded{}) }

@@ -220,7 +220,6 @@ func runLive(cfg Config, total int, collector *trace.Collector,
 
 	var transport live.Transport
 	if cfg.Backend == BackendLiveTCP {
-		rsm.RegisterMessages()
 		ids := make([]consensus.ProcessID, total)
 		for i := range ids {
 			ids[i] = consensus.ProcessID(i)

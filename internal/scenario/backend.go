@@ -34,8 +34,7 @@ const (
 	// transport under policy-driven fault injection.
 	BackendLive = "live"
 	// BackendLiveTCP is BackendLive over loopback TCP: length-prefixed
-	// binary frames, with gob only as the in-frame fallback for message
-	// types that have no wire codec.
+	// binary frames, each message in its registered wire codec.
 	BackendLiveTCP = "live-tcp"
 )
 

@@ -25,8 +25,8 @@ import (
 // queue, clock profiles need simulated clocks, and WorstCaseDelays needs
 // exactly-δ delivery. Crash/restart schedules run on real timers.
 type liveBackend struct {
-	// tcp selects loopback TCP (binary frames, gob as in-frame fallback)
-	// instead of in-memory channels.
+	// tcp selects loopback TCP (binary frames) instead of in-memory
+	// channels.
 	tcp bool
 }
 
