@@ -6,7 +6,8 @@ package repro_test
 // budget: a complete modified-Paxos run through the harness — engine,
 // network, trace collector, safety checker, protocol state machines, and
 // stable storage together. The budget is far above the engine's structural
-// zero (protocols box messages and persist state), but far below the
+// zero (protocols box messages, and each process's stored state is one
+// allocation), but far below the
 // pre-overhaul cost (~2100 allocs/run); a regression back to per-event or
 // per-message allocation trips it immediately.
 
@@ -18,15 +19,18 @@ import (
 )
 
 // allocBudgetFullRun bounds allocations for one N=5 modified-Paxos run
-// (unstable start, TS=200ms) on a fresh engine: the measured 354 allocs/run
+// (unstable start, TS=200ms) on a fresh engine: the measured 199 allocs/run
 // plus 2 %. The count is exact on a given toolchain, so the band is only
 // room for a Go release to move it; one allocation per message or per event
 // is hundreds. The pooled event queue, closure-free routing, interned
 // counters and plain-data stable storage brought it down from the
 // pre-overhaul simulator's ~2100 to 392; dense tallies in place of the
-// protocol's per-ballot maps took it to 354. Bytes per run are held by the
-// benchmark (alloc_kb_per_op on sim_grid).
-const allocBudgetFullRun = 361
+// protocol's per-ballot maps took it to 354, and multicasts without a
+// recipient vector to 328. Persisting through a pointer into the store's
+// own copy, boxing an unchanged P1b or Decided once, and sizing tallies,
+// the safety checker and the node list from N at first use took it to 199.
+// Bytes per run are held by the benchmark (alloc_kb_per_op on sim_grid).
+const allocBudgetFullRun = 203
 
 // allocBudgetObservedRun bounds the same run with Observe on (phase spans,
 // latency histograms). Observation adds bounded per-run structures — the

@@ -164,6 +164,12 @@ type Process struct {
 	secondVotes consensus.Tally[secondVote]
 	maj         consensus.Value
 	hasMaj      bool
+
+	// The stage-1 retransmit and the decision, boxed once while unchanged:
+	// a round's w-abcast repeats with its original timestamp every ε, and a
+	// decided process answers everything with the same Decided.
+	wabReply     consensus.Reply[Wab]
+	decidedReply consensus.Reply[Decided]
 }
 
 var _ consensus.Process = (*Process)(nil)
@@ -193,8 +199,9 @@ func MustNew(cfg Config) consensus.Factory {
 func (p *Process) Init(env consensus.Environment) {
 	p.env = env
 	p.firstDelivered = make(map[int64]consensus.Value)
-	p.firstVotes.Reset()
-	p.secondVotes.Reset()
+	p.hb.Reset(p.n)
+	p.firstVotes.Reset(p.n)
+	p.secondVotes.Reset(p.n)
 
 	var st durable
 	if ok, err := env.Store().Get(stateKey, &st); err != nil {
@@ -212,7 +219,7 @@ func (p *Process) Init(env consensus.Environment) {
 	}
 	if p.st.Decided {
 		env.Decide(p.st.Dec)
-		env.Broadcast(Decided{Val: p.st.Dec})
+		env.Broadcast(p.decidedReply.Box(Decided{Val: p.st.Dec}))
 		env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 		return
 	}
@@ -222,7 +229,7 @@ func (p *Process) Init(env consensus.Environment) {
 
 func (p *Process) persist() {
 	p.st.LC = p.lc.Now()
-	if err := p.env.Store().Put(stateKey, p.st); err != nil {
+	if err := p.env.Store().Put(stateKey, &p.st); err != nil {
 		p.env.Logf("bconsensus: persist: %v", err)
 	}
 }
@@ -246,12 +253,12 @@ func (p *Process) enterRound(r int64) {
 	p.st.SecondVoted = false
 	p.stage = stageWab
 	p.hasMaj = false
-	p.firstVotes.Reset()
-	p.secondVotes.Reset()
+	p.firstVotes.Reset(p.n)
+	p.secondVotes.Reset(p.n)
 	p.env.Emit("round", r)
 	consensus.BeginSpan(p.env, "round", r)
 	p.wabLC = p.tick()
-	p.env.Broadcast(Wab{LC: p.wabLC, Round: r, Est: p.st.Est})
+	p.env.Broadcast(p.wabReply.Box(Wab{LC: p.wabLC, Round: r, Est: p.st.Est}))
 	p.maybeAdoptFirst()
 }
 
@@ -261,7 +268,7 @@ func (p *Process) resumeRound() {
 	p.env.Emit("round", p.st.Round)
 	consensus.BeginSpan(p.env, "round", p.st.Round)
 	p.wabLC = p.tick()
-	p.env.Broadcast(Wab{LC: p.wabLC, Round: p.st.Round, Est: p.st.Est})
+	p.env.Broadcast(p.wabReply.Box(Wab{LC: p.wabLC, Round: p.st.Round, Est: p.st.Est}))
 	switch {
 	case p.st.SecondVoted:
 		p.stage = stageSecond
@@ -386,7 +393,7 @@ func (p *Process) witness(lcTS uint64, round int64, est consensus.Value) {
 func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	if p.st.Decided {
 		if _, isDecided := m.(Decided); !isDecided {
-			p.env.Send(from, Decided{Val: p.st.Dec})
+			p.env.Send(from, p.decidedReply.Box(Decided{Val: p.st.Dec}))
 		}
 		if d, isDecided := m.(Decided); isDecided {
 			p.decide(d.Val)
@@ -468,7 +475,7 @@ func (p *Process) HandleTimer(id consensus.TimerID) {
 		// the oracle deduplicates by (timestamp, sender)).
 		switch p.stage {
 		case stageWab:
-			p.env.Broadcast(Wab{LC: p.wabLC, Round: p.st.Round, Est: p.st.Est})
+			p.env.Broadcast(p.wabReply.Box(Wab{LC: p.wabLC, Round: p.st.Round, Est: p.st.Est}))
 		case stageFirst:
 			p.env.Broadcast(First{LC: p.tick(), Round: p.st.Round, Est: p.st.Est})
 		case stageSecond:
@@ -477,7 +484,7 @@ func (p *Process) HandleTimer(id consensus.TimerID) {
 		p.env.SetTimer(heartbeatTimer, p.cfg.Eps)
 	case gossipTimer:
 		if p.st.Decided {
-			p.env.Broadcast(Decided{Val: p.st.Dec})
+			p.env.Broadcast(p.decidedReply.Box(Decided{Val: p.st.Dec}))
 			p.env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 		}
 	}
@@ -494,6 +501,6 @@ func (p *Process) decide(v consensus.Value) {
 	consensus.EndSpan(p.env, "round", p.st.Round)
 	p.env.CancelTimer(oracleTimer)
 	p.env.CancelTimer(heartbeatTimer)
-	p.env.Broadcast(Decided{Val: v})
+	p.env.Broadcast(p.decidedReply.Box(Decided{Val: v}))
 	p.env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 }

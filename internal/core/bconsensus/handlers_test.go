@@ -323,3 +323,31 @@ func TestWabReceiveDoesNotAllocate(t *testing.T) {
 		t.Fatalf("hold-back queue holds %d messages, want %d", p.hb.Len(), measured+1)
 	}
 }
+
+// TestRepeatedStepsDoNotAllocate pins the steps a process repeats until TS
+// at zero allocations: persisting durable state (the store copies it in
+// place), the stage-1 heartbeat (the w-abcast keeps its timestamp, so its
+// box is reused), and, once decided, answering a straggler.
+func TestRepeatedStepsDoNotAllocate(t *testing.T) {
+	p, env := boot(t, 1, "v1")
+	if allocs := env.AllocsPerStep(p.persist); allocs != 0 {
+		t.Errorf("persist allocated %.1f times, want 0", allocs)
+	}
+	if p.stage != stageWab {
+		t.Fatalf("booted in stage %d, want the w-abcast stage", p.stage)
+	}
+	if allocs := env.AllocsPerStep(func() { p.HandleTimer(heartbeatTimer) }); allocs != 0 {
+		t.Errorf("a stage-1 heartbeat allocated %.1f times, want 0", allocs)
+	}
+	if got := env.SentTo(3); len(got) != 1 || got[0] != (Wab{LC: p.wabLC, Round: p.st.Round, Est: "v1"}) {
+		t.Fatalf("the heartbeat sent %v", got)
+	}
+	p.decide("v1")
+	var first consensus.Message = First{LC: 9, Round: 0, Est: "v1"}
+	if allocs := env.AllocsPerStep(func() { p.HandleMessage(2, first) }); allocs != 0 {
+		t.Errorf("a decided process answering a First allocated %.1f times, want 0", allocs)
+	}
+	if got := env.SentTo(2); len(got) != 1 || got[0] != (Decided{Val: "v1"}) {
+		t.Fatalf("the decided process answered %v", got)
+	}
+}

@@ -28,28 +28,30 @@ type Decision struct {
 // across node goroutines.
 type SafetyChecker struct {
 	mu        sync.Mutex
-	proposals map[ProcessID]Value
-	decisions map[ProcessID]Decision
-	order     []Decision
+	n         int
+	proposals Tally[Value]
+	decisions Tally[Decision]
+	order     []Decision // decisions in arrival order
 	violation error
 	// decided mirrors len(decisions) so AllDecided can answer "not yet"
 	// without the mutex: run loops ask after every event.
 	decided atomic.Int64
 }
 
-// NewSafetyChecker returns an empty checker.
-func NewSafetyChecker() *SafetyChecker {
-	return &SafetyChecker{
-		proposals: make(map[ProcessID]Value),
-		decisions: make(map[ProcessID]Decision),
-	}
+// NewSafetyChecker returns an empty checker for an n-process cluster. Its
+// tables are sized for n processes when first written.
+func NewSafetyChecker(n int) *SafetyChecker {
+	c := &SafetyChecker{n: n}
+	c.proposals.Reset(n)
+	c.decisions.Reset(n)
+	return c
 }
 
 // RecordProposal registers the value proposed by p (used for validity).
 func (c *SafetyChecker) RecordProposal(p ProcessID, v Value) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.proposals[p] = v
+	c.proposals.Set(p, v)
 }
 
 // RecordDecision registers a decision, returning an error (and remembering
@@ -58,7 +60,7 @@ func (c *SafetyChecker) RecordDecision(d Decision) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	if prev, ok := c.decisions[d.Proc]; ok {
+	if prev, ok := c.decisions.Get(d.Proc); ok {
 		if prev.Value != d.Value {
 			return c.violate("integrity: process %d decided %q at %v then %q at %v",
 				d.Proc, prev.Value, prev.At, d.Value, d.At)
@@ -74,16 +76,19 @@ func (c *SafetyChecker) RecordDecision(d Decision) error {
 		}
 	}
 	valid := false
-	for _, v := range c.proposals {
+	for _, v := range c.proposals.All() {
 		if v == d.Value {
 			valid = true
 			break
 		}
 	}
-	if !valid && len(c.proposals) > 0 {
+	if !valid && c.proposals.Len() > 0 {
 		return c.violate("validity: process %d decided %q, which no process proposed", d.Proc, d.Value)
 	}
-	c.decisions[d.Proc] = d
+	c.decisions.Set(d.Proc, d)
+	if c.order == nil {
+		c.order = make([]Decision, 0, c.n)
+	}
 	c.order = append(c.order, d)
 	c.decided.Add(1)
 	return nil
@@ -117,15 +122,14 @@ func (c *SafetyChecker) Decisions() []Decision {
 func (c *SafetyChecker) DecisionOf(p ProcessID) (Decision, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, ok := c.decisions[p]
-	return d, ok
+	return c.decisions.Get(p)
 }
 
 // DecidedCount returns the number of processes that have decided.
 func (c *SafetyChecker) DecidedCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.decisions)
+	return c.decisions.Len()
 }
 
 // AllDecided reports whether every process in ids (distinct IDs) has decided.
@@ -136,7 +140,7 @@ func (c *SafetyChecker) AllDecided(ids []ProcessID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, id := range ids {
-		if _, ok := c.decisions[id]; !ok {
+		if _, ok := c.decisions.Get(id); !ok {
 			return false
 		}
 	}
@@ -166,7 +170,7 @@ func (c *SafetyChecker) LastDecisionAmong(ids []ProcessID) (time.Duration, bool)
 	defer c.mu.Unlock()
 	var last time.Duration
 	for _, id := range ids {
-		d, ok := c.decisions[id]
+		d, ok := c.decisions.Get(id)
 		if !ok {
 			return 0, false
 		}

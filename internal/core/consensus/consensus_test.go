@@ -77,7 +77,7 @@ func TestBallotString(t *testing.T) {
 }
 
 func TestCheckerAgreementViolation(t *testing.T) {
-	c := NewSafetyChecker()
+	c := NewSafetyChecker(2)
 	c.RecordProposal(0, "a")
 	c.RecordProposal(1, "b")
 	if err := c.RecordDecision(Decision{Proc: 0, Value: "a"}); err != nil {
@@ -92,7 +92,7 @@ func TestCheckerAgreementViolation(t *testing.T) {
 }
 
 func TestCheckerValidityViolation(t *testing.T) {
-	c := NewSafetyChecker()
+	c := NewSafetyChecker(1)
 	c.RecordProposal(0, "a")
 	if err := c.RecordDecision(Decision{Proc: 0, Value: "zzz"}); err == nil {
 		t.Fatal("unproposed decision not detected")
@@ -100,7 +100,7 @@ func TestCheckerValidityViolation(t *testing.T) {
 }
 
 func TestCheckerIntegrity(t *testing.T) {
-	c := NewSafetyChecker()
+	c := NewSafetyChecker(1)
 	c.RecordProposal(0, "a")
 	if err := c.RecordDecision(Decision{Proc: 0, Value: "a", At: 1}); err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestCheckerIntegrity(t *testing.T) {
 }
 
 func TestCheckerQueries(t *testing.T) {
-	c := NewSafetyChecker()
+	c := NewSafetyChecker(3)
 	c.RecordProposal(0, "a")
 	c.RecordProposal(1, "a")
 	c.RecordProposal(2, "a")
@@ -172,7 +172,7 @@ func TestCheckerQueries(t *testing.T) {
 // subset of proposers and never reports a violation.
 func TestQuickCheckerAcceptsUnanimity(t *testing.T) {
 	f := func(procs []uint8, v string) bool {
-		c := NewSafetyChecker()
+		c := NewSafetyChecker(8)
 		for i := 0; i < 8; i++ {
 			c.RecordProposal(ProcessID(i), Value(v))
 		}

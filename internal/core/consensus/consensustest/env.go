@@ -8,6 +8,7 @@ package consensustest
 import (
 	"fmt"
 	"math/rand"
+	"testing"
 	"time"
 
 	"repro/internal/core/consensus"
@@ -143,6 +144,18 @@ func (e *Env) Logf(format string, args ...any) {
 
 // ClearOutbox drops recorded sends (typically after Init).
 func (e *Env) ClearOutbox() { e.Outbox = nil }
+
+// AllocsPerStep reports how many times one call of step allocates once
+// warm: step runs once first (boxing whatever it boxes once, growing the
+// outbox), then repeatedly with the outbox emptied before each call, so
+// recording the sends costs nothing. Pre-box any message step delivers.
+func (e *Env) AllocsPerStep(step func()) float64 {
+	step()
+	return testing.AllocsPerRun(100, func() {
+		e.Outbox = e.Outbox[:0]
+		step()
+	})
+}
 
 // SentTo returns the messages sent to one process, in order.
 func (e *Env) SentTo(to consensus.ProcessID) []consensus.Message {

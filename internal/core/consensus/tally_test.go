@@ -34,7 +34,7 @@ func TestTallyResetForgetsValues(t *testing.T) {
 	var tl Tally[int]
 	tl.Set(1, 10)
 	tl.Set(64, 20)
-	tl.Reset()
+	tl.Reset(0)
 	if tl.Len() != 0 {
 		t.Fatalf("Len = %d after Reset", tl.Len())
 	}
@@ -58,7 +58,9 @@ func TestTallyMatchesMap(t *testing.T) {
 	ref := make(map[ProcessID]int)
 	for step := 0; step < 5000; step++ {
 		if rng.Intn(200) == 0 {
-			tl.Reset()
+			// Half the resets announce the cluster, half leave the tally
+			// to grow by the IDs it sees.
+			tl.Reset(rng.Intn(2) * 150)
 			clear(ref)
 		}
 		id, v := ProcessID(rng.Intn(150)), rng.Int()
@@ -111,7 +113,7 @@ func TestTallyReceivePathDoesNotAllocate(t *testing.T) {
 	const n = 33
 	var tl Tally[vote]
 	round := func() {
-		tl.Reset()
+		tl.Reset(n)
 		for id := ProcessID(0); id < n; id++ {
 			tl.Set(id, vote{bal: Ballot(id), val: "v"})
 			count := 0
@@ -129,4 +131,45 @@ func TestTallyReceivePathDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Fatalf("a ballot's worth of votes allocated %.1f times, want 0", allocs)
 	}
+}
+
+// TestTallySizedByResetAllocatesOnce pins the sizing contract: a tally told
+// the cluster size allocates nothing until its first Set, and filling it
+// over every process then costs exactly one allocation, in any ID order.
+func TestTallySizedByResetAllocatesOnce(t *testing.T) {
+	for _, n := range []int{1, 5, 33, 64} {
+		order := rand.New(rand.NewSource(int64(n))).Perm(n)
+		var tl Tally[p2bShape]
+		allocs := testing.AllocsPerRun(20, func() {
+			tl = Tally[p2bShape]{} // no storage: this fill allocates it
+			tl.Reset(n)
+			for _, id := range order {
+				tl.Set(ProcessID(id), p2bShape{Bal: Ballot(id), Val: "v"})
+			}
+			if tl.Len() != n {
+				t.Fatalf("n=%d: Len = %d", n, tl.Len())
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("n=%d: filling a sized tally allocated %.1f times, want 1", n, allocs)
+		}
+	}
+	// Beyond 64 processes the bitset needs words of its own: one more.
+	var tl Tally[bool]
+	tl.Reset(200)
+	tl.Set(0, true)
+	tl.Set(199, true)
+	var got []ProcessID
+	for id := range tl.All() {
+		got = append(got, id)
+	}
+	if !slices.Equal(got, []ProcessID{0, 199}) {
+		t.Fatalf("All over a 200-process tally = %v", got)
+	}
+}
+
+// p2bShape is the shape of a phase-2b tally entry.
+type p2bShape struct {
+	Bal Ballot
+	Val Value
 }

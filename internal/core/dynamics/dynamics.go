@@ -131,6 +131,9 @@ type Process struct {
 	// streak counts consecutive unanimous rounds; streakLen of them decide.
 	streak  int
 	decided bool
+	// st is the image persist last wrote, kept in the process so Put can
+	// take its address instead of boxing a copy.
+	st durable
 }
 
 // Init implements consensus.Process.
@@ -259,8 +262,8 @@ func (p *Process) adopt(v consensus.Value) {
 // persist writes the durable image; failures are logged, not fatal (the
 // in-memory state remains correct for this incarnation).
 func (p *Process) persist() {
-	st := durable{Opinion: p.cur.val, Undecided: p.cur.undecided, Decided: p.decided}
-	if err := p.env.Store().Put(storage.KeyDynamicsState, st); err != nil {
+	p.st = durable{Opinion: p.cur.val, Undecided: p.cur.undecided, Decided: p.decided}
+	if err := p.env.Store().Put(storage.KeyDynamicsState, &p.st); err != nil {
 		p.env.Logf("dynamics: persist: %v", err)
 	}
 }

@@ -345,3 +345,29 @@ func TestEmitSessionSeries(t *testing.T) {
 	}
 	_ = p
 }
+
+// TestRepeatedStepsDoNotAllocate pins the steps a process repeats until TS
+// at zero allocations: persisting durable state (the store copies it in
+// place), answering a heartbeat phase 1a of an unchanged ballot, and, once
+// decided, answering a straggler (both replies are boxed once).
+func TestRepeatedStepsDoNotAllocate(t *testing.T) {
+	p, env := boot(t, 1, Config{})
+	if allocs := env.AllocsPerStep(p.persist); allocs != 0 {
+		t.Errorf("persist allocated %.1f times, want 0", allocs)
+	}
+	var p1a consensus.Message = P1a{Bal: p.st.MBal}
+	if allocs := env.AllocsPerStep(func() { p.HandleMessage(0, p1a) }); allocs != 0 {
+		t.Errorf("answering a repeated P1a allocated %.1f times, want 0", allocs)
+	}
+	if got := env.SentTo(p.st.MBal.Owner(n5)); len(got) != 1 || got[0] != (P1b{Bal: p.st.MBal, ABal: consensus.NoBallot}) {
+		t.Fatalf("the repeated P1a was answered with %v", got)
+	}
+	p.decide("mine")
+	var p2b consensus.Message = P2b{Bal: p.st.MBal, Val: "mine"}
+	if allocs := env.AllocsPerStep(func() { p.HandleMessage(2, p2b) }); allocs != 0 {
+		t.Errorf("a decided process answering a P2b allocated %.1f times, want 0", allocs)
+	}
+	if got := env.SentTo(2); len(got) != 1 || got[0] != (Decided{Val: "mine"}) {
+		t.Fatalf("the decided process answered %v", got)
+	}
+}

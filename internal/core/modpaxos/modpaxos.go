@@ -156,6 +156,12 @@ type Process struct {
 
 	// lastAnnounce is the local time of the last phase 1a/2a send.
 	lastAnnounce time.Duration
+
+	// The phase 1b answer and the decision, boxed once while unchanged:
+	// heartbeats re-elicit the same phase 1b, and a decided process answers
+	// everything with the same Decided.
+	p1bReply     consensus.Reply[P1b]
+	decidedReply consensus.Reply[Decided]
 }
 
 var _ consensus.Process = (*Process)(nil)
@@ -187,8 +193,8 @@ func MustNew(cfg Config) consensus.Factory {
 func (p *Process) Init(env consensus.Environment) {
 	p.env = env
 	p.resetContacts()
-	p.p1bs.Reset()
-	p.p2bs.Reset()
+	p.p1bs.Reset(p.n)
+	p.p2bs.Reset(p.n)
 
 	ok, err := env.Store().Get(stateKey, &p.st)
 	if err != nil {
@@ -205,7 +211,7 @@ func (p *Process) Init(env consensus.Environment) {
 	}
 	if p.st.Decided {
 		p.env.Decide(p.st.Dec)
-		p.env.Broadcast(Decided{Val: p.st.Dec})
+		p.env.Broadcast(p.decidedReply.Box(Decided{Val: p.st.Dec}))
 		p.env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 		return
 	}
@@ -236,14 +242,14 @@ func (p *Process) Init(env consensus.Environment) {
 }
 
 func (p *Process) persist() {
-	if err := p.env.Store().Put(stateKey, p.st); err != nil {
+	if err := p.env.Store().Put(stateKey, &p.st); err != nil {
 		p.env.Logf("modpaxos: persist: %v", err)
 	}
 }
 
 // resetContacts empties the contact set down to the process itself.
 func (p *Process) resetContacts() {
-	p.contacts.Reset()
+	p.contacts.Reset(p.n)
 	p.contacts.Set(p.id, true)
 }
 
@@ -266,7 +272,7 @@ func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	if p.st.Decided {
 		// A decided process answers everything by announcing its value.
 		if _, isDecided := m.(Decided); !isDecided {
-			p.env.Send(from, Decided{Val: p.st.Dec})
+			p.env.Send(from, p.decidedReply.Box(Decided{Val: p.st.Dec}))
 		}
 		if d, isDecided := m.(Decided); isDecided {
 			p.decide(d.Val)
@@ -310,7 +316,7 @@ func (p *Process) adopt(b consensus.Ballot) {
 	p.st.MBal = b
 	p.st.Sent2a = false
 	p.persist()
-	p.p1bs.Reset()
+	p.p1bs.Reset(p.n)
 	if b.Session(p.n) > oldSession {
 		p.enterSession()
 	}
@@ -344,7 +350,7 @@ func (p *Process) maybeStartPhase1() {
 	p.st.MBal = consensus.BallotFor(p.session()+1, p.id, p.n)
 	p.st.Sent2a = false
 	p.persist()
-	p.p1bs.Reset()
+	p.p1bs.Reset(p.n)
 	p.enterSession()
 }
 
@@ -355,7 +361,7 @@ func (p *Process) onP1a(m P1a) {
 	// m.Bal == mbal here (witness already adopted any higher ballot).
 	// Answer the ballot's owner, also on duplicates: heartbeat 1a
 	// messages re-elicit 1b messages lost before stabilization.
-	p.env.Send(m.Bal.Owner(p.n), P1b{Bal: m.Bal, ABal: p.st.ABal, AVal: p.st.AVal})
+	p.env.Send(m.Bal.Owner(p.n), p.p1bReply.Box(P1b{Bal: m.Bal, ABal: p.st.ABal, AVal: p.st.AVal}))
 }
 
 func (p *Process) onP1b(from consensus.ProcessID, m P1b) {
@@ -430,7 +436,7 @@ func (p *Process) HandleTimer(id consensus.TimerID) {
 		p.env.SetTimer(heartbeatTimer, p.cfg.Eps)
 	case gossipTimer:
 		if p.st.Decided {
-			p.env.Broadcast(Decided{Val: p.st.Dec})
+			p.env.Broadcast(p.decidedReply.Box(Decided{Val: p.st.Dec}))
 			p.env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 		}
 	}
@@ -447,7 +453,7 @@ func (p *Process) decide(v consensus.Value) {
 	consensus.EndSpan(p.env, "session", p.session())
 	p.env.CancelTimer(sessionTimer)
 	p.env.CancelTimer(heartbeatTimer)
-	p.env.Broadcast(Decided{Val: v})
+	p.env.Broadcast(p.decidedReply.Box(Decided{Val: v}))
 	p.env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 }
 
@@ -471,7 +477,7 @@ func (p *Process) Claim(session int64) {
 	p.st.MBal = b
 	p.st.Sent2a = false
 	p.persist()
-	p.p1bs.Reset()
+	p.p1bs.Reset(p.n)
 	p.enterSession()
 }
 

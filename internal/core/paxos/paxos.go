@@ -81,6 +81,10 @@ type Process struct {
 	p1bs    consensus.Tally[P1b]
 	p2bs    consensus.Tally[P2b]
 	started bool // executed Start Phase 1 at least once for current mbal
+
+	// The phase 1b answer and the decision, boxed once while unchanged.
+	p1bReply     consensus.Reply[P1b]
+	decidedReply consensus.Reply[Decided]
 }
 
 var _ consensus.Process = (*Process)(nil)
@@ -97,8 +101,8 @@ func New(cfg Config) consensus.Factory {
 // storage, exactly as §2 prescribes.
 func (p *Process) Init(env consensus.Environment) {
 	p.env = env
-	p.p1bs.Reset()
-	p.p2bs.Reset()
+	p.p1bs.Reset(p.n)
+	p.p2bs.Reset(p.n)
 
 	ok, err := env.Store().Get(stateKey, &p.st)
 	if err != nil {
@@ -111,13 +115,13 @@ func (p *Process) Init(env consensus.Environment) {
 	}
 	if p.st.Decided {
 		env.Decide(p.st.Dec)
-		env.Broadcast(Decided{Val: p.st.Dec})
+		env.Broadcast(p.decidedReply.Box(Decided{Val: p.st.Dec}))
 	}
 	env.SetTimer(tickTimer, p.cfg.RetryInterval)
 }
 
 func (p *Process) persist() {
-	if err := p.env.Store().Put(stateKey, p.st); err != nil {
+	if err := p.env.Store().Put(stateKey, &p.st); err != nil {
 		p.env.Logf("paxos: persist: %v", err)
 	}
 }
@@ -130,7 +134,7 @@ func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	// "respond to every message by announcing the value" optimization).
 	if p.st.Decided {
 		if _, isDecided := m.(Decided); !isDecided {
-			p.env.Send(from, Decided{Val: p.st.Dec})
+			p.env.Send(from, p.decidedReply.Box(Decided{Val: p.st.Dec}))
 		}
 	}
 	switch msg := m.(type) {
@@ -158,7 +162,7 @@ func (p *Process) HandleTimer(id consensus.TimerID) {
 	}
 	switch {
 	case p.st.Decided:
-		p.env.Broadcast(Decided{Val: p.st.Dec})
+		p.env.Broadcast(p.decidedReply.Box(Decided{Val: p.st.Dec}))
 		p.env.SetTimer(tickTimer, p.cfg.GossipInterval)
 	case p.leader == p.id:
 		// Spontaneous Start Phase 1 "every O(δ) seconds".
@@ -193,8 +197,8 @@ func (p *Process) startPhase1(atLeast consensus.Ballot) {
 	p.st.MBal = b
 	p.st.Sent2a = false
 	p.persist()
-	p.p1bs.Reset()
-	p.p2bs.Reset()
+	p.p1bs.Reset(p.n)
+	p.p2bs.Reset(p.n)
 	p.started = true
 	p.env.Emit("ballot", int64(b))
 	consensus.BeginSpan(p.env, "ballot", int64(b))
@@ -218,11 +222,11 @@ func (p *Process) onP1a(from consensus.ProcessID, m P1a) {
 		p.st.MBal = m.Bal
 		p.st.Sent2a = false
 		p.persist()
-		p.env.Send(owner, P1b{Bal: m.Bal, ABal: p.st.ABal, AVal: p.st.AVal})
+		p.env.Send(owner, p.p1bReply.Box(P1b{Bal: m.Bal, ABal: p.st.ABal, AVal: p.st.AVal}))
 	case m.Bal == p.st.MBal:
 		// Duplicate of the current ballot: re-answer (Paxos tolerates
 		// duplication; this restores 1b messages lost before TS).
-		p.env.Send(owner, P1b{Bal: m.Bal, ABal: p.st.ABal, AVal: p.st.AVal})
+		p.env.Send(owner, p.p1bReply.Box(P1b{Bal: m.Bal, ABal: p.st.ABal, AVal: p.st.AVal}))
 	default:
 		// Reject Message action: tell the ballot's owner our mbal.
 		p.env.Send(owner, Reject{Bal: p.st.MBal})
@@ -305,6 +309,6 @@ func (p *Process) decide(v consensus.Value) {
 	p.persist()
 	p.env.Decide(v)
 	consensus.EndSpan(p.env, "ballot", int64(p.st.MBal))
-	p.env.Broadcast(Decided{Val: v})
+	p.env.Broadcast(p.decidedReply.Box(Decided{Val: v}))
 	p.env.SetTimer(tickTimer, p.cfg.GossipInterval)
 }

@@ -195,3 +195,21 @@ func TestDecidedReplies(t *testing.T) {
 		t.Fatalf("reply = %#v", msgs[0])
 	}
 }
+
+// TestRepeatedStepsDoNotAllocate pins persisting durable state (the store
+// copies it in place) and a decided process answering a straggler (the
+// Decided reply is boxed once) at zero allocations.
+func TestRepeatedStepsDoNotAllocate(t *testing.T) {
+	p, env := boot(t, 1, "v1")
+	if allocs := env.AllocsPerStep(p.persist); allocs != 0 {
+		t.Errorf("persist allocated %.1f times, want 0", allocs)
+	}
+	p.decide("v1")
+	var in consensus.Message = InRound{Round: 3}
+	if allocs := env.AllocsPerStep(func() { p.HandleMessage(2, in) }); allocs != 0 {
+		t.Errorf("a decided process answering an InRound allocated %.1f times, want 0", allocs)
+	}
+	if got := env.SentTo(2); len(got) != 1 || got[0] != (Decided{Val: "v1"}) {
+		t.Fatalf("the decided process answered %v", got)
+	}
+}

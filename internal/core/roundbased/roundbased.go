@@ -117,6 +117,10 @@ type Process struct {
 	sentCoord bool
 	coordVal  consensus.Value
 	acks      consensus.Tally[bool]
+
+	// decidedReply is the decision, boxed once: a decided process answers
+	// everything with it.
+	decidedReply consensus.Reply[Decided]
 }
 
 var _ consensus.Process = (*Process)(nil)
@@ -155,7 +159,7 @@ func (p *Process) Init(env consensus.Environment) {
 	}
 	if p.st.Decided {
 		env.Decide(p.st.Dec)
-		env.Broadcast(Decided{Val: p.st.Dec})
+		env.Broadcast(p.decidedReply.Box(Decided{Val: p.st.Dec}))
 		env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 		return
 	}
@@ -163,7 +167,7 @@ func (p *Process) Init(env consensus.Environment) {
 }
 
 func (p *Process) persist() {
-	if err := p.env.Store().Put(stateKey, p.st); err != nil {
+	if err := p.env.Store().Put(stateKey, &p.st); err != nil {
 		p.env.Logf("roundbased: persist: %v", err)
 	}
 }
@@ -180,11 +184,11 @@ func (p *Process) enterRound(r int64) {
 	p.st.Round = r
 	p.persist()
 	p.timedOut = false
-	p.inRound.Reset()
+	p.inRound.Reset(p.n)
 	p.inRound.Set(p.id, true)
-	p.estimates.Reset()
+	p.estimates.Reset(p.n)
 	p.sentCoord = false
-	p.acks.Reset()
+	p.acks.Reset(p.n)
 	p.env.Emit("round", r)
 	consensus.BeginSpan(p.env, "round", r)
 
@@ -222,7 +226,7 @@ func (p *Process) maybeAdvance() {
 func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	if p.st.Decided {
 		if _, isDecided := m.(Decided); !isDecided {
-			p.env.Send(from, Decided{Val: p.st.Dec})
+			p.env.Send(from, p.decidedReply.Box(Decided{Val: p.st.Dec}))
 		}
 		if d, isDecided := m.(Decided); isDecided {
 			p.decide(d.Val)
@@ -331,7 +335,7 @@ func (p *Process) HandleTimer(id consensus.TimerID) {
 		p.maybeAdvance()
 	case gossipTimer:
 		if p.st.Decided {
-			p.env.Broadcast(Decided{Val: p.st.Dec})
+			p.env.Broadcast(p.decidedReply.Box(Decided{Val: p.st.Dec}))
 			p.env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 		}
 	}
@@ -347,6 +351,6 @@ func (p *Process) decide(v consensus.Value) {
 	p.env.Decide(v)
 	consensus.EndSpan(p.env, "round", p.st.Round)
 	p.env.CancelTimer(roundTimer)
-	p.env.Broadcast(Decided{Val: v})
+	p.env.Broadcast(p.decidedReply.Box(Decided{Val: v}))
 	p.env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 }

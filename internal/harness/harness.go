@@ -198,6 +198,15 @@ func DefaultProposals(n int) []consensus.Value {
 	return PooledProposals(n, n)
 }
 
+// proposalNames holds the proposal values "v0" … "v63", built once: a grid
+// runs the same cluster sizes cell after cell.
+var proposalNames = func() (names [64]consensus.Value) {
+	for i := range names {
+		names[i] = consensus.Value(fmt.Sprintf("v%d", i))
+	}
+	return names
+}()
+
 // PooledProposals assigns proposals round-robin from a pool of k distinct
 // values, so population-dynamics runs can model a bounded opinion space
 // (Config.OpinionPool). k is clamped to [1, n].
@@ -208,9 +217,12 @@ func PooledProposals(n, k int) []consensus.Value {
 	if k > n {
 		k = n
 	}
-	pool := make([]consensus.Value, k)
-	for i := range pool {
-		pool[i] = consensus.Value(fmt.Sprintf("v%d", i))
+	pool := proposalNames[:]
+	if k > len(pool) {
+		pool = make([]consensus.Value, k)
+		for i := range pool {
+			pool[i] = consensus.Value(fmt.Sprintf("v%d", i))
+		}
 	}
 	out := make([]consensus.Value, n)
 	for i := range out {

@@ -122,7 +122,7 @@ func NewCluster(cfg Config, factory consensus.Factory, proposals []consensus.Val
 		proposals: proposals,
 		transport: cfg.Transport,
 		collector: cfg.Collector,
-		checker:   consensus.NewSafetyChecker(),
+		checker:   consensus.NewSafetyChecker(cfg.N),
 	}
 	for i := 0; i < cfg.N; i++ {
 		id := consensus.ProcessID(i)

@@ -43,16 +43,30 @@ func less(a, b Item) bool {
 // Holdback is the per-process hold-back queue. It is not safe for
 // concurrent use; each process owns one and drives it from its event loop.
 //
-// The zero value is an empty queue ready for use.
+// The zero value is an empty queue ready for use. A queue told the cluster
+// size by Reset makes room for one message per process the first time it
+// needs any, instead of regrowing from one.
 type Holdback struct {
 	items     []Item // sorted by (TS, Sender)
 	ready     []Item // the slice Ready last returned, reused by the next call
 	delivered int    // count of delivered messages (for tests/metrics)
+	size      int    // cluster size, from Reset
+}
+
+// Reset empties the queue, keeping its storage, and records that it orders
+// the messages of an n-process cluster.
+func (h *Holdback) Reset(n int) {
+	clear(h.items)
+	h.items = h.items[:0]
+	h.size = n
 }
 
 // Add inserts a received message. Duplicates — same (TS, Sender) — are
 // ignored, which makes retransmission through the oracle idempotent.
 func (h *Holdback) Add(it Item) {
+	if h.items == nil {
+		h.items = make([]Item, 0, h.size)
+	}
 	// Binary search for the first held item not before it.
 	i, end := 0, len(h.items)
 	for i < end {

@@ -17,6 +17,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -136,7 +137,8 @@ func New(eng *sim.Engine, cfg Config, factory consensus.Factory, proposals []con
 		eng:       eng,
 		cfg:       cfg,
 		collector: cfg.Collector,
-		checker:   consensus.NewSafetyChecker(),
+		checker:   consensus.NewSafetyChecker(cfg.N),
+		nodes:     make([]*Node, 0, cfg.N),
 	}
 	// All message traffic flows through the engine's delivery sink: one
 	// closure per network instead of one per message in flight. The sink's
@@ -260,7 +262,7 @@ func (nw *Network) Up(id consensus.ProcessID) bool { return nw.nodes[id].up }
 // callers that retain it must copy. (Run loops do not scan it to decide
 // when to stop: that is Settled.)
 func (nw *Network) UpIDs() []consensus.ProcessID {
-	ids := nw.upScratch[:0]
+	ids := slices.Grow(nw.upScratch[:0], len(nw.nodes))
 	for _, n := range nw.nodes {
 		if n.up {
 			ids = append(ids, n.id)
@@ -273,7 +275,7 @@ func (nw *Network) UpIDs() []consensus.ProcessID {
 // AllIDs returns every process ID. Like UpIDs, the slice is a network-owned
 // scratch buffer, valid until the next AllIDs call.
 func (nw *Network) AllIDs() []consensus.ProcessID {
-	ids := nw.allScratch[:0]
+	ids := slices.Grow(nw.allScratch[:0], nw.cfg.N)
 	for i := 0; i < nw.cfg.N; i++ {
 		ids = append(ids, consensus.ProcessID(i))
 	}

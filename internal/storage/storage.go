@@ -4,10 +4,12 @@
 // so it can restart after failure by simply resuming where it left off."
 //
 // Two implementations are provided: an in-memory store used by the
-// deterministic simulator (the store holds isolated copies — plain-data
-// values as boxed copies, everything else gob round-tripped — exactly like
-// real persistence), and a file-backed store used by the live goroutine
-// runtime.
+// deterministic simulator (the store holds isolated copies — plain data in
+// one copy per key that each Put overwrites in place, everything else gob
+// round-tripped — exactly like real persistence), and a file-backed store
+// used by the live goroutine runtime. Put takes a value or a pointer to one;
+// a caller that persists the same state over and over passes a pointer, so
+// neither store needs the value boxed afresh per write.
 package storage
 
 import (
@@ -25,7 +27,9 @@ import (
 // that data written by Put survives a crash of the owning process (in the
 // simulator, that the data survives the process object being discarded).
 type Store interface {
-	// Put durably stores value (gob-encoded) under key.
+	// Put durably stores value (gob-encoded) under key. A pointer stores
+	// what it points to: gob encodes *T exactly as T, and the store reads
+	// the pointee before Put returns, so the caller may change it after.
 	Put(key string, value any) error
 	// Get decodes the value stored under key into out (a pointer). It
 	// reports whether the key was present.
@@ -40,19 +44,22 @@ type Store interface {
 // Put — mutating a value after Put does not change what a later Get
 // returns, matching disk semantics.
 //
-// Two representations provide that guarantee. Values whose type is plain
-// data — no pointers, slices, maps, or other mutable indirection (strings
-// are immutable, so they count as plain) — are kept as the boxed copy Put
-// received: the caller cannot reach that copy, so it is already as
-// isolated as encoded bytes, for free. Every protocol's durable state is
-// such a struct, which takes the gob round-trip out of the simulator's
-// persist path entirely. Other types fall back to the gob round-trip.
+// The store owns one copy per key. A value whose type is plain data — no
+// pointers, slices, maps, or other mutable indirection (strings are
+// immutable, so they count as plain) — is copied into that key's copy of
+// its type, allocated by the key's first Put and overwritten in place by
+// every later one; Get copies it out again. Every protocol's durable state
+// is such a struct, so the simulator's persist path has no gob round-trip,
+// and a caller that passes a pointer to its state (Put(key, &st)) has no
+// allocation at all once the key exists: the pointer needs no box, and the
+// pointee is read before Put returns. Other types are kept gob-encoded.
 //
 // MemStore is safe for concurrent use. The zero value is ready to use.
 type MemStore struct {
-	mu    sync.Mutex
-	data  map[string][]byte // gob-encoded values (types with indirection)
-	plain map[string]any    // boxed copies (plain-data types)
+	mu sync.Mutex
+	// vals holds each key's copy: a *T owned by the store for plain-data
+	// T, or the gob encoding ([]byte) of anything else.
+	vals map[string]any
 }
 
 // NewMemStore returns an empty in-memory store.
@@ -62,54 +69,63 @@ var _ Store = (*MemStore)(nil)
 
 // Put implements Store.
 func (s *MemStore) Put(key string, value any) error {
-	if value != nil && isPlainData(reflect.TypeOf(value)) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.plain == nil {
-			s.plain = make(map[string]any)
+	src, plain := plainValue(value)
+	var buf []byte
+	if !plain {
+		var err error
+		if buf, err = encode(value); err != nil {
+			return fmt.Errorf("storage: put %q: %w", key, err)
 		}
-		s.plain[key] = value
-		delete(s.data, key) // the key may previously have held an encoded value
-		return nil
-	}
-	buf, err := encode(value)
-	if err != nil {
-		return fmt.Errorf("storage: put %q: %w", key, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.data == nil {
-		s.data = make(map[string][]byte)
+	if s.vals == nil {
+		s.vals = make(map[string]any)
 	}
-	s.data[key] = buf
-	delete(s.plain, key)
+	if !plain {
+		s.vals[key] = buf
+		return nil
+	}
+	own := s.vals[key]
+	if own == nil || reflect.TypeOf(own) != reflect.PointerTo(src.Type()) {
+		// The key's first plain value, or one of another type than it
+		// held: the store takes a fresh copy of this type.
+		own = reflect.New(src.Type()).Interface()
+		s.vals[key] = own
+	}
+	reflect.ValueOf(own).Elem().Set(src)
 	return nil
 }
 
 // Get implements Store.
 func (s *MemStore) Get(key string, out any) (bool, error) {
 	s.mu.Lock()
-	v, plainOK := s.plain[key]
-	buf, ok := s.data[key]
-	s.mu.Unlock()
-	if plainOK {
-		rout := reflect.ValueOf(out)
-		if rout.Kind() != reflect.Pointer || rout.IsNil() {
-			return false, fmt.Errorf("storage: get %q: out must be a non-nil pointer", key)
-		}
-		rv := reflect.ValueOf(v)
-		if rv.Type() != rout.Elem().Type() {
-			return false, fmt.Errorf("storage: get %q: stored %s, requested %s", key, rv.Type(), rout.Elem().Type())
-		}
-		rout.Elem().Set(rv)
-		return true, nil
-	}
+	own, ok := s.vals[key]
 	if !ok {
+		s.mu.Unlock()
 		return false, nil
 	}
-	if err := decode(buf, out); err != nil {
-		return false, fmt.Errorf("storage: get %q: %w", key, err)
+	buf, encoded := own.([]byte)
+	if encoded {
+		// An encoding is never written to after Put stores it.
+		s.mu.Unlock()
+		if err := decode(buf, out); err != nil {
+			return false, fmt.Errorf("storage: get %q: %w", key, err)
+		}
+		return true, nil
 	}
+	// The copy is overwritten in place by the next Put: read it under the
+	// lock.
+	defer s.mu.Unlock()
+	rout := reflect.ValueOf(out)
+	if rout.Kind() != reflect.Pointer || rout.IsNil() {
+		return false, fmt.Errorf("storage: get %q: out must be a non-nil pointer", key)
+	}
+	rv := reflect.ValueOf(own).Elem()
+	if rv.Type() != rout.Elem().Type() {
+		return false, fmt.Errorf("storage: get %q: stored %s, requested %s", key, rv.Type(), rout.Elem().Type())
+	}
+	rout.Elem().Set(rv)
 	return true, nil
 }
 
@@ -117,8 +133,7 @@ func (s *MemStore) Get(key string, out any) (bool, error) {
 func (s *MemStore) Delete(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.data, key)
-	delete(s.plain, key)
+	delete(s.vals, key)
 	return nil
 }
 
@@ -128,23 +143,29 @@ func (s *MemStore) Delete(key string) error {
 func (s *MemStore) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	clear(s.data)
-	clear(s.plain)
+	clear(s.vals)
 }
 
 // Keys implements Store.
 func (s *MemStore) Keys() ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.data)+len(s.plain))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	for k := range s.plain {
+	keys := make([]string, 0, len(s.vals))
+	for k := range s.vals {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys, nil
+}
+
+// plainValue returns the plain data value holds — the value itself, or what
+// a non-nil pointer points to — and false when it is not plain data.
+func plainValue(value any) (reflect.Value, bool) {
+	v := reflect.ValueOf(value)
+	if v.Kind() == reflect.Pointer && !v.IsNil() {
+		v = v.Elem()
+	}
+	return v, v.IsValid() && isPlainData(v.Type())
 }
 
 // plainDataTypes caches the per-type verdict of isPlainData.

@@ -1,6 +1,9 @@
 package storage
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 )
@@ -273,5 +276,139 @@ func TestMemStoreUnexportedFieldsMatchGobSemantics(t *testing.T) {
 	}
 	if got.hidden != 0 {
 		t.Fatalf("unexported field persisted (%+v); gob would have dropped it", got)
+	}
+}
+
+// TestMemStorePointerForm pins Put's pointer form against the value form it
+// must be indistinguishable from: the store reads the pointee at Put and
+// keeps its own copy, so neither the caller's later writes nor a Get
+// result's reach it, and a key may switch between the forms.
+func TestMemStorePointerForm(t *testing.T) {
+	type durable struct {
+		MBal    int
+		Val     string
+		Decided bool
+	}
+	s := NewMemStore()
+	st := durable{MBal: 1, Val: "a"}
+	if err := s.Put("state", &st); err != nil {
+		t.Fatal(err)
+	}
+	st.MBal, st.Val = 99, "mutated" // after Put: invisible to Get
+	var got durable
+	if ok, err := s.Get("state", &got); err != nil || !ok || got != (durable{MBal: 1, Val: "a"}) {
+		t.Fatalf("Get after mutating the pointee = (%+v, %v, %v)", got, ok, err)
+	}
+
+	// Get copies out: changing what it returned changes nothing stored.
+	got.MBal = 1000
+	var again durable
+	if _, err := s.Get("state", &again); err != nil || again.MBal != 1 {
+		t.Fatalf("Get handed out the store's own copy: %+v, %v", again, err)
+	}
+
+	// Value → pointer → value on one key: each Put replaces the last.
+	for i, put := range []any{durable{MBal: 2}, &durable{MBal: 3}, durable{MBal: 4}} {
+		if err := s.Put("state", put); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Get("state", &got); err != nil || got.MBal != i+2 {
+			t.Fatalf("after Put %d (%T): Get = %+v, %v", i, put, got, err)
+		}
+	}
+
+	// Get into the wrong type errors, whichever form stored the value.
+	if err := s.Put("state", &st); err != nil {
+		t.Fatal(err)
+	}
+	var wrong struct{ MBal int }
+	if _, err := s.Get("state", &wrong); err == nil {
+		t.Fatal("Get into a mismatched type should error")
+	}
+
+	// A key may hold another type after it held this one.
+	n := 5
+	if err := s.Put("state", &n); err != nil {
+		t.Fatal(err)
+	}
+	var gotN int
+	if _, err := s.Get("state", &gotN); err != nil || gotN != 5 {
+		t.Fatalf("after a type change: Get = %d, %v", gotN, err)
+	}
+}
+
+// TestMemStorePointerToUnexportedTakesGobPath: a pointer to a struct with an
+// unexported field is stored as gob would store it — exported fields only —
+// exactly like the value form (TestMemStoreUnexportedFieldsMatchGobSemantics).
+func TestMemStorePointerToUnexportedTakesGobPath(t *testing.T) {
+	type mixed struct {
+		Exported int
+		hidden   int
+	}
+	s := NewMemStore()
+	if err := s.Put("k", &mixed{Exported: 5, hidden: 9}); err != nil {
+		t.Fatal(err)
+	}
+	var got mixed
+	if ok, err := s.Get("k", &got); err != nil || !ok || got != (mixed{Exported: 5}) {
+		t.Fatalf("Get = (%+v, %v, %v), want only the exported field", got, ok, err)
+	}
+}
+
+// TestMemStorePointerPutDoesNotAllocate pins what the pointer form is for:
+// once a key exists, persisting through a pointer allocates nothing — no
+// box for the argument, no copy for the store.
+func TestMemStorePointerPutDoesNotAllocate(t *testing.T) {
+	type durable struct {
+		MBal    int
+		Val     string
+		Decided bool
+	}
+	s := NewMemStore()
+	st := durable{MBal: 1, Val: "v"}
+	if err := s.Put("state", &st); err != nil { // the key's first Put allocates its copy
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		st.MBal++
+		if err := s.Put("state", &st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a second Put(k, &v) allocated %.1f times, want 0", allocs)
+	}
+}
+
+// TestFileStorePointerFormIsByteIdentical: gob encodes *T exactly as T, so
+// the file a live process writes through a pointer is the file it would have
+// written by value, and a restart reads the same state either way.
+func TestFileStorePointerFormIsByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := fakeState{Ballot: 7, Value: "v", Decided: true}
+	if err := s.Put("byvalue", st); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("bypointer", &st); err != nil {
+		t.Fatal(err)
+	}
+	byValue, err := os.ReadFile(filepath.Join(dir, "byvalue.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPointer, err := os.ReadFile(filepath.Join(dir, "bypointer.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(byValue, byPointer) {
+		t.Fatalf("Put(k, &v) wrote %x, Put(k, v) wrote %x", byPointer, byValue)
+	}
+	var got fakeState
+	if ok, err := s.Get("bypointer", &got); err != nil || !ok || got != st {
+		t.Fatalf("Get = (%+v, %v, %v)", got, ok, err)
 	}
 }
