@@ -14,10 +14,17 @@ var updateGoldens = flag.Bool("update", false, "rewrite the determinism golden f
 // partition-heal policy, the Duplicate/Reorder re-delivery path
 // (Fate.Duplicates), the obsolete-ballot adversary's direct injections
 // under worst-case delivery, and — via population-dynamics — the batched
-// multicast fan-out with arena reuse at n=1000.
+// multicast fan-out with arena reuse at n=1000. churn-storm,
+// restart-latecomer and coordinator-assassination pin the fault schedules:
+// static crash/restart pairs at TS-relative instants, a crash before TS with
+// a late restart, and the adaptive assassin's PreStart hook, so a reordered
+// crash or restart event shows up here and not only in the benchmark digest.
 func goldenSpecs(t *testing.T) []Spec {
 	t.Helper()
-	names := []string{"split-brain-until-TS", "dup-reorder-storm", "obsolete-ballot-replay", "population-dynamics"}
+	names := []string{
+		"split-brain-until-TS", "dup-reorder-storm", "obsolete-ballot-replay", "population-dynamics",
+		"churn-storm", "restart-latecomer", "coordinator-assassination",
+	}
 	specs := make([]Spec, 0, len(names))
 	for _, name := range names {
 		s, ok := Lookup(name)
@@ -31,7 +38,7 @@ func goldenSpecs(t *testing.T) []Spec {
 }
 
 // TestDeterminismGoldens pins the byte-exact JSON report (decision counts,
-// latency statistics, per-type message counts) of three canned scenarios at
+// latency statistics, per-type message counts) of the canned scenarios above at
 // fixed seeds. Any change to the simulator's event ordering, the network's
 // randomness consumption, or the trace accounting shows up here as a diff —
 // this is the proof that the pooled event queue and the closure-free routing
