@@ -120,16 +120,9 @@ func run(args []string) error {
 	}
 	spec.Net = func(n int, delta, ts time.Duration) simnet.Policy { return pol }
 
-	restarts, err := parseRestarts(*restart)
-	if err != nil {
+	var err error
+	if spec.Restarts, err = parseRestarts(*restart); err != nil {
 		return err
-	}
-	for _, r := range restarts {
-		f := scenario.CrashRestart{Proc: int(r.Proc), Crash: scenario.AtAbs(r.CrashAt)}
-		if r.RestartAt > 0 {
-			f.Restart = scenario.AtAbs(r.RestartAt)
-		}
-		spec.Faults = append(spec.Faults, f)
 	}
 
 	rep, err := scenario.Run(spec)
@@ -177,7 +170,9 @@ func parseRestarts(s string) ([]harness.Restart, error) {
 				return nil, fmt.Errorf("restart %q: bad restart time: %w", part, err)
 			}
 		}
-		out = append(out, harness.Restart{Proc: consensus.ProcessID(proc), CrashAt: crash, RestartAt: back})
+		out = append(out, harness.Restart{
+			Proc: consensus.ProcessID(proc), CrashAt: harness.AtAbs(crash), RestartAt: harness.AtAbs(back),
+		})
 	}
 	return out, nil
 }

@@ -60,10 +60,10 @@ func TestParseRestarts(t *testing.T) {
 	if len(rs) != 2 {
 		t.Fatalf("got %d restarts", len(rs))
 	}
-	if rs[0] != (harness.Restart{Proc: 4, CrashAt: 100e6, RestartAt: 600e6}) {
+	if rs[0] != (harness.Restart{Proc: 4, CrashAt: harness.AtAbs(100e6), RestartAt: harness.AtAbs(600e6)}) {
 		t.Fatalf("rs[0] = %+v", rs[0])
 	}
-	if rs[1].RestartAt != 0 {
+	if !rs[1].RestartAt.IsZero() {
 		t.Fatalf("never-restart should have zero RestartAt: %+v", rs[1])
 	}
 	if rs, err := parseRestarts(""); err != nil || rs != nil {

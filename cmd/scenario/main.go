@@ -85,7 +85,9 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/protocol"
+	"repro/internal/rsm"
 	"repro/internal/rsmbench"
 	"repro/internal/scenario"
 	"repro/internal/trace"
@@ -392,8 +394,9 @@ func cmdRSMBench(args []string, out io.Writer) error {
 	if *restart > 0 && *crash <= 0 {
 		return fmt.Errorf("-restart-leader needs -crash-leader")
 	}
-	if *restart > 0 && *restart <= *crash {
-		return fmt.Errorf("-restart-leader (%v) must be after -crash-leader (%v)", *restart, *crash)
+	var restarts []harness.Restart
+	if *crash != 0 {
+		restarts = []harness.Restart{{Proc: rsm.Leader(), CrashAt: harness.AtAbs(*crash), RestartAt: harness.AtAbs(*restart)}}
 	}
 	batches, pipelines := []int{0}, []int{0}
 	var err error
@@ -417,8 +420,7 @@ func cmdRSMBench(args []string, out io.Writer) error {
 				Keys: *keys, MaxBatch: b, MaxInFlight: k, MaxQueue: *queue,
 				Linger: *linger, OpenInterval: *open, Delta: *delta,
 				Seed: *seed, Observe: *timeline != "",
-				CrashLeaderAt: *crash, RestartLeaderAt: *restart,
-				CompactEvery: *compact, FailoverTimeout: *fotmo,
+				Restarts: restarts, CompactEvery: *compact, FailoverTimeout: *fotmo,
 			})
 			if err != nil {
 				return err

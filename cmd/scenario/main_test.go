@@ -558,4 +558,11 @@ func TestRSMBenchRejectsBadFlags(t *testing.T) {
 	if _, err := capture(t, "rsm-bench", "-format", "xml"); err == nil {
 		t.Fatal("unknown format should fail")
 	}
+	if _, err := capture(t, "rsm-bench", "-restart-leader", "20ms"); err == nil {
+		t.Fatal("a restart with no crash should fail")
+	}
+	if _, err := capture(t, "rsm-bench", "-crash-leader", "50ms", "-restart-leader", "20ms"); err == nil ||
+		!strings.Contains(err.Error(), "before its crash") {
+		t.Fatalf("a restart before its crash: got %v, want the schedule's error", err)
+	}
 }

@@ -23,12 +23,13 @@ func main() {
 	fmt.Printf("%-24s  %-14s  %s\n", "restart time", "recovery", "in δ")
 
 	for _, offsetDelta := range []int{2, 10, 50, 200} {
-		restartAt := ts + time.Duration(offsetDelta)*delta
+		back := repro.AfterTS(float64(offsetDelta))
+		restartAt := back.Resolve(delta, ts)
 		res, err := repro.Run(repro.Config{
 			Protocol: repro.ModifiedPaxos,
 			N:        5, Delta: delta, TS: ts, Rho: 0.01, Seed: 3,
 			Restarts: []repro.Restart{
-				{Proc: 4, CrashAt: 50 * time.Millisecond, RestartAt: restartAt},
+				{Proc: 4, CrashAt: repro.AtAbs(50 * time.Millisecond), RestartAt: back},
 			},
 			Horizon: restartAt + time.Second,
 		})

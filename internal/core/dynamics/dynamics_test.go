@@ -33,7 +33,7 @@ func run(t *testing.T, cfg harness.Config) harness.Result {
 
 // crashProc3 crashes one process before the population decides and restarts
 // it after; decided peers' replies pull it forward to the same decision.
-var crashProc3 = []harness.Restart{{Proc: 3, CrashAt: 50 * time.Millisecond, RestartAt: 3 * time.Second}}
+var crashProc3 = []harness.Restart{{Proc: 3, CrashAt: harness.AtAbs(50 * time.Millisecond), RestartAt: harness.AtAbs(3 * time.Second)}}
 
 // TestPinnedSchedules holds every rule to the exact simulated schedule the
 // three per-rule packages (usd, majority, minority) produced before they

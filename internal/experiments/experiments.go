@@ -223,8 +223,8 @@ func Table3RestartRecovery(p Params) (Table, error) {
 	offsets := axisOf("restart-offset", []int{2, 10, 30, 100},
 		func(m int) string { return fmt.Sprintf("%d·δ", m) },
 		func(s *scenario.Spec, m int) {
-			s.Faults = []scenario.Fault{scenario.CrashRestart{
-				Proc: 4, Crash: scenario.AtAbs(p.TS / 2), Restart: scenario.AfterTS(float64(m)),
+			s.Restarts = []harness.Restart{{
+				Proc: 4, CrashAt: harness.AtAbs(p.TS / 2), RestartAt: harness.AfterTS(float64(m)),
 			}}
 			s.Horizon = p.TS + time.Duration(m)*p.Delta + 100*p.Delta
 		})

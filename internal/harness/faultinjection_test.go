@@ -35,7 +35,7 @@ func TestCrashStormBeforeTS(t *testing.T) {
 					proc := consensus.ProcessID(rng.Intn(n))
 					crash := time.Duration(rng.Int63n(int64(ts * 3 / 4)))
 					back := crash + time.Duration(rng.Int63n(int64(ts/4)))
-					restarts = append(restarts, Restart{Proc: proc, CrashAt: crash, RestartAt: back})
+					restarts = append(restarts, Restart{Proc: proc, CrashAt: AtAbs(crash), RestartAt: AtAbs(back)})
 				}
 				res, err := Run(Config{
 					Protocol: proto, N: n, Delta: delta, TS: ts, Rho: 0.01,
@@ -69,7 +69,7 @@ func TestPermanentMinorityDown(t *testing.T) {
 			for i := 0; i < down; i++ {
 				restarts = append(restarts, Restart{
 					Proc:    consensus.ProcessID(n - 1 - i),
-					CrashAt: time.Duration(10+i) * time.Millisecond,
+					CrashAt: AtAbs(time.Duration(10+i) * time.Millisecond),
 				})
 			}
 			res, err := Run(Config{
@@ -134,7 +134,7 @@ func TestEveryoneRestartsOnce(t *testing.T) {
 			for i := 0; i < n; i++ {
 				crash := time.Duration(20+30*i) * time.Millisecond
 				restarts = append(restarts, Restart{
-					Proc: consensus.ProcessID(i), CrashAt: crash, RestartAt: crash + 25*time.Millisecond,
+					Proc: consensus.ProcessID(i), CrashAt: AtAbs(crash), RestartAt: AtAbs(crash + 25*time.Millisecond),
 				})
 			}
 			res, err := Run(Config{

@@ -17,6 +17,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/adversary"
@@ -109,7 +110,8 @@ type Config struct {
 	Horizon time.Duration
 	// Prepared enables the modified-Paxos stable-state fast path.
 	Prepared bool
-	// Restarts schedules crash/restart pairs.
+	// Restarts is the crash/restart schedule, resolved against Delta and TS
+	// and checked by ScheduleRestarts before anything is scheduled.
 	Restarts []Restart
 	// Drift optionally supplies an explicit clock per process (a scenario
 	// clock profile); nil spreads rates across [1−ρ, 1+ρ] as before.
@@ -143,13 +145,6 @@ type Config struct {
 	SpanCapacity int
 	// Debug retains per-event logs in the collector.
 	Debug bool
-}
-
-// Restart schedules a crash at CrashAt and (if RestartAt > 0) a restart.
-type Restart struct {
-	Proc      consensus.ProcessID
-	CrashAt   time.Duration
-	RestartAt time.Duration
 }
 
 // Result summarizes one run.
@@ -306,11 +301,8 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	nw.StartExcept(down...)
-	for _, r := range cfg.Restarts {
-		nw.CrashAt(r.Proc, r.CrashAt)
-		if r.RestartAt > 0 {
-			nw.RestartAt(r.Proc, r.RestartAt)
-		}
+	if err := ScheduleRestarts(nw, cfg.Restarts, cfg.N, cfg.Delta, cfg.TS); err != nil {
+		return Result{}, err
 	}
 
 	decided, violation := nw.RunUntilAllDecided(cfg.Horizon)
@@ -377,18 +369,9 @@ func BuildResult(cfg Config, collector *trace.Collector, checker *consensus.Safe
 
 // stableLeader picks the lowest-id process not scheduled to be down.
 func stableLeader(cfg Config, down []consensus.ProcessID) consensus.ProcessID {
-	isDown := make(map[consensus.ProcessID]bool, len(down))
-	for _, d := range down {
-		isDown[d] = true
-	}
-	for _, r := range cfg.Restarts {
-		if r.RestartAt == 0 {
-			isDown[r.Proc] = true
-		}
-	}
 	for i := 0; i < cfg.N; i++ {
-		if !isDown[consensus.ProcessID(i)] {
-			return consensus.ProcessID(i)
+		if id := consensus.ProcessID(i); !slices.Contains(down, id) && !StaysDown(cfg.Restarts, id) {
+			return id
 		}
 	}
 	return 0

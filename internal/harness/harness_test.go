@@ -162,7 +162,7 @@ func TestRestartRecoveryMetric(t *testing.T) {
 	restartAt := ts + 400*time.Millisecond
 	res, err := Run(Config{
 		Protocol: ModifiedPaxos, N: 5, Delta: delta, TS: ts, Seed: 5,
-		Restarts: []Restart{{Proc: 4, CrashAt: 50 * time.Millisecond, RestartAt: restartAt}},
+		Restarts: []Restart{{Proc: 4, CrashAt: AtAbs(50 * time.Millisecond), RestartAt: AtAbs(restartAt)}},
 		Horizon:  5 * time.Second,
 	})
 	if err != nil {

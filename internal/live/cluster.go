@@ -89,6 +89,10 @@ type Cluster struct {
 	mu        sync.Mutex
 	started   bool
 	startedAt time.Time
+	// pending arms the CrashAt/RestartAt faults scheduled before Start;
+	// timers are the armed ones, which Stop cancels.
+	pending []func()
+	timers  []*time.Timer
 
 	// life is the shutdown barrier: Crash and Restart hold it while they
 	// work and do nothing once Stop has set stopped under it, so a caller's
@@ -146,6 +150,37 @@ func (c *Cluster) Start() {
 	for _, n := range c.nodes {
 		n.start()
 	}
+	for _, arm := range c.pending {
+		arm()
+	}
+	c.pending = nil
+}
+
+// CrashAt crashes process id at offset at from Start. A fault scheduled
+// before Start waits for it, one whose instant has already passed fires at
+// once, and Stop cancels every one that has not fired.
+func (c *Cluster) CrashAt(id consensus.ProcessID, at time.Duration) {
+	c.faultAt(at, func() { c.Crash(id) })
+}
+
+// RestartAt restarts process id at offset at from Start, on CrashAt's terms.
+func (c *Cluster) RestartAt(id consensus.ProcessID, at time.Duration) {
+	c.faultAt(at, func() { c.Restart(id) })
+}
+
+func (c *Cluster) faultAt(at time.Duration, fire func()) {
+	c.life.Lock()
+	defer c.life.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	arm := func() { c.timers = append(c.timers, time.AfterFunc(at-time.Since(c.startedAt), fire)) }
+	switch {
+	case c.stopped: // nothing is armed after Stop
+	case c.started:
+		arm()
+	default:
+		c.pending = append(c.pending, arm)
+	}
 }
 
 // sinceStart returns the wall-clock offset from cluster start — the live
@@ -160,11 +195,18 @@ func (c *Cluster) sinceStart() time.Duration {
 }
 
 // Stop gracefully shuts down all processes and the transport, waiting for
-// every goroutine to exit. It waits out a Crash or Restart in progress;
-// later ones are no-ops.
+// every goroutine to exit. It cancels the CrashAt/RestartAt faults that have
+// not fired and waits out a Crash or Restart in progress; later ones are
+// no-ops.
 func (c *Cluster) Stop() error {
 	c.life.Lock()
 	c.stopped = true
+	c.mu.Lock()
+	for _, t := range c.timers {
+		t.Stop()
+	}
+	c.pending, c.timers = nil, nil
+	c.mu.Unlock()
 	c.life.Unlock()
 	for _, n := range c.nodes {
 		n.stop()

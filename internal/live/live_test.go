@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -391,6 +392,86 @@ func TestFaultsRacingStopLeaveNothingRunning(t *testing.T) {
 				t.Fatalf("round %d: node %d is running after Stop", round, n.id)
 			}
 		}
+	}
+}
+
+// isRunning reports whether process id's node is up.
+func isRunning(c *Cluster, id consensus.ProcessID) bool {
+	n := c.nodes[id]
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.running
+}
+
+// TestStopCancelsScheduledFaults: a CrashAt or RestartAt that has not fired
+// when Stop runs is cancelled, so no Crash runs after Stop and no timer or
+// goroutine outlives the cluster.
+func TestStopCancelsScheduledFaults(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c, err := NewCluster(Config{N: 3, Delta: delta}, factory(t, "modpaxos", delta), distinctProposals(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.CrashAt(0, time.Hour) // held until Start
+	c.Start()
+	c.CrashAt(1, 30*time.Millisecond)
+	c.RestartAt(1, time.Hour)
+	c.mu.Lock()
+	armed := append([]*time.Timer(nil), c.timers...)
+	c.mu.Unlock()
+	if len(armed) != 3 {
+		t.Fatalf("%d timers armed, want 3", len(armed))
+	}
+	if err := c.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	for i, tm := range armed {
+		if tm.Stop() {
+			t.Errorf("timer %d was still armed after Stop", i)
+		}
+	}
+	c.CrashAt(2, 0) // after Stop: not armed at all
+	c.mu.Lock()
+	left := len(c.timers) + len(c.pending)
+	c.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d faults held after Stop", left)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Stop, %d before the cluster", n, before)
+	}
+}
+
+// TestScheduledFaultInThePastFiresAtOnce: an offset that has already passed
+// when the fault is scheduled — or that is zero when Start arms it — fires
+// at once instead of never.
+func TestScheduledFaultInThePastFiresAtOnce(t *testing.T) {
+	c, err := NewCluster(Config{N: 3, Delta: delta}, factory(t, "modpaxos", delta), distinctProposals(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Stop() }()
+	c.CrashAt(2, 0)
+	c.Start()
+	time.Sleep(20 * time.Millisecond)
+	c.CrashAt(1, 5*time.Millisecond)
+	deadline := time.Now().Add(2 * time.Second)
+	for (isRunning(c, 1) || isRunning(c, 2)) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if isRunning(c, 1) || isRunning(c, 2) {
+		t.Fatal("a fault whose instant had passed did not fire")
+	}
+	c.RestartAt(1, 0)
+	for !isRunning(c, 1) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if !isRunning(c, 1) {
+		t.Fatal("a restart at offset 0 after Start did not fire")
 	}
 }
 

@@ -372,7 +372,7 @@ func TestTCPSendOfUncodedTypePanics(t *testing.T) {
 		tr.Register(1, func(consensus.ProcessID, consensus.Message) {})
 		tr.Send(0, 1, uncodedMsg{X: 1})
 		time.Sleep(2 * time.Second) // the writer's panic ends the process first
-		return                      // a quiet pass: exit status 0, which the parent reports
+		os.Exit(0)                  // a quiet pass, which the parent reports
 	}
 	cmd := exec.Command(os.Args[0], "-test.run=^TestTCPSendOfUncodedTypePanics$")
 	cmd.Env = append(os.Environ(), crashEnv+"=1")

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/trace"
 )
 
@@ -39,13 +40,12 @@ type Result struct {
 	Shed    int64 `json:"shed"`
 	Retries int64 `json:"retries"`
 
-	// Chaos schedule (zero when the run had no crash/compaction): when the
-	// initial leader was killed and restarted, the snapshot cadence, and the
+	// Chaos schedule (zero when the run had no crash/compaction): the
+	// crash/restart schedule that ran, the snapshot cadence, and the
 	// failover silence window the replicas ran with.
-	CrashLeaderAt   time.Duration `json:"crash_leader_at_ns,omitempty"`
-	RestartLeaderAt time.Duration `json:"restart_leader_at_ns,omitempty"`
-	CompactEvery    int64         `json:"compact_every,omitempty"`
-	FailoverTimeout time.Duration `json:"failover_timeout_ns,omitempty"`
+	Restarts        []harness.Restart `json:"restarts,omitempty"`
+	CompactEvery    int64             `json:"compact_every,omitempty"`
+	FailoverTimeout time.Duration     `json:"failover_timeout_ns,omitempty"`
 
 	// Commit is the client-observed submit→ack latency histogram; Slot the
 	// proposer's flush→decide latency; Batch the commands-per-slot size.

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/core/consensus"
+	"repro/internal/harness"
 	"repro/internal/rsm"
 	"repro/internal/trace"
 )
@@ -71,17 +72,16 @@ type Config struct {
 	// SpanCapacity sizes the span ring when Observe is set.
 	SpanCapacity int
 
-	// CrashLeaderAt, when set, kills the epoch-0 leader (replica 0) at this
-	// run time; clients must fail over to the promoted replica to finish.
-	CrashLeaderAt time.Duration
-	// RestartLeaderAt, when set with CrashLeaderAt, restarts the crashed
-	// leader, which must catch up (and be deposed by the higher epoch).
-	RestartLeaderAt time.Duration
+	// Restarts is the crash/restart schedule over the replicas (the run's
+	// TS is 0). Crashing rsm.Leader(), the epoch-0 leader, makes clients fail
+	// over to the promoted replica to finish; restarting it makes it catch up
+	// and be deposed by the higher epoch.
+	Restarts []harness.Restart
 	// CompactEvery passes through to rsm.Config.SnapshotEvery: replicas
 	// snapshot and truncate their logs every this many applied slots.
 	CompactEvery int64
 	// FailoverTimeout passes through to rsm.Config.FailoverTimeout. With
-	// CrashLeaderAt set and this zero, it defaults to 10δ so crash runs can
+	// Restarts set and this zero, it defaults to 10δ so crash runs can
 	// actually fail over.
 	FailoverTimeout time.Duration
 }
@@ -89,7 +89,7 @@ type Config struct {
 // chaos reports whether the run injects faults or compaction — the modes
 // where per-incarnation recorders disagree on prefixes and the invariant
 // checks switch to slot-aligned agreement plus union completeness.
-func (c Config) chaos() bool { return c.CrashLeaderAt > 0 || c.CompactEvery > 0 }
+func (c Config) chaos() bool { return len(c.Restarts) > 0 || c.CompactEvery > 0 }
 
 func (c Config) withDefaults() Config {
 	if c.Backend == "" {
@@ -116,7 +116,7 @@ func (c Config) withDefaults() Config {
 	if c.RetryEvery == 0 {
 		c.RetryEvery = 25 * c.Delta
 	}
-	if c.CrashLeaderAt > 0 && c.FailoverTimeout == 0 {
+	if len(c.Restarts) > 0 && c.FailoverTimeout == 0 {
 		c.FailoverTimeout = 10 * c.Delta
 	}
 	if c.Horizon == 0 {
@@ -124,7 +124,7 @@ func (c Config) withDefaults() Config {
 		// serial log well inside this.
 		perOp := 8 * c.Delta
 		c.Horizon = time.Duration(c.Clients*c.Ops)*perOp + 10*time.Second
-		if c.CrashLeaderAt > 0 {
+		if len(c.Restarts) > 0 {
 			// Failover stalls the log for up to n silence windows plus the
 			// repair round trips before clients make progress again.
 			c.Horizon += time.Duration(c.N+1)*c.FailoverTimeout + 50*c.Delta
@@ -254,7 +254,7 @@ func (c *clientProc) HandleTimer(id consensus.TimerID) {
 		if n := c.resendUnacked(); n > 0 {
 			c.retries += n
 			c.silent++
-			if c.cfg.CrashLeaderAt > 0 && c.silent >= 2 {
+			if len(c.cfg.Restarts) > 0 && c.silent >= 2 {
 				// Sustained silence on a crash run: treat the leader as dead
 				// and rotate to the next replica, which either serves us
 				// (it promoted) or answers with an epoch-stamped Redirect.

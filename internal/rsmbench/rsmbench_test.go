@@ -3,9 +3,12 @@ package rsmbench
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/harness"
+	"repro/internal/rsm"
 	"repro/internal/trace"
 )
 
@@ -238,9 +241,28 @@ func TestObserveSpansRecorded(t *testing.T) {
 var chaosLeaderCrash = Config{
 	Backend: BackendSim, Clients: 32, Ops: 5, Seed: 9,
 	MaxBatch: 8, MaxInFlight: 4,
-	CrashLeaderAt:   10 * time.Millisecond,
-	RestartLeaderAt: 60 * time.Millisecond,
-	CompactEvery:    8,
+	Restarts:     []harness.Restart{{Proc: rsm.Leader(), CrashAt: harness.AtAbs(10 * time.Millisecond), RestartAt: harness.AtAbs(60 * time.Millisecond)}},
+	CompactEvery: 8,
+}
+
+// TestRunRejectsBadSchedules: on either substrate a schedule that cannot
+// happen is an error before the run, not a completed run that reports a
+// restart which never took place. Only replicas can be crashed: with N = 3,
+// process 3 is the first client.
+func TestRunRejectsBadSchedules(t *testing.T) {
+	ms := time.Millisecond
+	for _, backend := range []string{BackendSim, BackendLive} {
+		for want, r := range map[string]harness.Restart{
+			"before its crash":  {Proc: rsm.Leader(), CrashAt: harness.AtAbs(50 * ms), RestartAt: harness.AtAbs(10 * ms)},
+			"in a cluster of 3": {Proc: 3, CrashAt: harness.AtAbs(10 * ms)},
+			"before time 0":     {Proc: rsm.Leader(), CrashAt: harness.AtAbs(-ms)},
+		} {
+			res, err := Run(Config{Backend: backend, Clients: 2, Ops: 2, Restarts: []harness.Restart{r}})
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s %+v: got %v (result %+v), want an error containing %q", backend, r, err, res, want)
+			}
+		}
+	}
 }
 
 func TestChaosLeaderCrashCompletes(t *testing.T) {
@@ -287,9 +309,8 @@ func TestChaosRunIsDeterministic(t *testing.T) {
 		res, err := Run(Config{
 			Backend: BackendSim, Clients: 8, Ops: 4, Seed: 5,
 			MaxBatch: 4, MaxInFlight: 2,
-			CrashLeaderAt:   8 * time.Millisecond,
-			RestartLeaderAt: 40 * time.Millisecond,
-			CompactEvery:    8,
+			Restarts:     []harness.Restart{{Proc: rsm.Leader(), CrashAt: harness.AtAbs(8 * time.Millisecond), RestartAt: harness.AtAbs(40 * time.Millisecond)}},
+			CompactEvery: 8,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core/consensus"
 	"repro/internal/core/modpaxos"
+	"repro/internal/harness"
 	"repro/internal/live"
 	"repro/internal/rsm"
 	"repro/internal/sim"
@@ -84,8 +85,7 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{
 		Backend: cfg.Backend, N: cfg.N, Clients: cfg.Clients, Ops: cfg.Ops, Keys: cfg.Keys,
 		Seed: cfg.Seed, Linger: cfg.Linger, OpenInterval: cfg.OpenInterval,
-		CrashLeaderAt: cfg.CrashLeaderAt, RestartLeaderAt: cfg.RestartLeaderAt,
-		CompactEvery: cfg.CompactEvery, FailoverTimeout: cfg.FailoverTimeout,
+		Restarts: cfg.Restarts, CompactEvery: cfg.CompactEvery, FailoverTimeout: cfg.FailoverTimeout,
 		collector: collector,
 	}
 	// Echo the effective serving-path knobs (rsm defaults applied).
@@ -168,14 +168,10 @@ func runSim(cfg Config, total int, collector *trace.Collector,
 		return fmt.Errorf("rsmbench: %w", err)
 	}
 	nw.Start()
-	if cfg.CrashLeaderAt > 0 {
-		// The initial leader (epoch 0 = replica 0) dies mid-run; the group
-		// fails over and, if a restart is scheduled, the crashed replica
-		// rejoins and catches up (via snapshot when compaction outran it).
-		nw.CrashAt(0, cfg.CrashLeaderAt)
-		if cfg.RestartLeaderAt > 0 {
-			nw.RestartAt(0, cfg.RestartLeaderAt)
-		}
+	// A crashed leader's group fails over; a restarted replica rejoins and
+	// catches up (via snapshot when compaction outran it).
+	if err := harness.ScheduleRestarts(nw, cfg.Restarts, cfg.N, cfg.Delta, 0); err != nil {
+		return fmt.Errorf("rsmbench: %w", err)
 	}
 	checker := nw.Checker()
 	res.Completed = eng.RunUntil(func() bool {
@@ -242,16 +238,14 @@ func runLive(cfg Config, total int, collector *trace.Collector,
 		_ = transport.Close()
 		return fmt.Errorf("rsmbench: %w", err)
 	}
+	// The schedule runs on wall-clock timers anchored at Start; Stop cancels
+	// what has not fired.
+	if err := harness.ScheduleRestarts(cluster, cfg.Restarts, cfg.N, cfg.Delta, 0); err != nil {
+		_ = cluster.Stop()
+		return fmt.Errorf("rsmbench: %w", err)
+	}
 	started := time.Now()
 	cluster.Start()
-	// Chaos schedule on wall clock, stopped on return; a timer that has fired
-	// by the time cluster.Stop runs finds Crash and Restart to be no-ops.
-	if cfg.CrashLeaderAt > 0 {
-		defer time.AfterFunc(cfg.CrashLeaderAt, func() { cluster.Crash(0) }).Stop()
-		if cfg.RestartLeaderAt > 0 {
-			defer time.AfterFunc(cfg.RestartLeaderAt, func() { cluster.Restart(0) }).Stop()
-		}
-	}
 	res.Completed = cluster.WaitDecidedAmong(clientIDs, cfg.Horizon) == nil
 	if cfg.chaos() {
 		// Settle window mirroring the sim backend: give the restarted

@@ -158,19 +158,16 @@ func (b liveBackend) Run(cfg harness.Config) (harness.Result, error) {
 	}
 	defer func() { _ = cluster.Stop() }()
 
-	// Crash/restart schedules become wall-clock timers anchored at start.
-	// A pair with RestartAt == 0 stays down and is excluded from the
-	// processes the run waits on (the harness semantic: "every process up
-	// at the end decided").
-	expected := make([]consensus.ProcessID, 0, cfg.N)
-	down := make(map[consensus.ProcessID]bool)
-	for _, r := range cfg.Restarts {
-		if r.RestartAt == 0 {
-			down[r.Proc] = true
-		}
+	// The crash/restart schedule becomes wall-clock timers anchored at Start
+	// and cancelled by Stop. A process that never comes back is excluded
+	// from the processes the run waits on (the harness semantic: "every
+	// process up at the end decided").
+	if err := harness.ScheduleRestarts(cluster, cfg.Restarts, cfg.N, cfg.Delta, cfg.TS); err != nil {
+		return harness.Result{}, err
 	}
+	expected := make([]consensus.ProcessID, 0, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		if id := consensus.ProcessID(i); !down[id] {
+		if id := consensus.ProcessID(i); !harness.StaysDown(cfg.Restarts, id) {
 			expected = append(expected, id)
 		}
 	}
@@ -178,16 +175,6 @@ func (b liveBackend) Run(cfg harness.Config) (harness.Result, error) {
 	// design; wall-clock reads here are the point, not a determinism leak.
 	started := time.Now() //repro:allow detlint live backend measures wall time by design
 	cluster.Start()
-	// The timers are stopped on return, before the deferred cluster.Stop; one
-	// that has already fired by then finds Crash and Restart to be no-ops.
-	for _, r := range cfg.Restarts {
-		//repro:allow detlint live faults fire on the wall clock by design
-		defer time.AfterFunc(r.CrashAt, func() { cluster.Crash(r.Proc) }).Stop()
-		if r.RestartAt > 0 {
-			//repro:allow detlint live faults fire on the wall clock by design
-			defer time.AfterFunc(r.RestartAt, func() { cluster.Restart(r.Proc) }).Stop()
-		}
-	}
 
 	decided := cluster.WaitDecidedAmong(expected, liveHorizon(cfg)) == nil
 	// Run-level phase spans mirror the harness's post-run recording, with

@@ -1,11 +1,15 @@
 package scenario
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core/consensus"
 	"repro/internal/harness"
+	"repro/internal/protocol"
 	"repro/internal/simnet"
 )
 
@@ -90,17 +94,17 @@ func TestLiveTCPBackendRunsScenarioSpec(t *testing.T) {
 	}
 }
 
-// TestLiveBackendRunsCrashRestartFaults pins the wall-clock fault schedule:
-// a process crashed before TS and restarted after it still decides (via
+// TestLiveBackendRunsRestartSchedule pins the wall-clock fault schedule: a
+// process crashed before TS and restarted after it still decides (via
 // decision gossip), and the run reports success.
-func TestLiveBackendRunsCrashRestartFaults(t *testing.T) {
+func TestLiveBackendRunsRestartSchedule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping wall-clock crash/restart scenario in -short mode")
 	}
 	spec := liveSpec(BackendLive)
 	spec.Protocols = []harness.Protocol{harness.ModifiedPaxos}
-	spec.Faults = []Fault{
-		CrashRestart{Proc: 2, Crash: AtDeltas(2), Restart: AfterTS(10)},
+	spec.Restarts = []harness.Restart{
+		{Proc: 2, CrashAt: harness.AtDeltas(2), RestartAt: harness.AfterTS(10)},
 	}
 	rep, err := Run(spec)
 	if err != nil {
@@ -108,6 +112,54 @@ func TestLiveBackendRunsCrashRestartFaults(t *testing.T) {
 	}
 	if !rep.Passed() {
 		t.Fatalf("crash/restart live run violated invariants: %+v", rep.Violations)
+	}
+}
+
+// inits counts Init calls of the hidden "init-probe" protocol, whose
+// processes do nothing else.
+var inits atomic.Int64
+
+type initProbe struct{}
+
+func (initProbe) Init(consensus.Environment)                           { inits.Add(1) }
+func (initProbe) HandleMessage(consensus.ProcessID, consensus.Message) {}
+func (initProbe) HandleTimer(consensus.TimerID)                        {}
+
+func init() {
+	protocol.MustRegister(protocol.Descriptor{
+		Name: "init-probe", Hidden: true,
+		New: func(protocol.Params) (consensus.Factory, error) {
+			return func(consensus.ProcessID, int, consensus.Value) consensus.Process { return initProbe{} }, nil
+		},
+	})
+}
+
+// TestLiveBackendRejectsBadScheduleBeforeStart: a schedule that cannot
+// happen fails the run before any process starts, and nothing is left
+// running.
+func TestLiveBackendRejectsBadScheduleBeforeStart(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg, err := liveSpec(BackendLive).withDefaults().config("init-probe", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Restarts = []harness.Restart{
+		{Proc: 1, CrashAt: harness.AtDeltas(1), RestartAt: harness.AfterTS(1)},
+		{Proc: 2, CrashAt: harness.AfterTS(2), RestartAt: harness.AfterTS(1)},
+	}
+	res, err := liveBackend{}.Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "before its crash") {
+		t.Fatalf("got %v, want the restart-before-crash error", err)
+	}
+	if res.Collector != nil || inits.Load() != 0 {
+		t.Errorf("a rejected run started %d processes and returned %+v", inits.Load(), res)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the rejected run, %d before", n, before)
 	}
 }
 
@@ -130,7 +182,7 @@ func TestLiveBackendRejectsSimulatorOnlyFeatures(t *testing.T) {
 		},
 		"assassin": func(s *Spec) {
 			s.Protocols = []harness.Protocol{harness.ModifiedPaxos}
-			s.Faults = []Fault{AssassinateOnSeries{Series: "session", Victim: VictimEmitter}}
+			s.Assassins = []AssassinateOnSeries{{Series: "session", Victim: VictimEmitter}}
 		},
 		"oracle-protocol": func(s *Spec) {
 			s.Protocols = []harness.Protocol{harness.TraditionalPaxos}

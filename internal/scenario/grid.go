@@ -180,7 +180,8 @@ func ParseAxis(arg string) (Axis, error) {
 		var vals []float64
 		for _, p := range parts {
 			v, err := strconv.ParseFloat(p, 64)
-			if err != nil || v < 0 || v >= 1 {
+			// Written so that NaN, which fails every comparison, fails it too.
+			if err != nil || !(v >= 0 && v < 1) {
 				return Axis{}, fmt.Errorf("axis rho: bad rate error %q (want 0 ≤ ρ < 1)", p)
 			}
 			vals = append(vals, v)

@@ -279,7 +279,7 @@ func TestGridCellErrorPropagates(t *testing.T) {
 	// configure, and the grid must surface that cell's error rather than
 	// fold a missing cell into the report.
 	base := gridBase()
-	base.Faults = []Fault{CrashRestart{Proc: 9, Crash: AfterTS(1)}}
+	base.Restarts = []harness.Restart{{Proc: 9, CrashAt: harness.AfterTS(1)}}
 	_, err := Grid{Base: base, Axes: []Axis{NAxis(3, 12)}}.Run()
 	if err == nil {
 		t.Fatal("invalid cell should fail the grid")
@@ -322,12 +322,46 @@ func TestParseAxis(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"", "n", "n=", "n=0", "n=x", "delta=5", "rho=2", "rho=-0.1",
-		"k=-1", "unknown=1", "ts=nope",
+		"k=-1", "unknown=1", "ts=nope", "rho=NaN", "rho=0.1,nan",
 	} {
 		if _, err := ParseAxis(bad); err == nil {
 			t.Errorf("ParseAxis(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParseAxis: parsing never panics, and every value of an accepted axis,
+// applied to a Spec, lies in the parameter's documented range — n ≥ 1,
+// durations ≥ 0, 0 ≤ ρ < 1 (never NaN), attack strength ≥ 0 — since a value
+// outside it fails a run late or, for a NaN ρ, never lets it finish.
+func FuzzParseAxis(f *testing.F) {
+	for _, seed := range []string{
+		"rho=NaN", "rho=0,0.01,0.1", "rho=Inf", "rho=-0", "n=3,5,17", "n=0",
+		"delta=1ms, 5ms", "ts=0,200ms", "sigma=50ms", "eps=-1ms", "k=0,2", "attackk=-1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, arg string) {
+		ax, err := ParseAxis(arg)
+		if err != nil {
+			return
+		}
+		if len(ax.Values) == 0 {
+			t.Fatalf("ParseAxis(%q) accepted an axis with no values", arg)
+		}
+		for _, v := range ax.Values {
+			s := Spec{Adversary: AdversaryProfile{Attack: harness.ObsoleteBallots}}
+			v.Apply(&s)
+			rho := s.Clocks.Rho
+			switch {
+			case ax.Name == "n" && s.N < 1,
+				s.Delta < 0, s.TS < 0, s.Sigma < 0, s.Eps < 0,
+				!(rho >= 0 && rho < 1),
+				s.Adversary.K < 0:
+				t.Fatalf("ParseAxis(%q) accepted %s=%s, which sets %+v", arg, ax.Name, v.Label, s)
+			}
+		}
+	})
 }
 
 func TestTSAxisZeroMeansStableFromStart(t *testing.T) {

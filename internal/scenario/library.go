@@ -187,10 +187,10 @@ func churnStorm() Spec {
 	return Spec{
 		Name:        "churn-storm",
 		Description: "staggered crash/restart churn after TS (a majority stays up throughout)",
-		Faults: []Fault{
-			CrashRestart{Proc: 3, Crash: AfterTS(1), Restart: AfterTS(5)},
-			CrashRestart{Proc: 4, Crash: AfterTS(3), Restart: AfterTS(8)},
-			CrashRestart{Proc: 1, Crash: AfterTS(6), Restart: AfterTS(10)},
+		Restarts: []harness.Restart{
+			{Proc: 3, CrashAt: harness.AfterTS(1), RestartAt: harness.AfterTS(5)},
+			{Proc: 4, CrashAt: harness.AfterTS(3), RestartAt: harness.AfterTS(8)},
+			{Proc: 1, CrashAt: harness.AfterTS(6), RestartAt: harness.AfterTS(10)},
 		},
 		// Post-TS failures void the ε+3τ+5δ premise; safety must still hold.
 		Checks: DefaultChecks(),
@@ -216,9 +216,9 @@ func coordinatorAssassination() Spec {
 		Protocols: []harness.Protocol{
 			harness.ModifiedPaxos, harness.RoundBased, harness.ModifiedBConsensus,
 		},
-		Faults: []Fault{
-			AssassinateOnSeries{Series: "round", AfterTS: true, Victim: VictimRoundOwner, RestartAfter: 6},
-			AssassinateOnSeries{Series: "session", AfterTS: true, Victim: VictimEmitter, RestartAfter: 6},
+		Assassins: []AssassinateOnSeries{
+			{Series: "round", AfterTS: true, Victim: VictimRoundOwner, RestartAfter: 6},
+			{Series: "session", AfterTS: true, Victim: VictimEmitter, RestartAfter: 6},
 		},
 		// The post-TS kill voids the ε+3τ+5δ premise, but the revived
 		// victim must still catch up in O(δ).
@@ -252,8 +252,8 @@ func restartLatecomer() Spec {
 	return Spec{
 		Name:        "restart-latecomer",
 		Description: "a process crashes before TS and returns 30δ after everyone decided; it must catch up in O(δ)",
-		Faults: []Fault{
-			CrashRestart{Proc: 4, Crash: Rel{FromTS: true, Deltas: -10}, Restart: AfterTS(30)},
+		Restarts: []harness.Restart{
+			{Proc: 4, CrashAt: harness.AfterTS(-10), RestartAt: harness.AfterTS(30)},
 		},
 		Checks: append(DefaultChecks(), RecoveryBound{MaxDeltas: 20}),
 	}

@@ -23,42 +23,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Rel is a virtual time expressed relative to the run's parameters, so a
-// scenario stays meaningful when δ or TS are swept: the resolved time is
-// TS·[FromTS] + Deltas·δ + Abs. Deltas may be negative with FromTS to name a
-// pre-stabilization instant.
-type Rel struct {
-	// FromTS anchors the time at the stabilization time instead of 0.
-	FromTS bool
-	// Deltas is the offset from the anchor, in units of δ.
-	Deltas float64
-	// Abs is an additional fixed offset, for callers (the CLIs) whose
-	// schedules are stated in absolute virtual time rather than in model
-	// parameters.
-	Abs time.Duration
-}
-
-// AfterTS returns the time TS + k·δ.
-func AfterTS(k float64) Rel { return Rel{FromTS: true, Deltas: k} }
-
-// AtDeltas returns the absolute time k·δ.
-func AtDeltas(k float64) Rel { return Rel{Deltas: k} }
-
-// AtAbs returns the fixed absolute time d, independent of δ and TS.
-func AtAbs(d time.Duration) Rel { return Rel{Abs: d} }
-
-// Resolve converts the relative time to an absolute virtual time.
-func (r Rel) Resolve(delta, ts time.Duration) time.Duration {
-	at := r.Abs + time.Duration(r.Deltas*float64(delta))
-	if r.FromTS {
-		at += ts
-	}
-	return at
-}
-
-// IsZero reports whether the Rel is the zero value (used for "never").
-func (r Rel) IsZero() bool { return !r.FromTS && r.Deltas == 0 && r.Abs == 0 }
-
 // NetProfile builds the pre-stabilization network policy for a given
 // cluster size and timing; nil keeps the harness default (DropAll when
 // TS > 0). Taking the parameters as inputs lets one profile scale across a
@@ -125,51 +89,6 @@ func (a AdversaryProfile) strength(n int) int {
 	return consensus.Majority(n) - 1
 }
 
-// Fault is one entry of a scenario's fault schedule. Faults contribute to
-// the harness configuration of each run — either statically (scheduled
-// crash/restart pairs) or via pre-start hooks that react to protocol
-// progress on the live network.
-type Fault interface {
-	// contribute applies the fault to one run's configuration.
-	contribute(cfg *harness.Config) error
-}
-
-// CrashRestart crashes a process at a chosen time and optionally restarts
-// it later. A zero Restart means the process never comes back (it must then
-// leave a majority standing, or the scenario cannot terminate).
-type CrashRestart struct {
-	Proc    int
-	Crash   Rel
-	Restart Rel
-}
-
-// contribute implements Fault.
-func (f CrashRestart) contribute(cfg *harness.Config) error {
-	if f.Proc < 0 || f.Proc >= cfg.N {
-		return fmt.Errorf("scenario: crash/restart of process %d in a cluster of %d", f.Proc, cfg.N)
-	}
-	r := harness.Restart{
-		Proc:    consensus.ProcessID(f.Proc),
-		CrashAt: f.Crash.Resolve(cfg.Delta, cfg.TS),
-	}
-	if r.CrashAt < 0 {
-		// A TS-relative time can resolve before zero under small δ/TS
-		// overrides; the simulator panics on past scheduling, so reject
-		// it at configuration time.
-		return fmt.Errorf("scenario: crash of process %d resolves to %v (before time 0) with δ=%v TS=%v",
-			f.Proc, r.CrashAt, cfg.Delta, cfg.TS)
-	}
-	if !f.Restart.IsZero() {
-		r.RestartAt = f.Restart.Resolve(cfg.Delta, cfg.TS)
-		if r.RestartAt < r.CrashAt {
-			return fmt.Errorf("scenario: process %d restarts at %v before its crash at %v",
-				f.Proc, r.RestartAt, r.CrashAt)
-		}
-	}
-	cfg.Restarts = append(cfg.Restarts, r)
-	return nil
-}
-
 // Victim selectors for AssassinateOnSeries.
 const (
 	// VictimEmitter kills the process that emitted the triggering sample —
@@ -185,7 +104,9 @@ const (
 // ("round", "session", …) and crashes a victim the first time the series
 // reaches MinValue — coordinator assassination at a chosen round, without
 // protocol-specific wiring. Protocols that never emit the series are
-// unaffected, so one scenario can carry one assassin per series.
+// unaffected, so one scenario can carry one assassin per series. It reacts
+// to protocol progress, so it installs a PreStart hook on the simulated
+// network instead of joining the static restart schedule.
 type AssassinateOnSeries struct {
 	// Series is the trace series to watch.
 	Series string
@@ -202,8 +123,8 @@ type AssassinateOnSeries struct {
 	RestartAfter float64
 }
 
-// contribute implements Fault.
-func (f AssassinateOnSeries) contribute(cfg *harness.Config) error {
+// install adds the assassin's PreStart hook to one run's configuration.
+func (f AssassinateOnSeries) install(cfg *harness.Config) error {
 	if f.Victim >= cfg.N || f.Victim < VictimRoundOwner {
 		return fmt.Errorf("scenario: assassination victim %d in a cluster of %d", f.Victim, cfg.N)
 	}
@@ -275,8 +196,12 @@ type Spec struct {
 	OpinionPool int
 	// Net is the pre-stabilization network profile (nil = DropAll).
 	Net NetProfile
-	// Faults is the fault schedule.
-	Faults []Fault
+	// Restarts is the static crash/restart schedule, copied into each
+	// run's harness.Config unchanged; its instants are harness.Rel, so they
+	// follow δ and TS across a sweep.
+	Restarts []harness.Restart
+	// Assassins are the adaptive faults, each installed as a PreStart hook.
+	Assassins []AssassinateOnSeries
 	// Clocks is the clock profile.
 	Clocks ClockProfile
 	// Adversary is the message-level adversary.
@@ -365,6 +290,7 @@ func (s Spec) config(p harness.Protocol, seed int64) (harness.Config, error) {
 		Seed:            seed,
 		Horizon:         s.Horizon,
 		Observe:         s.Observe,
+		Restarts:        s.Restarts,
 	}
 	if s.Net != nil {
 		cfg.Policy = s.Net(s.N, s.Delta, s.TS)
@@ -373,8 +299,8 @@ func (s Spec) config(p harness.Protocol, seed int64) (harness.Config, error) {
 		cfg.Attack = s.Adversary.Attack
 		cfg.AttackK = s.Adversary.strength(s.N)
 	}
-	for _, f := range s.Faults {
-		if err := f.contribute(&cfg); err != nil {
+	for _, f := range s.Assassins {
+		if err := f.install(&cfg); err != nil {
 			return harness.Config{}, err
 		}
 	}

@@ -141,12 +141,13 @@ func TestFaultValidation(t *testing.T) {
 		Name:      "bad",
 		N:         3,
 		Protocols: []harness.Protocol{harness.ModifiedPaxos},
-		Faults:    []Fault{CrashRestart{Proc: 7, Crash: AfterTS(1)}},
+		Restarts:  []harness.Restart{{Proc: 7, CrashAt: harness.AfterTS(1)}},
 	}
 	if _, err := Run(spec); err == nil {
 		t.Fatal("out-of-range fault process should be rejected")
 	}
-	spec.Faults = []Fault{AssassinateOnSeries{Series: "round", Victim: -5}}
+	spec.Restarts = nil
+	spec.Assassins = []AssassinateOnSeries{{Series: "round", Victim: -5}}
 	if _, err := Run(spec); err == nil {
 		t.Fatal("victim below the sentinel range should be rejected, not panic later")
 	}
@@ -178,22 +179,6 @@ func TestAssassinationFires(t *testing.T) {
 	if rep.Protocols[0].Latency.Median <= cleanRep.Protocols[0].Latency.Median {
 		t.Errorf("assassination did not slow the round-based run: %v vs clean %v",
 			rep.Protocols[0].Latency.Median, cleanRep.Protocols[0].Latency.Median)
-	}
-}
-
-func TestRelResolve(t *testing.T) {
-	delta, ts := 10*time.Millisecond, 200*time.Millisecond
-	if got := AfterTS(3).Resolve(delta, ts); got != ts+3*delta {
-		t.Errorf("AfterTS(3) = %v", got)
-	}
-	if got := AtDeltas(2).Resolve(delta, ts); got != 2*delta {
-		t.Errorf("AtDeltas(2) = %v", got)
-	}
-	if got := (Rel{FromTS: true, Deltas: -10}).Resolve(delta, ts); got != ts-10*delta {
-		t.Errorf("TS−10δ = %v", got)
-	}
-	if !(Rel{}).IsZero() || AfterTS(1).IsZero() {
-		t.Error("IsZero misclassifies")
 	}
 }
 
@@ -240,7 +225,7 @@ func TestParallelExecutionReportsConfigErrors(t *testing.T) {
 	spec := Spec{
 		Name:      "bad-fault",
 		Protocols: []harness.Protocol{harness.ModifiedPaxos},
-		Faults:    []Fault{CrashRestart{Proc: 99, Crash: AtDeltas(1)}},
+		Restarts:  []harness.Restart{{Proc: 99, CrashAt: harness.AtDeltas(1)}},
 		Seeds:     2,
 		Workers:   4,
 	}

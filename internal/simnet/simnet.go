@@ -69,7 +69,7 @@ func (c *Config) validate() error {
 	if c.MinDelay < 0 || c.MinDelay > c.Delta {
 		return fmt.Errorf("simnet: MinDelay %v outside [0, Delta=%v]", c.MinDelay, c.Delta)
 	}
-	if c.Rho < 0 || c.Rho >= 1 {
+	if !(c.Rho >= 0 && c.Rho < 1) { // NaN fails every comparison, so it fails this one
 		return fmt.Errorf("simnet: Rho must be in [0,1), got %v", c.Rho)
 	}
 	return nil

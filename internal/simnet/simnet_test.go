@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -268,6 +269,7 @@ func TestConfigValidation(t *testing.T) {
 		{N: 3, Delta: time.Millisecond, TS: -1},
 		{N: 3, Delta: time.Millisecond, MinDelay: 2 * time.Millisecond},
 		{N: 3, Delta: time.Millisecond, Rho: 1.5},
+		{N: 3, Delta: time.Millisecond, Rho: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := New(eng, cfg, newTestFactory(), proposals(cfg.N)); err == nil {

@@ -73,8 +73,22 @@ type Config = harness.Config
 // Result is the outcome of a simulated run.
 type Result = harness.Result
 
-// Restart schedules a crash/restart pair in a Config.
+// Restart is one crash/restart entry of Config.Restarts; a zero RestartAt
+// means the process never comes back.
 type Restart = harness.Restart
+
+// Rel is an instant stated relative to δ and TS, so a schedule follows them
+// when they change: TS·[FromTS] + Deltas·δ + Abs.
+type Rel = harness.Rel
+
+// AfterTS returns the instant TS + k·δ.
+func AfterTS(k float64) Rel { return harness.AfterTS(k) }
+
+// AtDeltas returns the instant k·δ.
+func AtDeltas(k float64) Rel { return harness.AtDeltas(k) }
+
+// AtAbs returns the fixed instant d, independent of δ and TS.
+func AtAbs(d time.Duration) Rel { return harness.AtAbs(d) }
 
 // AttackKind selects an adversary; see the constants.
 type AttackKind = harness.AttackKind

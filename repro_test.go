@@ -21,6 +21,26 @@ func TestFacadeRun(t *testing.T) {
 	}
 }
 
+// TestFacadeRejectsBadRestarts: a schedule naming a process outside the
+// cluster, a crash before time 0 or a restart before its crash is an error
+// from Run, not a panic inside the simulator or a silently reordered run.
+func TestFacadeRejectsBadRestarts(t *testing.T) {
+	for _, r := range []repro.Restart{
+		{Proc: 9, CrashAt: repro.AtAbs(time.Millisecond)},
+		{Proc: 1, CrashAt: repro.AtAbs(-time.Millisecond)},
+		{Proc: 1, CrashAt: repro.AfterTS(2), RestartAt: repro.AfterTS(1)},
+	} {
+		_, err := repro.Run(repro.Config{
+			Protocol: repro.ModifiedPaxos, N: 5,
+			Delta: 10 * time.Millisecond, TS: 50 * time.Millisecond, Seed: 1,
+			Restarts: []repro.Restart{r},
+		})
+		if err == nil {
+			t.Errorf("%+v: Run accepted the schedule", r)
+		}
+	}
+}
+
 func TestFacadeProtocols(t *testing.T) {
 	ps := repro.Protocols()
 	if len(ps) != 4 {
