@@ -55,17 +55,17 @@
 // are crossed into one run per (batch, pipeline) cell, so
 // `rsm-bench -batch 1,8 -pipeline 1,4` prints the batching/pipelining
 // speedup matrix directly. Every run reports ops/sec and commit-latency
-// quantiles and always checks the exactly-once, apply-order, and
-// cross-replica agreement invariants; any violation (or timeout) makes the
-// command exit non-zero, so a bench run doubles as a CI gate.
+// quantiles and always checks every replica incarnation's applies with
+// rsm.History (apply order, agreement, exactly-once, gaps, lost acks); any
+// violation (or timeout) makes the command exit non-zero, so a bench run
+// doubles as a CI gate.
 //
 // Chaos flags: -crash-leader kills the initial leader mid-run (the group
 // fails over by epoch and the clients resume on the new leader) and
 // -restart-leader brings it back, where it catches up — via snapshot when
 // -compact-every has truncated the log past its crash point. Chaos runs
 // report failover/catch-up latency histograms and a per-replica rsmlog/
-// key census in the JSON output, and judge agreement slot-aligned (a
-// restarted replica's recorder restarts at its replay point).
+// key census in the JSON output.
 //
 // Both run and sweep take -cpuprofile and -memprofile, writing pprof
 // profiles that cover exactly the executed workload — perf work profiles

@@ -294,7 +294,7 @@ type Applier interface {
 
 // EntryApplier is optionally implemented by Appliers that want the batch
 // structure: one call per command with its index within the slot and the
-// full session identity (the rsmbench invariant recorder uses this).
+// full session identity (History's recorder uses this).
 type EntryApplier interface {
 	ApplyEntry(slot int64, idx int, cmd Command)
 }

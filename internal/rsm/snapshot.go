@@ -35,7 +35,7 @@ type Snapshot struct {
 	Sessions map[int64]Session
 	// State is the applier's image (HasState false when the applier does
 	// not implement Snapshotter — replay semantics then restart fresh at
-	// the horizon, which the rsmbench recorder relies on).
+	// the horizon, and the applier is not told of the jump).
 	State    []byte
 	HasState bool
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/rsm"
 	"repro/internal/trace"
 )
 
@@ -64,6 +65,7 @@ type Result struct {
 	Violations []string `json:"violations,omitempty"`
 
 	collector *trace.Collector
+	history   *rsm.History // the run's oracle, for tests that read its totals
 }
 
 // Collector exposes the run's trace collector (timeline export).

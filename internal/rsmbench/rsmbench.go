@@ -9,13 +9,12 @@
 // operation outstanding and issues the next on commit; in open-loop mode it
 // issues on a fixed interval regardless of acks. Unacked operations are
 // retransmitted with their original sequence numbers, so the server's
-// session dedup keeps the log exactly-once — which the per-replica
-// invariant recorder then verifies.
+// session dedup keeps the log exactly-once — which the run's rsm.History,
+// fed by every replica incarnation and every client ack, then verifies.
 package rsmbench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core/consensus"
@@ -87,8 +86,8 @@ type Config struct {
 }
 
 // chaos reports whether the run injects faults or compaction — the modes
-// where per-incarnation recorders disagree on prefixes and the invariant
-// checks switch to slot-aligned agreement plus union completeness.
+// that get a settle window after the workload and a per-replica log-key
+// census.
 func (c Config) chaos() bool { return len(c.Restarts) > 0 || c.CompactEvery > 0 }
 
 func (c Config) withDefaults() Config {
@@ -146,10 +145,12 @@ type pendingOp struct {
 }
 
 // clientProc is one workload client as a consensus.Process. It proposes to
-// the RSM leader, observes commit latency into the shared collector, and
-// "decides" doneValue when its quota is committed.
+// the RSM leader, observes commit latency into the shared collector, reports
+// each first ack to the run's History, and "decides" doneValue when its
+// quota is committed.
 type clientProc struct {
 	cfg    Config
+	hist   *rsm.History
 	id     consensus.ProcessID
 	env    consensus.Environment
 	leader consensus.ProcessID
@@ -170,8 +171,8 @@ type clientProc struct {
 
 var _ consensus.Process = (*clientProc)(nil)
 
-func newClientProc(cfg Config, id consensus.ProcessID) *clientProc {
-	return &clientProc{cfg: cfg, id: id, leader: rsm.Leader(), pending: make(map[uint64]pendingOp)}
+func newClientProc(cfg Config, id consensus.ProcessID, hist *rsm.History) *clientProc {
+	return &clientProc{cfg: cfg, hist: hist, id: id, leader: rsm.Leader(), pending: make(map[uint64]pendingOp)}
 }
 
 // Init implements consensus.Process.
@@ -216,6 +217,7 @@ func (c *clientProc) HandleMessage(_ consensus.ProcessID, m consensus.Message) {
 		}
 		delete(c.pending, msg.Seq)
 		c.acked++
+		c.hist.Acked(int64(c.id), msg.Seq)
 		if d := c.env.Now() - p.sentAt; d >= 0 {
 			consensus.ObserveDuration(c.env, trace.HistCommitLatency, d)
 		}
@@ -294,51 +296,6 @@ func (c *clientProc) finish() {
 	c.env.CancelTimer(retryTimerID)
 	c.env.CancelTimer(issueTimerID)
 	c.env.Decide(doneValue)
-}
-
-// ApplyRecord is one applied command as seen by a replica's recorder.
-type ApplyRecord struct {
-	Slot   int64
-	Idx    int
-	Client int64
-	Seq    uint64
-}
-
-// Recorder is an rsm.EntryApplier that logs every applied command so the
-// run can verify apply order, dedup, and cross-replica agreement. The
-// mutex is for the live runtime, where each replica applies on its own
-// goroutine.
-type Recorder struct {
-	mu      sync.Mutex
-	entries []ApplyRecord
-}
-
-var (
-	_ rsm.Applier      = (*Recorder)(nil)
-	_ rsm.EntryApplier = (*Recorder)(nil)
-)
-
-// Apply implements rsm.Applier (unused: ApplyEntry is preferred).
-func (r *Recorder) Apply(slot int64, _ consensus.Value) {
-	r.mu.Lock()
-	r.entries = append(r.entries, ApplyRecord{Slot: slot})
-	r.mu.Unlock()
-}
-
-// ApplyEntry implements rsm.EntryApplier.
-func (r *Recorder) ApplyEntry(slot int64, idx int, cmd rsm.Command) {
-	r.mu.Lock()
-	r.entries = append(r.entries, ApplyRecord{Slot: slot, Idx: idx, Client: cmd.Client, Seq: cmd.Seq})
-	r.mu.Unlock()
-}
-
-// Entries returns a snapshot of the applied log.
-func (r *Recorder) Entries() []ApplyRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]ApplyRecord, len(r.entries))
-	copy(out, r.entries)
-	return out
 }
 
 // scopedProc narrows a replica's view of the cluster to the first n nodes:

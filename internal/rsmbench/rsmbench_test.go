@@ -171,6 +171,31 @@ func TestOpenLoop(t *testing.T) {
 	}
 }
 
+// TestOpenLoopLosesAckedWrites reproduces D1 in the main module: an
+// open-loop session with several ops outstanding is acked for writes that
+// never apply (seed 1 shows it). The oracle reports exactly those, as
+// lost-ack and nothing else. When D1 is fixed the count drops to zero and
+// this test flips to asserting a clean run.
+func TestOpenLoopLosesAckedWrites(t *testing.T) {
+	res, err := Run(Config{Backend: BackendSim, OpenInterval: 500 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatalf("run did not complete: %v", res.Violations)
+	}
+	for _, v := range res.Violations {
+		if !strings.HasPrefix(v, "lost-ack:") {
+			t.Errorf("finding other than lost-ack: %s", v)
+		}
+	}
+	lost := res.TotalOps - int64(res.history.Applied())
+	if lost <= 0 || int64(len(res.Violations)) != lost {
+		t.Fatalf("%d findings, want acked %d − applied %d = %d",
+			len(res.Violations), res.TotalOps, res.history.Applied(), lost)
+	}
+}
+
 func TestBackpressureShedsAndRecovers(t *testing.T) {
 	// A tiny queue with no pipelining forces Busy rejections; client
 	// retries with session dedup must still finish exactly-once.

@@ -2,9 +2,7 @@ package rsmbench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core/consensus"
@@ -18,11 +16,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Run executes one benchmark configuration and returns its result. The
-// invariant checks (apply order, session dedup, cross-replica agreement,
-// completeness) always run; their failures land in Result.Violations
-// rather than the error, which is reserved for configurations that cannot
-// run at all.
+// Run executes one benchmark configuration and returns its result. Every
+// replica incarnation applies into one rsm.History, which checks apply
+// order, agreement and exactly-once as the run goes, and gaps and lost acks
+// at its end; its findings, and a timeout, land in Result.Violations rather
+// than the error, which is reserved for configurations that cannot run at
+// all.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	total := cfg.N + cfg.Clients
@@ -33,14 +32,7 @@ func Run(cfg Config) (*Result, error) {
 		collector.EnableSpans(cfg.SpanCapacity)
 	}
 
-	// Each incarnation gets a fresh recorder (a restarted replica replays
-	// its surviving log prefix; reusing the recorder would double-count).
-	// recorders[i] always points at replica i's latest incarnation.
-	var recMu sync.Mutex
-	recorders := make([]*Recorder, cfg.N)
-	for i := range recorders {
-		recorders[i] = &Recorder{}
-	}
+	hist := new(rsm.History)
 	rsmFactory, err := rsm.New(rsm.Config{
 		Paxos:           modpaxos.Config{Delta: cfg.Delta},
 		MaxBatch:        cfg.MaxBatch,
@@ -49,14 +41,7 @@ func Run(cfg Config) (*Result, error) {
 		Linger:          cfg.Linger,
 		FailoverTimeout: cfg.FailoverTimeout,
 		SnapshotEvery:   cfg.CompactEvery,
-		NewApplier: func(id consensus.ProcessID) rsm.Applier {
-			recMu.Lock()
-			defer recMu.Unlock()
-			if len(recorders[id].Entries()) > 0 {
-				recorders[id] = &Recorder{}
-			}
-			return recorders[id]
-		},
+		NewApplier:      hist.NewApplier,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("rsmbench: %w", err)
@@ -70,7 +55,7 @@ func Run(cfg Config) (*Result, error) {
 			// or broadcasts.
 			return &scopedProc{inner: rsmFactory(id, cfg.N, proposal), n: cfg.N}
 		}
-		cp := newClientProc(cfg, id)
+		cp := newClientProc(cfg, id, hist)
 		clients[int(id)-cfg.N] = cp
 		return cp
 	}
@@ -86,7 +71,7 @@ func Run(cfg Config) (*Result, error) {
 		Backend: cfg.Backend, N: cfg.N, Clients: cfg.Clients, Ops: cfg.Ops, Keys: cfg.Keys,
 		Seed: cfg.Seed, Linger: cfg.Linger, OpenInterval: cfg.OpenInterval,
 		Restarts: cfg.Restarts, CompactEvery: cfg.CompactEvery, FailoverTimeout: cfg.FailoverTimeout,
-		collector: collector,
+		collector: collector, history: hist,
 	}
 	// Echo the effective serving-path knobs (rsm defaults applied).
 	eff := rsm.Config{MaxBatch: cfg.MaxBatch, MaxInFlight: cfg.MaxInFlight, MaxQueue: cfg.MaxQueue}
@@ -133,10 +118,18 @@ func Run(cfg Config) (*Result, error) {
 		res.Catchup = &s
 	}
 	res.Shed = int64(len(collector.Series("rsm-shed")))
-	if n := len(recorders[0].Entries()); n > 0 {
-		res.Slots = recorders[0].Entries()[n-1].Slot + 1
+	res.Slots = hist.Frontier(0)
+	res.Violations = hist.Findings()
+	if !res.Completed {
+		done := 0
+		for _, cp := range clients {
+			if cp.done {
+				done++
+			}
+		}
+		res.Violations = append(res.Violations, fmt.Sprintf("timeout: %d/%d clients completed within %v",
+			done, len(clients), cfg.Horizon))
 	}
-	res.Violations = append(res.Violations, checkInvariants(cfg, recorders, clients, res.Completed)...)
 	return res, nil
 }
 
@@ -257,8 +250,8 @@ func runLive(cfg Config, total int, collector *trace.Collector,
 	} else {
 		res.Duration = time.Since(started)
 	}
-	// Stop joins the node goroutines so the recorders and client counters
-	// are safe to read afterwards.
+	// Stop joins the node goroutines, so the client counters are safe to
+	// read and the history is final.
 	if err := cluster.Stop(); err != nil {
 		return fmt.Errorf("rsmbench: %w", err)
 	}
@@ -270,169 +263,4 @@ func runLive(cfg Config, total int, collector *trace.Collector,
 	_ = transport.Close()
 	collector.RecordRunPhases(0, time.Since(started))
 	return nil
-}
-
-// checkInvariants verifies the run's correctness conditions from the
-// per-replica apply recorders:
-//
-//  1. apply order: each replica applied (slot, idx) in strictly increasing
-//     order;
-//  2. session dedup: no (client, seq) with seq > 0 applied twice at any
-//     replica;
-//  3. agreement: all replicas applied the same command sequence (common
-//     prefix — replicas may trail);
-//  4. completeness (completed runs): the leader applied every client
-//     operation exactly once.
-func checkInvariants(cfg Config, recorders []*Recorder, clients []*clientProc, completed bool) []string {
-	var out []string
-	logs := make([][]ApplyRecord, len(recorders))
-	for i, rec := range recorders {
-		logs[i] = rec.Entries()
-	}
-	for id, entries := range logs {
-		for i := 1; i < len(entries); i++ {
-			a, b := entries[i-1], entries[i]
-			if b.Slot < a.Slot || (b.Slot == a.Slot && b.Idx <= a.Idx) {
-				out = append(out, fmt.Sprintf(
-					"apply-order: replica %d applied slot %d idx %d after slot %d idx %d",
-					id, b.Slot, b.Idx, a.Slot, a.Idx))
-				break
-			}
-		}
-		seen := make(map[[2]int64]int64, len(entries))
-		for _, e := range entries {
-			if e.Seq == 0 {
-				continue
-			}
-			key := [2]int64{e.Client, int64(e.Seq)}
-			if prev, ok := seen[key]; ok {
-				out = append(out, fmt.Sprintf(
-					"dedup: replica %d applied client %d seq %d twice (slots %d and %d)",
-					id, e.Client, e.Seq, prev, e.Slot))
-			} else {
-				seen[key] = e.Slot
-			}
-		}
-	}
-	if cfg.chaos() {
-		return append(out, checkChaosInvariants(cfg, logs, clients, completed)...)
-	}
-	for id := 1; id < len(logs); id++ {
-		n := len(logs[0])
-		if len(logs[id]) < n {
-			n = len(logs[id])
-		}
-		for i := 0; i < n; i++ {
-			if logs[0][i] != logs[id][i] {
-				out = append(out, fmt.Sprintf(
-					"agreement: replica %d log[%d] = %+v, replica 0 has %+v",
-					id, i, logs[id][i], logs[0][i]))
-				break
-			}
-		}
-	}
-	if !completed {
-		done := 0
-		for _, cp := range clients {
-			if cp.done {
-				done++
-			}
-		}
-		out = append(out, fmt.Sprintf("timeout: %d/%d clients completed within %v",
-			done, len(clients), cfg.Horizon))
-		return out
-	}
-	leader := logs[0]
-	bySession := make(map[int64][]uint64)
-	for _, e := range leader {
-		if e.Seq != 0 {
-			bySession[e.Client] = append(bySession[e.Client], e.Seq)
-		}
-	}
-	for i := 0; i < cfg.Clients; i++ {
-		client := int64(cfg.N + i)
-		seqs := bySession[client]
-		if len(seqs) != cfg.Ops {
-			out = append(out, fmt.Sprintf(
-				"completeness: leader applied %d ops for client %d, want %d",
-				len(seqs), client, cfg.Ops))
-			continue
-		}
-		sorted := append([]uint64(nil), seqs...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-		for j, s := range sorted {
-			if s != uint64(j+1) {
-				out = append(out, fmt.Sprintf(
-					"completeness: client %d seqs not 1..%d (saw %d at position %d)",
-					client, cfg.Ops, s, j))
-				break
-			}
-		}
-	}
-	return out
-}
-
-// checkChaosInvariants replaces the prefix-agreement and leader-complete
-// checks for runs with crashes or compaction. A restarted replica's recorder
-// starts at its replay point (possibly a snapshot base), and the crashed
-// leader's log may genuinely trail, so agreement is judged slot-aligned —
-// any position applied by two replicas must match — exactly-once is judged
-// globally by (client, seq), and completeness on the union of all replicas.
-func checkChaosInvariants(cfg Config, logs [][]ApplyRecord, clients []*clientProc, completed bool) []string {
-	var out []string
-	type pos struct {
-		Slot int64
-		Idx  int
-	}
-	byPos := make(map[pos]ApplyRecord)
-	firstAt := make(map[pos]int)
-	seqPos := make(map[[2]int64]pos)
-	for id, entries := range logs {
-		for _, e := range entries {
-			p := pos{e.Slot, e.Idx}
-			if prev, ok := byPos[p]; ok {
-				if prev != e {
-					out = append(out, fmt.Sprintf(
-						"agreement: slot %d idx %d is %+v at replica %d but %+v at replica %d",
-						e.Slot, e.Idx, e, id, prev, firstAt[p]))
-				}
-			} else {
-				byPos[p] = e
-				firstAt[p] = id
-			}
-			if e.Seq == 0 {
-				continue
-			}
-			key := [2]int64{e.Client, int64(e.Seq)}
-			if prev, ok := seqPos[key]; ok {
-				if prev != p {
-					out = append(out, fmt.Sprintf(
-						"exactly-once: client %d seq %d applied at slot %d idx %d and at slot %d idx %d",
-						e.Client, e.Seq, prev.Slot, prev.Idx, e.Slot, e.Idx))
-				}
-			} else {
-				seqPos[key] = p
-			}
-		}
-	}
-	if !completed {
-		done := 0
-		for _, cp := range clients {
-			if cp.done {
-				done++
-			}
-		}
-		return append(out, fmt.Sprintf("timeout: %d/%d clients completed within %v",
-			done, len(clients), cfg.Horizon))
-	}
-	for i := 0; i < cfg.Clients; i++ {
-		client := int64(cfg.N + i)
-		for s := 1; s <= cfg.Ops; s++ {
-			if _, ok := seqPos[[2]int64{client, int64(s)}]; !ok {
-				out = append(out, fmt.Sprintf(
-					"completeness: client %d seq %d was never applied at any replica", client, s))
-			}
-		}
-	}
-	return out
 }
