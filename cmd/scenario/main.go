@@ -64,8 +64,8 @@
 // fails over by epoch and the clients resume on the new leader) and
 // -restart-leader brings it back, where it catches up — via snapshot when
 // -compact-every has truncated the log past its crash point. Chaos runs
-// report failover/catch-up latency histograms and a per-replica rsmlog/
-// key census in the JSON output.
+// report the client-observed outage and the catch-up latency histograms and
+// a per-replica rsmlog/ key census in the JSON output.
 //
 // Both run and sweep take -cpuprofile and -memprofile, writing pprof
 // profiles that cover exactly the executed workload — perf work profiles
@@ -380,7 +380,7 @@ func cmdRSMBench(args []string, out io.Writer) error {
 		crash    = fs.Duration("crash-leader", 0, "kill the initial leader this long into the run (default 0: no crash)")
 		restart  = fs.Duration("restart-leader", 0, "restart the crashed leader this long into the run (needs -crash-leader)")
 		compact  = fs.Int64("compact-every", 0, "snapshot and truncate the log every N applied slots (default 0: off)")
-		fotmo    = fs.Duration("failover-timeout", 0, "leader-silence window before takeover (default 10×δ when -crash-leader is set)")
+		fotmo    = fs.Duration("failover-timeout", 0, "silence bound σ after which followers claim leadership (default 10×δ when -crash-leader is set)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -456,7 +456,7 @@ func TestRSMBenchMatrix(t *testing.T) {
 // failure-handling runs: the leader killed mid-run and restarted behind the
 // compaction horizon, on both substrates. The command fails on any
 // exactly-once, agreement or completeness violation; a chaos report carries
-// one rsmlog/ census per replica. (The simulator's failover histogram and
+// one rsmlog/ census per replica. (The simulator's outage series and
 // compaction bound are TestChaosLeaderCrashCompletes in internal/rsmbench;
 // on live, whether the crash lands before the last ack is wall-clock luck.)
 func TestRSMBenchJSON(t *testing.T) {
@@ -485,7 +485,7 @@ func TestRSMBenchJSON(t *testing.T) {
 			Commit    *struct {
 				P99 float64 `json:"p99"`
 			} `json:"commit_latency"`
-			Failover   *struct{} `json:"failover_latency"`
+			Outage     *struct{} `json:"outage"`
 			LogKeys    []int64   `json:"log_keys"`
 			Violations []string  `json:"violations"`
 		}
@@ -503,8 +503,8 @@ func TestRSMBenchJSON(t *testing.T) {
 		if tc.chaos && len(r.LogKeys) != 3 {
 			t.Errorf("%v: log_keys = %v, want a census per replica", tc.args, r.LogKeys)
 		}
-		if tc.chaos && tc.backend == "sim" && r.Failover == nil {
-			t.Errorf("%v: no failover_latency in a deterministic leader-crash run", tc.args)
+		if tc.chaos && tc.backend == "sim" && r.Outage == nil {
+			t.Errorf("%v: no outage in a deterministic leader-crash run", tc.args)
 		}
 	}
 }

@@ -1,23 +1,29 @@
 package rsm
 
-// Leader failover. The distinguished proposer is no longer hard-wired to
-// replica 0: leadership is numbered by an epoch, and the leader of epoch e
-// is replica e mod n. Epoch 0 therefore keeps the PR 7 behavior (replica 0
-// leads), and with Config.FailoverTimeout zero the machinery is inert — no
-// heartbeats, no timers, byte-identical schedules to the static-leader
-// code.
+// Leader failover. Leadership is numbered by an epoch, and the leader of
+// epoch e is replica e mod n, so epoch 0 is the static replica-0 leader.
+// With Config.FailoverTimeout zero the machinery is inert — no heartbeats,
+// no timers, byte-identical schedules to the static-leader code.
 //
-// With failover enabled, the leader broadcasts a Beat every quarter of
-// FailoverTimeout as a liveness signal, an epoch announcement, and a
-// maxSeen gossip. Followers treat leader silence as a crash: each follower
-// waits FailoverTimeout times its distance to the next epoch it owns (so
-// candidates are staggered and the closest one moves first), then adopts
-// that epoch and takes over. Takeover reuses the recovery machinery the
-// slot instances already have: the new leader opens an instance for every
-// undecided slot below the frontier, and modpaxos's phase 1 either learns
-// a batch the crashed leader got accepted (re-proposing it in phase 2) or
-// closes the slot as NoOp, in which case the clients' retries re-propose
-// through the new leader and session dedup keeps them exactly-once.
+// With failover on, the leader broadcasts a Beat every σ/4 (σ is
+// FailoverTimeout, the silence bound): liveness, its epoch, its maxSeen
+// frontier and the client processes that propose to it. Every follower that
+// hears nothing from the leader for σ adopts the next epoch it owns and
+// takes over, so followers whose silence runs out together claim at once.
+// The session rule settles the race: the higher epoch's Claim(e+1) ballots
+// dominate, and the lower claimer is deposed by the first Beat it hears. The
+// log is back one σ plus the repair round trips after a crash, however many
+// candidates in a row are down.
+//
+// Takeover reuses the recovery machinery the slot instances already have:
+// the new leader opens an instance for every undecided slot below the
+// frontier, and modpaxos's phase 1 either learns a batch the crashed leader
+// got accepted (re-proposing it in phase 2) or closes the slot as NoOp, in
+// which case the clients' retries re-propose through the new leader and
+// session dedup keeps them exactly-once. It also sends each client process
+// the Beats named one epoch-stamped Redirect, so those clients resend at
+// once instead of walking the ring; rotation stays the fallback for a client
+// the old leader never saw.
 //
 // Two leaders can briefly coexist (a deposed leader that has not yet heard
 // the higher epoch); that is safe — slots are still decided by Paxos — and
@@ -26,7 +32,7 @@ package rsm
 // epoch is answered with the current one to depose the sender.
 
 import (
-	"time"
+	"slices"
 
 	"repro/internal/core/consensus"
 	"repro/internal/leader"
@@ -35,13 +41,19 @@ import (
 )
 
 // Beat is the leader's periodic liveness broadcast: it announces the
-// leader's epoch (stale leaders adopt it and step down) and its maxSeen
+// leader's epoch (stale leaders adopt it and step down), its maxSeen
 // frontier (followers learn how far the log extends without waiting for
-// slot traffic).
+// slot traffic) and the client processes that propose to it (whoever
+// promotes next redirects them).
 type Beat struct {
 	Epoch   int64
 	MaxSeen int64
+	Clients []consensus.ProcessID
 }
+
+// maxClientProcs bounds the client processes a leader remembers and its
+// Beats carry. A client beyond it finds a promoted leader by rotation.
+const maxClientProcs = 64
 
 // Type implements consensus.Message.
 func (Beat) Type() string { return "rsm-beat" }
@@ -77,23 +89,15 @@ func (r *Replica) initFailover() {
 	}
 }
 
-// promotionDistance is how many epochs ahead this replica's next own epoch
-// lies: 1 for the follower right after the current leader, up to n for the
-// leader itself. It staggers self-promotion so the nearest candidate acts
-// one FailoverTimeout before the next.
-func (r *Replica) promotionDistance() int64 {
+// nextEpochOf is the lowest epoch above the current one that replica p
+// owns.
+func (r *Replica) nextEpochOf(p consensus.ProcessID) int64 {
 	n := int64(r.n)
-	d := ((int64(r.id)-r.epoch)%n + n) % n
+	d := ((int64(p)-r.epoch)%n + n) % n
 	if d == 0 {
 		d = n
 	}
-	return d
-}
-
-// failoverWindow is how long this follower tolerates leader silence before
-// promoting itself.
-func (r *Replica) failoverWindow() time.Duration {
-	return time.Duration(r.promotionDistance()) * r.cfg.FailoverTimeout
+	return r.epoch + d
 }
 
 // armFailover starts the silence watchdog; no-op for the leader or when
@@ -103,7 +107,7 @@ func (r *Replica) armFailover() {
 		return
 	}
 	r.failoverArmed = true
-	r.env.SetTimer(failoverTimer, r.failoverWindow())
+	r.env.SetTimer(failoverTimer, r.cfg.FailoverTimeout)
 }
 
 // noteLeaderAlive records a sign of life from the current leader, pushing
@@ -113,21 +117,23 @@ func (r *Replica) noteLeaderAlive() {
 	r.armFailover()
 }
 
-// onFailoverTimer fires when the silence window may have elapsed: if the
+// onFailoverTimer fires when the silence bound may have elapsed: if the
 // leader has been heard since arming, re-arm for the remainder; otherwise
-// adopt the next epoch this replica owns and take over.
+// adopt the next epoch this replica owns and take over. Every follower runs
+// the same bound, so the survivors claim together and the highest epoch
+// wins.
 func (r *Replica) onFailoverTimer() {
 	r.failoverArmed = false
 	if !r.failoverOn() || r.id == r.leaderID() {
 		return
 	}
-	deadline := r.lastLeaderSeen + r.failoverWindow()
+	deadline := r.lastLeaderSeen + r.cfg.FailoverTimeout
 	if now := r.env.Now(); now < deadline {
 		r.failoverArmed = true
 		r.env.SetTimer(failoverTimer, deadline-now)
 		return
 	}
-	r.adoptEpoch(r.epoch + r.promotionDistance())
+	r.adoptEpoch(r.nextEpochOf(r.id))
 }
 
 // adoptEpoch moves to a higher epoch, persisting it and switching this
@@ -160,7 +166,8 @@ func (r *Replica) adoptEpoch(e int64) {
 
 // becomeLeader takes over proposing: bump the slot counter past everything
 // known, drive every undecided slot below the frontier to a decision (the
-// in-flight-batch re-proposal path), and start heartbeating.
+// in-flight-batch re-proposal path), start heartbeating, and tell the
+// client processes the old leader's Beats named where to go.
 func (r *Replica) becomeLeader() {
 	r.env.CancelTimer(failoverTimer)
 	r.failoverArmed = false
@@ -185,12 +192,12 @@ func (r *Replica) becomeLeader() {
 	if repairing && !r.repairing {
 		r.repairing = true
 		r.repairTarget = r.nextSlot
-		// The recovery window opens when the old leader was last heard,
-		// not at promotion: the silence window is part of the downtime.
-		r.failoverFrom = r.lastLeaderSeen
 		r.replicaSpan(trace.SpanRSMFailover, true, r.epoch)
 	}
 	r.sendBeat()
+	for _, c := range r.clientProcs {
+		r.env.Send(c, Redirect{Leader: r.id, Epoch: r.epoch})
+	}
 	r.tryFlush(false)
 }
 
@@ -201,9 +208,6 @@ func (r *Replica) finishRepair() {
 		return
 	}
 	r.repairing = false
-	if d := r.env.Now() - r.failoverFrom; d >= 0 {
-		consensus.ObserveDuration(r.env, trace.HistFailoverLatency, d)
-	}
 	r.replicaSpan(trace.SpanRSMFailover, false, r.epoch)
 }
 
@@ -227,12 +231,27 @@ func (r *Replica) claimSlot(st *slotState) {
 	}
 }
 
+// beat is this replica's view as a Beat.
+func (r *Replica) beat() Beat {
+	return Beat{Epoch: r.epoch, MaxSeen: r.maxSeen, Clients: r.clientProcs}
+}
+
 // sendBeat broadcasts the leader's liveness/epoch/frontier announcement and
 // arms the next: four beats per FailoverTimeout, so a follower must miss
 // several in a row before it suspects the leader.
 func (r *Replica) sendBeat() {
-	r.env.Broadcast(Beat{Epoch: r.epoch, MaxSeen: r.maxSeen})
+	r.env.Broadcast(r.beat())
 	r.env.SetTimer(beatTimer, max(r.cfg.FailoverTimeout/4, 1))
+}
+
+// noteClient adds a non-replica process that proposed to this leader to the
+// set its Beats carry. The set is replaced, never written in place, because
+// Beats already sent share it.
+func (r *Replica) noteClient(p consensus.ProcessID) {
+	if int(p) < r.n || len(r.clientProcs) >= maxClientProcs || slices.Contains(r.clientProcs, p) {
+		return
+	}
+	r.clientProcs = append(slices.Clip(r.clientProcs), p)
 }
 
 // onBeatTimer re-broadcasts while this replica still leads.
@@ -247,17 +266,23 @@ func (r *Replica) onBeat(from consensus.ProcessID, b Beat) {
 	if !r.failoverOn() {
 		return
 	}
-	if b.MaxSeen > r.maxSeen {
+	if b.MaxSeen > r.maxSeen && b.MaxSeen < maxSlots {
 		r.maxSeen = b.MaxSeen
 		r.checkCatchup()
+	}
+	if from == r.id {
+		return
+	}
+	if b.Epoch >= r.epoch {
+		r.clientProcs = b.Clients[:min(len(b.Clients), maxClientProcs)]
 	}
 	switch {
 	case b.Epoch > r.epoch:
 		r.adoptEpoch(b.Epoch)
-	case b.Epoch < r.epoch && from != r.id:
+	case b.Epoch < r.epoch:
 		// A stale leader (typically restarted after its crash): depose it
 		// by answering with the current epoch.
-		r.env.Send(from, Beat{Epoch: r.epoch, MaxSeen: r.maxSeen})
+		r.env.Send(from, r.beat())
 	}
 }
 
@@ -265,7 +290,7 @@ func (r *Replica) onBeat(from consensus.ProcessID, b Beat) {
 // replica is treated as an epoch hint, jumping to the smallest epoch that
 // replica owns. The oracle is advisory — silence-triggered promotion works
 // without it — but when installed it re-aims the group in one message
-// instead of a staggered timeout cascade.
+// instead of one silence bound.
 func (r *Replica) onAnnounce(a leader.Announce) {
 	if !r.failoverOn() {
 		return
@@ -274,12 +299,7 @@ func (r *Replica) onAnnounce(a leader.Announce) {
 	if want == r.leaderID() || int64(want) >= int64(r.n) || want < 0 {
 		return
 	}
-	n := int64(r.n)
-	d := ((int64(want)-r.epoch)%n + n) % n
-	if d == 0 {
-		d = n
-	}
-	r.adoptEpoch(r.epoch + d)
+	r.adoptEpoch(r.nextEpochOf(want))
 }
 
 // forwardQueue hands a deposed leader's queued commands to the current

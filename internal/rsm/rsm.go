@@ -255,11 +255,12 @@ type Config struct {
 	// NewApplier, when set, supplies the state machine per replica instead
 	// of the built-in KVStore (queries then read an empty store).
 	NewApplier func(id consensus.ProcessID) Applier
-	// FailoverTimeout enables epoch-based leader failover: a follower that
-	// hears nothing from the leader for this long (scaled by its distance
-	// to the next epoch it owns, so candidates are staggered) promotes
-	// itself. Zero keeps the static leader at replica 0 with no heartbeat
-	// traffic — the schedules of existing runs are unchanged.
+	// FailoverTimeout is the silence bound σ, and setting it enables
+	// epoch-based leader failover: every follower that hears nothing from
+	// the leader for this long claims the next epoch it owns, and the
+	// highest claimer leads. The leader beats every σ/4. Zero keeps the
+	// static leader at replica 0 with no heartbeat traffic — the schedules
+	// of existing runs are unchanged.
 	FailoverTimeout time.Duration
 	// SnapshotEvery enables log compaction: every time this many more
 	// slots have applied, the replica snapshots its applier + session
@@ -464,11 +465,14 @@ type Replica struct {
 	epoch          int64
 	lastLeaderSeen time.Duration
 	failoverArmed  bool
+	// clientProcs are the client processes a promoted leader redirects:
+	// those that proposed to this replica while it led, or to the leader
+	// whose Beat named them.
+	clientProcs []consensus.ProcessID
 	// repairing tracks a takeover's log-repair window for the failover
-	// span/histogram: open until applied reaches repairTarget.
+	// span: open until applied reaches repairTarget.
 	repairing    bool
 	repairTarget int64
-	failoverFrom time.Duration
 
 	// Compaction: snapBase is the snapshot horizon — the lowest slot still
 	// present in the decision log (0 until the first snapshot). snapBuf is
@@ -697,6 +701,9 @@ func (r *Replica) onPropose(from consensus.ProcessID, msg ClientPropose) {
 		r.env.Send(from, Redirect{Leader: r.leaderID(), Epoch: r.epoch})
 		return
 	}
+	if r.failoverOn() {
+		r.noteClient(from)
+	}
 	if msg.Seq != 0 {
 		// Dedup: already applied → ack immediately; already queued or in
 		// flight → coalesce onto the original.
@@ -796,10 +803,13 @@ func (r *Replica) tryFlush(force bool) {
 }
 
 // assignSlot allocates the next log slot, persisting the counter so a
-// restarted proposer never reuses one.
+// restarted proposer never reuses one. It skips every slot known to exist:
+// another proposer's slot (a concurrent claimer's, or a deposed leader's
+// still in flight) may already be decided, and a batch proposed into a
+// decided slot would never be acknowledged.
 func (r *Replica) assignSlot() int64 {
-	slot := r.nextSlot
-	r.nextSlot++
+	slot := max(r.nextSlot, r.maxSeen+1)
+	r.nextSlot = slot + 1
 	if err := r.env.Store().Put(storage.KeyRSMNext, r.nextSlot); err != nil {
 		r.env.Logf("rsm: persist next: %v", err)
 	}

@@ -106,9 +106,23 @@ func init() {
 		})
 	consensus.RegisterCodec(tagBeat,
 		func(b []byte, m Beat) []byte {
-			return binary.AppendVarint(binary.AppendVarint(b, m.Epoch), m.MaxSeen)
+			b = binary.AppendVarint(binary.AppendVarint(b, m.Epoch), m.MaxSeen)
+			b = binary.AppendUvarint(b, uint64(len(m.Clients)))
+			for _, c := range m.Clients {
+				b = binary.AppendVarint(b, int64(c))
+			}
+			return b
 		},
-		func(r *consensus.WireReader) Beat { return Beat{Epoch: r.Varint(), MaxSeen: r.Varint()} })
+		func(r *consensus.WireReader) Beat {
+			m := Beat{Epoch: r.Varint(), MaxSeen: r.Varint()}
+			if n := r.Count(1); n > 0 {
+				m.Clients = make([]consensus.ProcessID, n)
+				for i := range m.Clients {
+					m.Clients[i] = consensus.ProcessID(r.Varint())
+				}
+			}
+			return m
+		})
 	consensus.RegisterCodec(tagSnapshotMsg,
 		func(b []byte, m SnapshotMsg) []byte { return appendSnapshot(b, m.Snap) },
 		func(r *consensus.WireReader) SnapshotMsg { return SnapshotMsg{Snap: readSnapshot(r)} })

@@ -48,7 +48,8 @@ func TestWireRoundTrip(t *testing.T) {
 		Learn{}, Learn{From: -1}, Learn{From: 1 << 50},
 		LearnReply{}, LearnReply{Entries: []SlotValue{}}, LearnReply{Entries: []SlotValue{{}}},
 		LearnReply{Entries: []SlotValue{{Slot: 3, Val: "a"}, {Slot: 4, Val: NoOp}, {Slot: 5, Val: consensus.Value(big)}}},
-		Beat{}, Beat{Epoch: 3, MaxSeen: -1},
+		Beat{}, Beat{Epoch: 3, MaxSeen: -1}, Beat{Clients: []consensus.ProcessID{}},
+		Beat{Epoch: 1 << 40, MaxSeen: 9, Clients: []consensus.ProcessID{3, 1000, -1, 1 << 30}},
 		SnapshotMsg{}, SnapshotMsg{Snap: Snapshot{Applied: 64, Sessions: map[int64]Session{}, State: []byte{}, HasState: true}},
 		SnapshotMsg{Snap: Snapshot{
 			Applied:  1 << 33,
@@ -98,6 +99,8 @@ func TestDecodeRefusesMalformed(t *testing.T) {
 		"string past the end":       {tagClientPropose, 2, 1, 9, 'x'},
 		"entry count past the end":  {tagLearnReply, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"session count past end":    {tagSnapshotMsg, 2, 1, 0xff, 0xff, 0x03, 0, 0},
+		"client count past the end": {tagBeat, 2, 2, 3, 6, 8},
+		"client list truncated":     {tagBeat, 2, 2, 2, 6, 0x80},
 		"bool out of range":         {tagQueryReply, 0, 0, 2, 0, 0},
 		"inner message malformed":   {tagSlotMsg, 2, 1},
 		"inner message unknown tag": {tagSlotMsg, 2, 200},

@@ -54,13 +54,14 @@ type Result struct {
 	Slot   *trace.HistogramSnapshot `json:"slot_latency,omitempty"`
 	Batch  *trace.HistogramSnapshot `json:"batch_size,omitempty"`
 
-	// Failover is the crash→repaired recovery latency histogram; Catchup the
+	// Outage is the client-observed outage histogram: per crash and client,
+	// crash instant → that client's first ack after it. Catchup is the
 	// restarted replica's rejoin→caught-up latency. LogKeys counts the
 	// rsmlog/ records left in each replica's store after the run — bounded
 	// when compaction is on, one per slot otherwise.
-	Failover *trace.HistogramSnapshot `json:"failover_latency,omitempty"`
-	Catchup  *trace.HistogramSnapshot `json:"catchup_latency,omitempty"`
-	LogKeys  []int64                  `json:"log_keys,omitempty"`
+	Outage  *trace.HistogramSnapshot `json:"outage,omitempty"`
+	Catchup *trace.HistogramSnapshot `json:"catchup_latency,omitempty"`
+	LogKeys []int64                  `json:"log_keys,omitempty"`
 
 	Violations []string `json:"violations,omitempty"`
 

@@ -123,11 +123,6 @@ func (c Config) withDefaults() Config {
 		// serial log well inside this.
 		perOp := 8 * c.Delta
 		c.Horizon = time.Duration(c.Clients*c.Ops)*perOp + 10*time.Second
-		if len(c.Restarts) > 0 {
-			// Failover stalls the log for up to n silence windows plus the
-			// repair round trips before clients make progress again.
-			c.Horizon += time.Duration(c.N+1)*c.FailoverTimeout + 50*c.Delta
-		}
 	}
 	return c
 }
@@ -145,15 +140,18 @@ type pendingOp struct {
 }
 
 // clientProc is one workload client as a consensus.Process. It proposes to
-// the RSM leader, observes commit latency into the shared collector, reports
-// each first ack to the run's History, and "decides" doneValue when its
-// quota is committed.
+// the RSM leader, observes commit latency and the outage of each crash into
+// the shared collector, reports each first ack to the run's History, and
+// "decides" doneValue when its quota is committed.
 type clientProc struct {
 	cfg    Config
 	hist   *rsm.History
 	id     consensus.ProcessID
 	env    consensus.Environment
 	leader consensus.ProcessID
+	// outaged marks the crashes of cfg.Restarts this client has been served
+	// after.
+	outaged []bool
 	// epoch is the highest leadership epoch seen in a Redirect; silent
 	// counts consecutive unanswered retry rounds, the client's failover
 	// trigger (crash runs only, mirroring rsm.Client).
@@ -172,7 +170,8 @@ type clientProc struct {
 var _ consensus.Process = (*clientProc)(nil)
 
 func newClientProc(cfg Config, id consensus.ProcessID, hist *rsm.History) *clientProc {
-	return &clientProc{cfg: cfg, hist: hist, id: id, leader: rsm.Leader(), pending: make(map[uint64]pendingOp)}
+	return &clientProc{cfg: cfg, hist: hist, id: id, leader: rsm.Leader(), pending: make(map[uint64]pendingOp),
+		outaged: make([]bool, len(cfg.Restarts))}
 }
 
 // Init implements consensus.Process.
@@ -208,7 +207,7 @@ func (c *clientProc) send(seq uint64) {
 }
 
 // HandleMessage implements consensus.Process.
-func (c *clientProc) HandleMessage(_ consensus.ProcessID, m consensus.Message) {
+func (c *clientProc) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	switch msg := m.(type) {
 	case rsm.Committed:
 		p, ok := c.pending[msg.Seq]
@@ -221,6 +220,7 @@ func (c *clientProc) HandleMessage(_ consensus.ProcessID, m consensus.Message) {
 		if d := c.env.Now() - p.sentAt; d >= 0 {
 			consensus.ObserveDuration(c.env, trace.HistCommitLatency, d)
 		}
+		c.observeOutage(from)
 		consensus.EndSpan(c.env, trace.SpanRSMOp, int64(msg.Seq))
 		c.silent = 0
 		if c.acked >= c.cfg.Ops {
@@ -270,6 +270,22 @@ func (c *clientProc) HandleTimer(id consensus.TimerID) {
 		c.issueNext()
 		if c.issued < c.cfg.Ops {
 			c.env.SetTimer(issueTimerID, c.cfg.OpenInterval)
+		}
+	}
+}
+
+// observeOutage records, for every crash this client has not yet been
+// served after, the time from the crash (the run's TS is 0) to this ack. An
+// ack from the crashed replica counts only once it is back: it may have been
+// sent before the crash.
+func (c *clientProc) observeOutage(from consensus.ProcessID) {
+	now := c.env.Now()
+	for i, r := range c.cfg.Restarts {
+		at := r.CrashAt.Resolve(c.cfg.Delta, 0)
+		down := from == r.Proc && (r.RestartAt.IsZero() || now < r.RestartAt.Resolve(c.cfg.Delta, 0))
+		if !c.outaged[i] && now >= at && !down {
+			c.outaged[i] = true
+			consensus.ObserveDuration(c.env, trace.HistOutage, now-at)
 		}
 	}
 }

@@ -109,9 +109,9 @@ func Run(cfg Config) (*Result, error) {
 		s := h.Snapshot(trace.HistBatchSize)
 		res.Batch = &s
 	}
-	if h, ok := collector.HistogramCopy(trace.HistFailoverLatency); ok && h.Count() > 0 {
-		s := h.Snapshot(trace.HistFailoverLatency)
-		res.Failover = &s
+	if h, ok := collector.HistogramCopy(trace.HistOutage); ok && h.Count() > 0 {
+		s := h.Snapshot(trace.HistOutage)
+		res.Outage = &s
 	}
 	if h, ok := collector.HistogramCopy(trace.HistCatchupLatency); ok && h.Count() > 0 {
 		s := h.Snapshot(trace.HistCatchupLatency)

@@ -58,10 +58,11 @@ const (
 	// HistRSMQueueDepth is the RSM leader's proposal-queue depth at each
 	// enqueue.
 	HistRSMQueueDepth = "rsm-queue-depth"
-	// HistFailoverLatency is the RSM leadership-recovery window per
-	// failover: from the last sign of life of the previous leader to the
-	// promoted replica finishing log repair (its undecided slots applied).
-	HistFailoverLatency = "rsm-failover-latency"
+	// HistOutage is the client-observed outage of an RSM crash: for each
+	// crash in an rsm-bench schedule and each client, the time from the
+	// crash instant to that client's first ack after it, whether or not
+	// the failover had a slot to repair.
+	HistOutage = "rsm-outage"
 	// HistCatchupLatency is the time a restarted RSM replica takes to
 	// become gap-free again (snapshot install + Learn replay), measured
 	// from its own re-Init to the first moment it has applied every slot

@@ -27,9 +27,9 @@ import (
 const (
 	// budgetGoLines counts the lines of every non-test .go file in the tree
 	// (bench/ included, testdata/ and dot-directories skipped).
-	budgetGoLines = 23725
+	budgetGoLines = 23787
 	// budgetReadmeBytes is the size of README.md.
-	budgetReadmeBytes = 52414
+	budgetReadmeBytes = 54150
 )
 
 // budgetExported is the number of exported identifiers per package
