@@ -752,7 +752,7 @@ func (r *Replica) tryFlush(force bool) {
 		r.forwardQueue()
 		return
 	}
-	for len(r.queue) > 0 && r.inFlight < r.cfg.MaxInFlight && r.nextSlot < maxSlots {
+	for len(r.queue) > 0 && r.inFlight < r.cfg.MaxInFlight && max(r.nextSlot, r.maxSeen+1) < maxSlots {
 		if !force && len(r.queue) < r.cfg.MaxBatch {
 			if r.cfg.Linger > 0 {
 				if wait := r.queue[0].enqueuedAt + r.cfg.Linger - r.env.Now(); wait > 0 {
@@ -806,7 +806,8 @@ func (r *Replica) tryFlush(force bool) {
 // restarted proposer never reuses one. It skips every slot known to exist:
 // another proposer's slot (a concurrent claimer's, or a deposed leader's
 // still in flight) may already be decided, and a batch proposed into a
-// decided slot would never be acknowledged.
+// decided slot would never be acknowledged. tryFlush checks the same
+// maximum against maxSlots before calling it.
 func (r *Replica) assignSlot() int64 {
 	slot := max(r.nextSlot, r.maxSeen+1)
 	r.nextSlot = slot + 1

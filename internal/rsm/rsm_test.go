@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core/consensus"
+	"repro/internal/core/consensus/consensustest"
 	"repro/internal/core/modpaxos"
 	"repro/internal/live"
 )
@@ -215,5 +216,40 @@ func TestPrefixStoreIsolation(t *testing.T) {
 	}
 	if v1 != "1" || v2 != "2" {
 		t.Fatalf("p=%q q=%q, want 1/2", v1, v2)
+	}
+}
+
+// TestProposerStopsAtMaxSlots: a slot message or a Beat can raise maxSeen to
+// the last slot the log holds, and assignSlot skips every slot known to
+// exist, so the proposer must stop there rather than hand out maxSlots, a
+// slot every peer drops — the batch would strand and stay in flight.
+func TestProposerStopsAtMaxSlots(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		heard consensus.Message
+	}{
+		{"slot message", Config{}, SlotMsg{Slot: maxSlots - 1, Inner: modpaxos.P1a{Bal: consensus.BallotFor(2, 1, 3)}}},
+		{"Beat", Config{FailoverTimeout: time.Second}, Beat{MaxSeen: maxSlots - 1}},
+	} {
+		tc.cfg.Paxos.Delta = 10 * time.Millisecond
+		factory, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := consensustest.New(0, 3)
+		r := factory(0, 3, "").(*Replica)
+		r.Init(env)
+		r.HandleMessage(1, tc.heard)
+		env.ClearOutbox()
+		r.HandleMessage(3, ClientPropose{Client: 70, Seq: 1, Cmd: consensus.Value("op")})
+		if len(r.pending) != 0 || r.InFlight() != 0 {
+			t.Errorf("%s at slot %d: leader proposed %d slots, %d in flight; want none", tc.name, maxSlots-1, len(r.pending), r.InFlight())
+		}
+		for _, s := range env.Outbox {
+			if m, ok := s.Msg.(SlotMsg); ok && m.Slot >= maxSlots {
+				t.Errorf("%s: sent %v for slot %d, beyond the log", tc.name, m.Inner, m.Slot)
+			}
+		}
 	}
 }

@@ -123,6 +123,11 @@ func (c Config) withDefaults() Config {
 		// serial log well inside this.
 		perOp := 8 * c.Delta
 		c.Horizon = time.Duration(c.Clients*c.Ops)*perOp + 10*time.Second
+		if len(c.Restarts) > 0 {
+			// A crash stalls the log for one silence bound plus the repair
+			// round trips before clients make progress again.
+			c.Horizon += c.FailoverTimeout + 50*c.Delta
+		}
 	}
 	return c
 }

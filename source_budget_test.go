@@ -27,7 +27,7 @@ import (
 const (
 	// budgetGoLines counts the lines of every non-test .go file in the tree
 	// (bench/ included, testdata/ and dot-directories skipped).
-	budgetGoLines = 23787
+	budgetGoLines = 23793
 	// budgetReadmeBytes is the size of README.md.
 	budgetReadmeBytes = 54150
 )
