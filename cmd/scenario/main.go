@@ -363,7 +363,7 @@ func parseIntList(flagName, s string) ([]int, error) {
 func cmdRSMBench(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("scenario rsm-bench", flag.ContinueOnError)
 	var (
-		backend  = fs.String("backend", rsmbench.BackendSim, "substrate: sim, live, or live-tcp")
+		backend  = fs.String("backend", scenario.BackendSim, "substrate: "+strings.Join(scenario.BackendNames(), ", "))
 		n        = fs.Int("n", 0, "replica count (default 3)")
 		clients  = fs.Int("clients", 0, "workload clients (default 8)")
 		ops      = fs.Int("ops", 0, "operations per client (default 20)")

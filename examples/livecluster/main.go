@@ -16,6 +16,7 @@ import (
 	"repro/internal/core/consensus"
 	"repro/internal/live"
 	"repro/internal/protocol"
+	"repro/internal/simnet"
 
 	// Registers the built-in protocols; this example skips the harness,
 	// which is what usually links them in.
@@ -27,11 +28,10 @@ func main() {
 	delta := 20 * time.Millisecond
 	unstable := 400 * time.Millisecond
 
-	transport := live.NewMemTransport(live.MemTransportConfig{
-		MaxDelay:       delta,
-		StabilizeAfter: unstable,
-		LossProb:       0.6,
-	})
+	// The memory transport is the stable network; the policy wrapper loses
+	// 60% of what is sent before TS and delays the rest up to 2·TS.
+	transport := live.NewPolicyTransport(live.NewMemTransport(live.MemTransportConfig{MaxDelay: delta}),
+		live.PolicyTransportConfig{Policy: simnet.Chaos{DropProb: 0.6}, TS: unstable, Delta: delta})
 	proposals := make([]consensus.Value, n)
 	for i := range proposals {
 		proposals[i] = consensus.Value(fmt.Sprintf("proposal-of-p%d", i))

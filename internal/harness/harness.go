@@ -140,11 +140,6 @@ type Config struct {
 	// randomness and schedules no events, so the delivery schedule is
 	// byte-identical either way.
 	Observe bool
-	// SpanCapacity sizes the span ring buffer when Observe is set (0 uses
-	// the trace package default).
-	SpanCapacity int
-	// Debug retains per-event logs in the collector.
-	Debug bool
 }
 
 // Result summarizes one run.
@@ -254,11 +249,8 @@ func Run(cfg Config) (Result, error) {
 		eng = sim.NewEngine(cfg.Seed)
 	}
 	collector := trace.NewCollector()
-	if cfg.Debug {
-		collector.EnableLogging(10000)
-	}
 	if cfg.Observe {
-		collector.EnableSpans(cfg.SpanCapacity)
+		collector.EnableSpans(0)
 		collector.EnableHistograms()
 	}
 	// Pre-intern the protocol's wire types (and the oracle's announcement)
@@ -281,7 +273,7 @@ func Run(cfg Config) (Result, error) {
 	nw, err := simnet.New(eng, simnet.Config{
 		N: cfg.N, Delta: cfg.Delta, TS: cfg.TS, MinDelay: minDelay,
 		Policy: cfg.Policy, Rho: cfg.Rho, Drift: cfg.Drift,
-		Collector: collector, Arena: cfg.Arena, Debug: cfg.Debug,
+		Collector: collector, Arena: cfg.Arena,
 	}, factory, proposals)
 	if err != nil {
 		return Result{}, err

@@ -1,7 +1,6 @@
 // Package live runs the same consensus protocols natively: one goroutine
 // per process, real clocks, real timers, and pluggable transports — an
-// in-memory channel transport with injectable loss/delay, and a TCP
-// transport. This is the "simulate rounds with goroutines" substrate:
+// in-memory channel transport and a TCP transport. This is the "simulate rounds with goroutines" substrate:
 // examples and integration tests exercise protocol code identical to what
 // the deterministic simulator verifies.
 //
@@ -21,9 +20,9 @@
 // registered with the consensus wire registry; a type without one cannot be
 // sent. See tcp.go for the layout and the failure rules.
 //
-// The eventually-synchronous model maps onto real time: the memory
-// transport can drop and delay messages until a configured stabilization
-// instant, after which it delivers within δ.
+// The eventually-synchronous model maps onto real time: a PolicyTransport
+// around either transport applies a simnet policy to every message sent
+// before TS, and after TS the inner transport delivers within δ.
 package live
 
 import (
@@ -58,8 +57,7 @@ type Config struct {
 	// TS is the stabilization instant as a wall-clock offset from cluster
 	// start. It is an observability anchor only (decision-latency
 	// histograms measure against it, matching the simulator's headline
-	// metric); the transport's own StabilizeAfter governs actual fault
-	// injection.
+	// metric); a PolicyTransport's own TS governs actual fault injection.
 	TS time.Duration
 	// Transport defaults to a loss-free memory transport.
 	Transport Transport

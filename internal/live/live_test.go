@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/core/consensus"
 	"repro/internal/core/modpaxos"
 	"repro/internal/protocol"
+	"repro/internal/simnet"
+	"repro/internal/trace"
 
 	// The registry's built-in protocols; this package itself takes a
 	// consensus.Factory and never resolves a name.
@@ -66,11 +69,8 @@ func TestModifiedPaxosLiveWithUnstablePeriod(t *testing.T) {
 	// Real-time eventual synchrony: 300ms of 60% loss and long delays,
 	// then a stable network. The cluster must decide shortly after
 	// stabilization.
-	transport := NewMemTransport(MemTransportConfig{
-		MaxDelay:       delta,
-		StabilizeAfter: 300 * time.Millisecond,
-		LossProb:       0.6,
-	})
+	transport := NewPolicyTransport(NewMemTransport(MemTransportConfig{MaxDelay: delta}),
+		PolicyTransportConfig{Policy: simnet.Chaos{DropProb: 0.6}, TS: 300 * time.Millisecond, Delta: delta})
 	c, err := NewCluster(Config{N: 5, Delta: delta, Transport: transport},
 		factory(t, "modpaxos", delta), distinctProposals(5))
 	if err != nil {
@@ -311,39 +311,32 @@ func TestTCPLateHandlerRegistration(t *testing.T) {
 }
 
 // TestMemTransportZeroSeedIsDeterministic pins the seed fix: two transports
-// with the zero-value seed make identical drop decisions for the same send
-// sequence (zero used to mean time-based seeding, so no live report was
-// reproducible).
+// with the zero-value seed draw identical delays for the same send sequence,
+// read from their delivery-latency histograms (zero used to mean time-based
+// seeding, so no live report was reproducible).
 func TestMemTransportZeroSeedIsDeterministic(t *testing.T) {
-	script := func() []int {
-		tr := NewMemTransport(MemTransportConfig{
-			StabilizeAfter:   time.Hour, // stay in the lossy regime
-			LossProb:         0.5,
-			UnstableMaxDelay: time.Nanosecond, // effectively immediate
-		})
+	script := func() trace.HistogramSnapshot {
+		collector := trace.NewCollector()
+		collector.EnableHistograms()
+		tr := NewMemTransport(MemTransportConfig{MaxDelay: time.Millisecond, Collector: collector})
 		defer func() { _ = tr.Close() }()
-		var mu sync.Mutex
-		var delivered []int
-		tr.Register(1, func(_ consensus.ProcessID, m consensus.Message) {
-			mu.Lock()
-			delivered = append(delivered, len(m.Type()))
-			mu.Unlock()
-		})
+		tr.Register(1, func(consensus.ProcessID, consensus.Message) {})
 		for i := 0; i < 64; i++ {
 			tr.Send(0, 1, modpaxos.Decided{Val: "x"})
 		}
-		// 1ns timers: give any delayed survivors a moment.
-		time.Sleep(20 * time.Millisecond)
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]int(nil), delivered...)
+		name := trace.HistDeliveryPrefix + modpaxos.Decided{}.Type()
+		h, ok := collector.HistogramCopy(name)
+		if !ok {
+			t.Fatal("no delivery-latency histogram")
+		}
+		return h.Snapshot(name)
 	}
 	a, b := script(), script()
-	if len(a) != len(b) {
-		t.Fatalf("zero-seed transports delivered %d vs %d of 64 messages", len(a), len(b))
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("zero-seed transports drew different delays:\n%+v\n%+v", a, b)
 	}
-	if len(a) == 0 || len(a) == 64 {
-		t.Fatalf("want a mixed drop pattern, got %d/64 delivered", len(a))
+	if a.Count != 64 || a.Min == a.Max {
+		t.Fatalf("want 64 spread delays, got %+v", a)
 	}
 }
 

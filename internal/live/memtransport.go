@@ -9,23 +9,14 @@ import (
 	"repro/internal/trace"
 )
 
-// MemTransportConfig tunes the in-memory transport's fault model, mapping
-// the paper's eventual synchrony onto wall-clock time.
+// MemTransportConfig tunes the in-memory transport: the stable network,
+// delivering every message within MaxDelay. Faults before TS come from
+// wrapping it in a PolicyTransport.
 type MemTransportConfig struct {
-	// MaxDelay bounds per-message delivery delay after stabilization
-	// (the live δ). Zero means immediate delivery.
+	// MaxDelay bounds per-message delivery delay (the live δ). Zero means
+	// immediate delivery.
 	MaxDelay time.Duration
-	// StabilizeAfter is the wall-clock duration of the unstable period
-	// from transport creation: until then, messages are dropped with
-	// LossProb and delayed up to UnstableMaxDelay.
-	StabilizeAfter time.Duration
-	// LossProb is the pre-stabilization loss probability.
-	LossProb float64
-	// UnstableMaxDelay bounds pre-stabilization delays (default
-	// 2·StabilizeAfter, so late messages can arrive after stabilization
-	// — live obsolete messages).
-	UnstableMaxDelay time.Duration
-	// Seed seeds the transport's fault randomness. Zero means a fixed
+	// Seed seeds the transport's delay draws. Zero means a fixed
 	// default seed — zero-config transports are reproducible. (Zero used
 	// to fall back to time-based seeding, which made every scenario-driven
 	// live report unrepeatable; callers wanting varied runs must now seed
@@ -41,11 +32,10 @@ type MemTransportConfig struct {
 const defaultTransportSeed = 1
 
 // MemTransport delivers messages between in-process nodes via their
-// registered handlers, applying the configured loss/delay model. It is safe
-// for concurrent use.
+// registered handlers after a random delay up to MaxDelay. It is safe for
+// concurrent use.
 type MemTransport struct {
-	cfg   MemTransportConfig
-	start time.Time
+	cfg MemTransportConfig
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -57,18 +47,14 @@ type MemTransport struct {
 
 var _ Transport = (*MemTransport)(nil)
 
-// NewMemTransport returns a transport with the given fault model.
+// NewMemTransport returns a transport with the given delay bound.
 func NewMemTransport(cfg MemTransportConfig) *MemTransport {
-	if cfg.UnstableMaxDelay == 0 {
-		cfg.UnstableMaxDelay = 2 * cfg.StabilizeAfter
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = defaultTransportSeed
 	}
 	return &MemTransport{
 		cfg:      cfg,
-		start:    time.Now(),
 		rng:      rand.New(rand.NewSource(seed)),
 		handlers: make(map[consensus.ProcessID]func(consensus.ProcessID, consensus.Message)),
 		timers:   make(map[*time.Timer]struct{}),
@@ -91,19 +77,8 @@ func (t *MemTransport) Send(from, to consensus.ProcessID, m consensus.Message) {
 	}
 	h := t.handlers[to]
 	var delay time.Duration
-	stable := time.Since(t.start) >= t.cfg.StabilizeAfter
-	if stable {
-		if t.cfg.MaxDelay > 0 {
-			delay = time.Duration(t.rng.Int63n(int64(t.cfg.MaxDelay) + 1))
-		}
-	} else {
-		if t.rng.Float64() < t.cfg.LossProb {
-			t.mu.Unlock()
-			return
-		}
-		if t.cfg.UnstableMaxDelay > 0 {
-			delay = time.Duration(t.rng.Int63n(int64(t.cfg.UnstableMaxDelay) + 1))
-		}
+	if t.cfg.MaxDelay > 0 {
+		delay = time.Duration(t.rng.Int63n(int64(t.cfg.MaxDelay) + 1))
 	}
 	t.mu.Unlock()
 

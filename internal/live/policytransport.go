@@ -37,8 +37,7 @@ type PolicyTransportConfig struct {
 // injection: the declarative simnet policies (DropAll, PartitionUntilTS,
 // Chaos, Duplicate, Reorder, ...) run against wall-clock time, so the same
 // scenario regimes execute over in-memory channels or real TCP sockets.
-// It is the live runtime's primary fault path; the MemTransport loss/delay
-// knobs remain only for hand-wired uses.
+// It is the live runtime's only fault path.
 type PolicyTransport struct {
 	inner Transport
 	cfg   PolicyTransportConfig

@@ -20,7 +20,7 @@
 //
 // and the new name immediately works everywhere a protocol name is accepted:
 // harness.Config.Protocol, scenario.Spec.Protocols, `consensus-sim
-// -protocol`, `livedemo -protocol`, and the `scenario list` enumeration.
+// -protocol`, and the `scenario list` enumeration.
 // No harness, scenario, or CLI source changes are needed — that is the
 // extension point every future protocol/workload PR builds on.
 //

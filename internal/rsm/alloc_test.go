@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/rsmbench"
+	"repro/internal/scenario"
 )
 
 // slotAllocBudget bounds the allocations of one committed operation: the
@@ -32,7 +33,7 @@ func TestSteadyStateSlotAllocBudget(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		res, err := rsmbench.Run(rsmbench.Config{
-			Backend: rsmbench.BackendSim, Clients: 32, Ops: ops, Seed: 2,
+			Backend: scenario.BackendSim, Clients: 32, Ops: ops, Seed: 2,
 			MaxBatch: 8, MaxInFlight: 4,
 		})
 		runtime.ReadMemStats(&after)

@@ -269,8 +269,9 @@ type Config struct {
 	SnapshotEvery int64
 }
 
-// withDefaults fills the zero values.
-func (c Config) withDefaults() Config {
+// WithDefaults fills the zero values: it is what New runs, so a caller can
+// report the values that actually ran.
+func (c Config) WithDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
@@ -505,7 +506,7 @@ var _ consensus.Process = (*Replica)(nil)
 
 // New returns a Factory producing RSM replicas with the built-in KV store.
 func New(cfg Config) (consensus.Factory, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	inner, err := modpaxos.New(cfg.Paxos)
 	if err != nil {
 		return nil, fmt.Errorf("rsm: %w", err)

@@ -20,14 +20,8 @@ import (
 	"repro/internal/core/consensus"
 	"repro/internal/harness"
 	"repro/internal/rsm"
+	"repro/internal/scenario"
 	"repro/internal/trace"
-)
-
-// Backend names accepted by Config.Backend.
-const (
-	BackendSim     = "sim"
-	BackendLive    = "live"
-	BackendLiveTCP = "live-tcp"
 )
 
 // doneValue is what a client "decides" when its workload completes; the
@@ -36,7 +30,8 @@ const doneValue consensus.Value = "done"
 
 // Config parameterizes one benchmark run.
 type Config struct {
-	// Backend selects the substrate: sim (default), live, live-tcp.
+	// Backend selects the substrate by its scenario.BackendNames name
+	// (default sim).
 	Backend string
 	// N is the replica count (default 3).
 	N int
@@ -60,16 +55,12 @@ type Config struct {
 	// OpenInterval switches clients to open-loop issue at this interval
 	// (0 = closed loop).
 	OpenInterval time.Duration
-	// RetryEvery is the client retransmission period (default 25δ).
-	RetryEvery time.Duration
 	// Horizon bounds the run (default 5 minutes virtual on sim, scaled to
 	// the op count on live).
 	Horizon time.Duration
 	// Observe enables span recording so the run can be exported as a
 	// Chrome-trace timeline (histograms are always on).
 	Observe bool
-	// SpanCapacity sizes the span ring when Observe is set.
-	SpanCapacity int
 
 	// Restarts is the crash/restart schedule over the replicas (the run's
 	// TS is 0). Crashing rsm.Leader(), the epoch-0 leader, makes clients fail
@@ -92,7 +83,7 @@ func (c Config) chaos() bool { return len(c.Restarts) > 0 || c.CompactEvery > 0 
 
 func (c Config) withDefaults() Config {
 	if c.Backend == "" {
-		c.Backend = BackendSim
+		c.Backend = scenario.BackendSim
 	}
 	if c.N == 0 {
 		c.N = 3
@@ -112,9 +103,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.RetryEvery == 0 {
-		c.RetryEvery = 25 * c.Delta
-	}
 	if len(c.Restarts) > 0 && c.FailoverTimeout == 0 {
 		c.FailoverTimeout = 10 * c.Delta
 	}
@@ -132,7 +120,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// client timer IDs.
+// client timer IDs. The retry timer fires every 25δ, the client's
+// retransmission period.
 const (
 	retryTimerID consensus.TimerID = 0
 	issueTimerID consensus.TimerID = 1
@@ -186,7 +175,7 @@ func (c *clientProc) Init(env consensus.Environment) {
 	if c.cfg.OpenInterval > 0 && c.issued < c.cfg.Ops {
 		env.SetTimer(issueTimerID, c.cfg.OpenInterval)
 	}
-	env.SetTimer(retryTimerID, c.cfg.RetryEvery)
+	env.SetTimer(retryTimerID, 25*c.cfg.Delta)
 }
 
 // issueNext sends the client's next operation (seq = op index + 1).
@@ -270,7 +259,7 @@ func (c *clientProc) HandleTimer(id consensus.TimerID) {
 				c.resendUnacked()
 			}
 		}
-		c.env.SetTimer(retryTimerID, c.cfg.RetryEvery)
+		c.env.SetTimer(retryTimerID, 25*c.cfg.Delta)
 	case issueTimerID:
 		c.issueNext()
 		if c.issued < c.cfg.Ops {

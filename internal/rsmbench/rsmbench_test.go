@@ -11,11 +11,12 @@ import (
 	"repro/internal/core/modpaxos"
 	"repro/internal/harness"
 	"repro/internal/rsm"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
 func TestClosedLoopSimCompletes(t *testing.T) {
-	res, err := Run(Config{Backend: BackendSim, Clients: 4, Ops: 5})
+	res, err := Run(Config{Backend: scenario.BackendSim, Clients: 4, Ops: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestClosedLoopSimCompletes(t *testing.T) {
 
 func TestSimIsDeterministic(t *testing.T) {
 	run := func() (time.Duration, int64, float64) {
-		res, err := Run(Config{Backend: BackendSim, Clients: 3, Ops: 4, Seed: 7})
+		res, err := Run(Config{Backend: scenario.BackendSim, Clients: 3, Ops: 4, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func TestSimIsDeterministic(t *testing.T) {
 }
 
 func TestBatchingPipeliningBeatsSingleSlot(t *testing.T) {
-	base := Config{Backend: BackendSim, Clients: 16, Ops: 10}
+	base := Config{Backend: scenario.BackendSim, Clients: 16, Ops: 10}
 
 	single := base
 	single.MaxBatch, single.MaxInFlight = 1, 1
@@ -111,7 +112,7 @@ func TestBatchPipelineMatrix(t *testing.T) {
 		{8, 4, 267566544, 209},
 	} {
 		res, err := Run(Config{
-			Backend: BackendSim, Clients: 32, Ops: 50, Seed: 2,
+			Backend: scenario.BackendSim, Clients: 32, Ops: 50, Seed: 2,
 			MaxBatch: row.batch, MaxInFlight: row.pipeline,
 		})
 		if err != nil {
@@ -139,7 +140,7 @@ func TestBatchPipelineMatrix(t *testing.T) {
 // announced: p2a 902, p2b 1920, decided 5843, p1a 3189, p1b 1245.
 func TestMessagesPerSlotPinned(t *testing.T) {
 	res, err := Run(Config{
-		Backend: BackendSim, Clients: 32, Ops: 50, Seed: 2,
+		Backend: scenario.BackendSim, Clients: 32, Ops: 50, Seed: 2,
 		MaxBatch: 8, MaxInFlight: 4,
 	})
 	if err != nil {
@@ -159,7 +160,7 @@ func TestMessagesPerSlotPinned(t *testing.T) {
 
 func TestOpenLoop(t *testing.T) {
 	res, err := Run(Config{
-		Backend: BackendSim, Clients: 4, Ops: 6,
+		Backend: scenario.BackendSim, Clients: 4, Ops: 6,
 		OpenInterval: 4 * time.Millisecond,
 	})
 	if err != nil {
@@ -179,7 +180,7 @@ func TestOpenLoop(t *testing.T) {
 // lost-ack and nothing else. When D1 is fixed the count drops to zero and
 // this test flips to asserting a clean run.
 func TestOpenLoopLosesAckedWrites(t *testing.T) {
-	res, err := Run(Config{Backend: BackendSim, OpenInterval: 500 * time.Microsecond})
+	res, err := Run(Config{Backend: scenario.BackendSim, OpenInterval: 500 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestBackpressureShedsAndRecovers(t *testing.T) {
 	// A tiny queue with no pipelining forces Busy rejections; client
 	// retries with session dedup must still finish exactly-once.
 	res, err := Run(Config{
-		Backend: BackendSim, Clients: 12, Ops: 4,
+		Backend: scenario.BackendSim, Clients: 12, Ops: 4,
 		MaxBatch: 1, MaxInFlight: 1, MaxQueue: 2,
 	})
 	if err != nil {
@@ -220,7 +221,7 @@ func TestBackpressureShedsAndRecovers(t *testing.T) {
 }
 
 func TestLiveMemBackend(t *testing.T) {
-	res, err := Run(Config{Backend: BackendLive, Clients: 3, Ops: 4, Delta: time.Millisecond})
+	res, err := Run(Config{Backend: scenario.BackendLive, Clients: 3, Ops: 4, Delta: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestLiveMemBackend(t *testing.T) {
 }
 
 func TestObserveSpansRecorded(t *testing.T) {
-	res, err := Run(Config{Backend: BackendSim, Clients: 2, Ops: 3, Observe: true})
+	res, err := Run(Config{Backend: scenario.BackendSim, Clients: 2, Ops: 3, Observe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +267,19 @@ func TestObserveSpansRecorded(t *testing.T) {
 // clients, with the leader killed mid-run and restarted behind the
 // compaction horizon.
 var chaosLeaderCrash = Config{
-	Backend: BackendSim, Clients: 32, Ops: 5, Seed: 9,
+	Backend: scenario.BackendSim, Clients: 32, Ops: 5, Seed: 9,
 	MaxBatch: 8, MaxInFlight: 4,
 	Restarts:     []harness.Restart{{Proc: rsm.Leader(), CrashAt: harness.AtAbs(10 * time.Millisecond), RestartAt: harness.AtAbs(60 * time.Millisecond)}},
 	CompactEvery: 8,
+}
+
+// TestRunRejectsUnknownBackend pins that rsm-bench keeps no backend list of
+// its own: a name outside scenario.BackendNames is an error, not a run.
+func TestRunRejectsUnknownBackend(t *testing.T) {
+	_, err := Run(Config{Backend: "warp", Clients: 1, Ops: 1})
+	if err == nil || !strings.Contains(err.Error(), "unknown backend") {
+		t.Fatalf("backend warp: got %v, want the scenario registry's error", err)
+	}
 }
 
 // TestRunRejectsBadSchedules: on either substrate a schedule that cannot
@@ -278,7 +288,7 @@ var chaosLeaderCrash = Config{
 // process 3 is the first client.
 func TestRunRejectsBadSchedules(t *testing.T) {
 	ms := time.Millisecond
-	for _, backend := range []string{BackendSim, BackendLive} {
+	for _, backend := range []string{scenario.BackendSim, scenario.BackendLive} {
 		for want, r := range map[string]harness.Restart{
 			"before its crash":  {Proc: rsm.Leader(), CrashAt: harness.AtAbs(50 * ms), RestartAt: harness.AtAbs(10 * ms)},
 			"in a cluster of 3": {Proc: 3, CrashAt: harness.AtAbs(10 * ms)},
@@ -334,7 +344,7 @@ func TestChaosLeaderCrashCompletes(t *testing.T) {
 func TestChaosRunIsDeterministic(t *testing.T) {
 	run := func() (time.Duration, int64, int64) {
 		res, err := Run(Config{
-			Backend: BackendSim, Clients: 8, Ops: 4, Seed: 5,
+			Backend: scenario.BackendSim, Clients: 8, Ops: 4, Seed: 5,
 			MaxBatch: 4, MaxInFlight: 2,
 			Restarts:     []harness.Restart{{Proc: rsm.Leader(), CrashAt: harness.AtAbs(8 * time.Millisecond), RestartAt: harness.AtAbs(40 * time.Millisecond)}},
 			CompactEvery: 8,
@@ -398,12 +408,12 @@ func TestSeriesNamesDoNotGrowWithLog(t *testing.T) {
 		}
 		return res.Collector().SeriesNames(), res.Slots
 	}
-	short, shortSlots := series(BackendSim, 5)
-	long, longSlots := series(BackendSim, 50)
+	short, shortSlots := series(scenario.BackendSim, 5)
+	long, longSlots := series(scenario.BackendSim, 50)
 	if longSlots < 10*shortSlots || !slices.Equal(short, long) {
 		t.Errorf("sim: %d slots left series %v, %d slots left %v", shortSlots, short, longSlots, long)
 	}
-	live, liveSlots := series(BackendLiveTCP, 30)
+	live, liveSlots := series(scenario.BackendLiveTCP, 30)
 	if liveSlots < 200 {
 		t.Fatalf("live run too short to show growth: %d slots", liveSlots)
 	}
@@ -439,7 +449,7 @@ func TestFailoverFlatInCrashedCandidates(t *testing.T) {
 		var outages []time.Duration
 		var ref time.Duration // the k = 0 commit max
 		for k := 0; k <= (n-1)/2; k++ {
-			cfg := Config{Backend: BackendSim, N: n, Clients: 8, Ops: 40, Seed: 1, Delta: delta, FailoverTimeout: 20 * time.Millisecond}
+			cfg := Config{Backend: scenario.BackendSim, N: n, Clients: 8, Ops: 40, Seed: 1, Delta: delta, FailoverTimeout: 20 * time.Millisecond}
 			for p := 0; p < k; p++ {
 				cfg.Restarts = append(cfg.Restarts, harness.Restart{Proc: consensus.ProcessID(p), CrashAt: harness.AtAbs(10 * time.Millisecond)})
 			}
@@ -478,7 +488,7 @@ func TestFailoverFlatInCrashedCandidates(t *testing.T) {
 // bound, so the default horizon must grow with σ — a σ beyond its fixed 10 s
 // slack otherwise ends the run as a timeout.
 func TestHorizonCoversOneSilenceBound(t *testing.T) {
-	res, err := Run(Config{Backend: BackendSim, FailoverTimeout: 15 * time.Second,
+	res, err := Run(Config{Backend: scenario.BackendSim, FailoverTimeout: 15 * time.Second,
 		Restarts: []harness.Restart{{Proc: 0, CrashAt: harness.AtAbs(10 * time.Millisecond)}}})
 	if err != nil {
 		t.Fatal(err)

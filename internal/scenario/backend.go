@@ -3,9 +3,16 @@ package scenario
 import (
 	"fmt"
 	"sort"
+	"time"
 
+	"repro/internal/core/consensus"
 	"repro/internal/harness"
+	"repro/internal/live"
 	"repro/internal/protocol"
+	"repro/internal/sim"
+	"repro/internal/simnet"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // Backend is an execution substrate for scenario cells: something that can
@@ -84,4 +91,125 @@ func (simBackend) Supports(p harness.Protocol) error {
 // Run implements Backend.
 func (simBackend) Run(cfg harness.Config) (harness.Result, error) {
 	return harness.Run(cfg)
+}
+
+// Cluster is one run one level below Backend.Run: processes from any factory,
+// on any backend, waited on as the caller chooses. The live backend's cells
+// and rsm-bench both run through it, so the transport and the cluster are
+// assembled here and nowhere else.
+type Cluster struct {
+	// Backend names the substrate ("" means sim).
+	Backend string
+	// Config supplies δ, TS, the pre-TS policy (defaulted as harness.Run
+	// defaults it), the seed, the horizon and the crash/restart schedule.
+	// Config.N is the group the schedule is checked against; the cluster
+	// has one process per proposal.
+	Config    harness.Config
+	Collector *trace.Collector
+	Factory   consensus.Factory
+	Proposals []consensus.Value
+	// Await lists the processes whose decisions end the run.
+	Await []consensus.ProcessID
+	// Settle is how long the run goes on after the wait; Stores, when set,
+	// then sees every process's store.
+	Settle time.Duration
+	Stores func(consensus.ProcessID, storage.Store)
+}
+
+// Run starts the cluster and waits until every awaited process has decided
+// or the horizon passes. It stops the cluster before it returns, so the
+// collector is final. waited is when the wait ended: virtual time on the
+// simulator, time since start on the live backends.
+func (c Cluster) Run() (decided bool, checker *consensus.SafetyChecker, waited time.Duration, err error) {
+	b, err := backendFor(c.Backend)
+	if err != nil {
+		return false, nil, 0, err
+	}
+	if c.Stores == nil {
+		c.Stores = func(consensus.ProcessID, storage.Store) {}
+	}
+	cfg := c.Config
+	if cfg.Policy == nil {
+		if cfg.TS > 0 {
+			cfg.Policy = simnet.DropAll{}
+		} else {
+			cfg.Policy = simnet.Synchronous{}
+		}
+	}
+	if lb, ok := b.(liveBackend); ok {
+		return c.runLive(cfg, lb.tcp)
+	}
+	eng := sim.NewEngine(cfg.Seed)
+	nw, err := simnet.New(eng, simnet.Config{
+		N: len(c.Proposals), Delta: cfg.Delta, TS: cfg.TS, Policy: cfg.Policy, Collector: c.Collector,
+	}, c.Factory, c.Proposals)
+	if err != nil {
+		return false, nil, 0, err
+	}
+	nw.Start()
+	if err := harness.ScheduleRestarts(nw, cfg.Restarts, cfg.N, cfg.Delta, cfg.TS); err != nil {
+		return false, nil, 0, err
+	}
+	checker = nw.Checker()
+	decided = eng.RunUntil(func() bool { return checker.AllDecided(c.Await) }, cfg.Horizon)
+	waited = eng.Now()
+	if c.Settle > 0 {
+		eng.Run(eng.Now() + c.Settle)
+	}
+	for _, id := range nw.AllIDs() {
+		c.Stores(id, nw.Node(id).Store())
+	}
+	c.Collector.RecordRunPhases(cfg.TS, eng.Now())
+	return decided, checker, waited, nil
+}
+
+// runLive is Run on goroutines and the host clock. The inner transport is
+// the stable network, delivering within δ; the PolicyTransport around it
+// owns everything before TS, seeded like the simulator so fault patterns
+// are reproducible.
+func (c Cluster) runLive(cfg harness.Config, tcp bool) (decided bool, checker *consensus.SafetyChecker, waited time.Duration, err error) {
+	var inner live.Transport
+	if tcp {
+		ids := make([]consensus.ProcessID, len(c.Proposals))
+		for i := range ids {
+			ids[i] = consensus.ProcessID(i)
+		}
+		if inner, err = live.NewTCPTransport(ids); err != nil {
+			return false, nil, 0, err
+		}
+	} else {
+		inner = live.NewMemTransport(live.MemTransportConfig{MaxDelay: cfg.Delta, Seed: cfg.Seed, Collector: c.Collector})
+	}
+	transport := live.NewPolicyTransport(inner, live.PolicyTransportConfig{
+		Policy: cfg.Policy, TS: cfg.TS, Delta: cfg.Delta, Seed: cfg.Seed, OnDrop: c.Collector.MessageDropped,
+	})
+	cluster, err := live.NewCluster(live.Config{
+		N: len(c.Proposals), Delta: cfg.Delta, TS: cfg.TS,
+		Transport: transport, Collector: c.Collector, Seed: cfg.Seed,
+	}, c.Factory, c.Proposals)
+	if err != nil {
+		_ = transport.Close()
+		return false, nil, 0, err
+	}
+	// The schedule becomes wall-clock timers anchored at Start; Stop
+	// cancels what has not fired.
+	if err := harness.ScheduleRestarts(cluster, cfg.Restarts, cfg.N, cfg.Delta, cfg.TS); err != nil {
+		_ = cluster.Stop()
+		return false, nil, 0, err
+	}
+	started := time.Now() //repro:allow detlint live backend measures wall time by design
+	cluster.Start()
+	decided = cluster.WaitDecidedAmong(c.Await, cfg.Horizon) == nil
+	waited = time.Since(started)                             //repro:allow detlint live backend measures wall time by design
+	time.Sleep(c.Settle)                                     //repro:allow detlint live backend measures wall time by design
+	c.Collector.RecordRunPhases(cfg.TS, time.Since(started)) //repro:allow detlint live backend measures wall time by design
+	// Stop joins every node goroutine: no process sends, decides or touches
+	// its store after it.
+	if err := cluster.Stop(); err != nil {
+		return false, nil, 0, err
+	}
+	for _, id := range cluster.AllIDs() {
+		c.Stores(id, cluster.Node(id).Store())
+	}
+	return decided, cluster.Checker(), waited, nil
 }

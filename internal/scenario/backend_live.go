@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/core/consensus"
 	"repro/internal/harness"
-	"repro/internal/live"
 	"repro/internal/protocol"
-	"repro/internal/simnet"
 	"repro/internal/trace"
 )
 
@@ -101,84 +99,29 @@ func (b liveBackend) Run(cfg harness.Config) (harness.Result, error) {
 	if err != nil {
 		return harness.Result{}, err
 	}
-
-	// The pre-TS policy defaults exactly as the harness defaults it.
-	policy := cfg.Policy
-	if policy == nil {
-		if cfg.TS > 0 {
-			policy = simnet.DropAll{}
-		} else {
-			policy = simnet.Synchronous{}
-		}
-	}
-
 	collector := trace.NewCollector()
 	if cfg.Observe {
 		// Same switches the harness flips for the simulator; both must be
 		// on before the cluster starts feeding the collector.
-		collector.EnableSpans(cfg.SpanCapacity)
+		collector.EnableSpans(0)
 		collector.EnableHistograms()
 	}
-	var inner live.Transport
-	if b.tcp {
-		ids := make([]consensus.ProcessID, cfg.N)
-		for i := range ids {
-			ids[i] = consensus.ProcessID(i)
-		}
-		tcp, err := live.NewTCPTransport(ids)
-		if err != nil {
-			return harness.Result{}, err
-		}
-		inner = tcp
-	} else {
-		// The inner transport is the stable network: delivery within δ.
-		// The PolicyTransport wrapper owns the unstable period, seeded
-		// from the cell so mem-backend fault patterns are reproducible.
-		inner = live.NewMemTransport(live.MemTransportConfig{
-			MaxDelay:  cfg.Delta,
-			Seed:      cfg.Seed,
-			Collector: collector,
-		})
-	}
-	transport := live.NewPolicyTransport(inner, live.PolicyTransportConfig{
-		Policy: policy,
-		TS:     cfg.TS,
-		Delta:  cfg.Delta,
-		Seed:   cfg.Seed,
-		OnDrop: collector.MessageDropped,
-	})
-
-	cluster, err := live.NewCluster(live.Config{
-		N: cfg.N, Delta: cfg.Delta, TS: cfg.TS,
-		Transport: transport, Collector: collector, Seed: cfg.Seed,
-	}, factory, harness.DefaultProposals(cfg.N))
-	if err != nil {
-		_ = transport.Close()
-		return harness.Result{}, err
-	}
-	defer func() { _ = cluster.Stop() }()
-
-	// The crash/restart schedule becomes wall-clock timers anchored at Start
-	// and cancelled by Stop. A process that never comes back is excluded
-	// from the processes the run waits on (the harness semantic: "every
-	// process up at the end decided").
-	if err := harness.ScheduleRestarts(cluster, cfg.Restarts, cfg.N, cfg.Delta, cfg.TS); err != nil {
-		return harness.Result{}, err
-	}
+	// A process that never comes back is excluded from the processes the
+	// run waits on (the harness semantic: "every process up at the end
+	// decided").
 	expected := make([]consensus.ProcessID, 0, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		if id := consensus.ProcessID(i); !harness.StaysDown(cfg.Restarts, id) {
 			expected = append(expected, id)
 		}
 	}
-	// The live backend runs real goroutines against the host clock by
-	// design; wall-clock reads here are the point, not a determinism leak.
-	started := time.Now() //repro:allow detlint live backend measures wall time by design
-	cluster.Start()
-
-	decided := cluster.WaitDecidedAmong(expected, liveHorizon(cfg)) == nil
-	// Run-level phase spans mirror the harness's post-run recording, with
-	// wall time standing in for virtual time.
-	collector.RecordRunPhases(cfg.TS, time.Since(started)) //repro:allow detlint live backend measures wall time by design
-	return harness.BuildResult(cfg, collector, cluster.Checker(), expected, decided), nil
+	cfg.Horizon = liveHorizon(cfg)
+	decided, checker, _, err := Cluster{
+		Backend: b.Name(), Config: cfg, Collector: collector, Factory: factory,
+		Proposals: harness.DefaultProposals(cfg.N), Await: expected,
+	}.Run()
+	if err != nil {
+		return harness.Result{}, err
+	}
+	return harness.BuildResult(cfg, collector, checker, expected, decided), nil
 }

@@ -212,3 +212,96 @@ func TestBackendNamesStable(t *testing.T) {
 		t.Errorf("BackendNames() = %q", got)
 	}
 }
+
+// TestLiveBackendResultIsFinal pins that a live cell's Result is built after
+// the cluster stopped: the message count it reports is the collector's final
+// count, not a snapshot taken while nodes were still sending.
+func TestLiveBackendResultIsFinal(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		res, err := liveBackend{}.Run(harness.Config{
+			Protocol: harness.ModifiedPaxos, N: 3, Delta: 5 * time.Millisecond, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Decided {
+			t.Errorf("seed %d: undecided", seed)
+		}
+		if total := res.Collector.TotalSent(); res.Messages != total {
+			t.Errorf("seed %d: Result.Messages = %d, collector counted %d", seed, res.Messages, total)
+		}
+	}
+}
+
+// liveChaosRegime is the regime `scenario run -backend live[-tcp]
+// chaos-monkey` runs for one protocol: pre-TS chaos dropping each message
+// with probability loss, healing into δ-bounded delivery at TS.
+func liveChaosRegime(backend string, p harness.Protocol, ts time.Duration, loss float64) Spec {
+	return Spec{
+		Name:        "live-chaos",
+		Description: "wall-clock chaos then stabilization",
+		Backend:     backend,
+		Protocols:   []harness.Protocol{p},
+		N:           3,
+		Delta:       10 * time.Millisecond,
+		TS:          ts,
+		Net: func(n int, delta, ts time.Duration) simnet.Policy {
+			return simnet.Chaos{DropProb: loss}
+		},
+		Seeds:    1,
+		BaseSeed: 1,
+		Horizon:  30 * time.Second,
+	}
+}
+
+// runLiveChaosRegime runs one protocol through liveChaosRegime and requires
+// a clean, decided run on the named backend.
+func runLiveChaosRegime(t *testing.T, backend string, p harness.Protocol, ts time.Duration, loss float64) {
+	t.Helper()
+	rep, err := Run(liveChaosRegime(backend, p, ts, loss))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Backend != backend {
+		t.Errorf("report backend = %q, want %q", rep.Backend, backend)
+	}
+	if !rep.Passed() {
+		t.Errorf("%s on %s violated invariants: %+v", p, backend, rep.Violations)
+	}
+	if len(rep.Protocols) != 1 || rep.Protocols[0].Protocol != p {
+		t.Fatalf("report sections %+v, want one for %s", rep.Protocols, p)
+	}
+	if pr := rep.Protocols[0]; pr.Decided != pr.Seeds {
+		t.Errorf("%s on %s: %d/%d decided", p, backend, pr.Decided, pr.Seeds)
+	}
+}
+
+// TestLiveChaosRegimeOverMemTransport runs modified Paxos through 50ms of
+// 30% pre-TS loss on in-process channels.
+func TestLiveChaosRegimeOverMemTransport(t *testing.T) {
+	runLiveChaosRegime(t, BackendLive, harness.ModifiedPaxos, 50*time.Millisecond, 0.3)
+}
+
+// TestLiveChaosRegimeOverTCP runs modified Paxos through 300ms of 50%
+// pre-TS loss over loopback sockets.
+func TestLiveChaosRegimeOverTCP(t *testing.T) {
+	runLiveChaosRegime(t, BackendLiveTCP, harness.ModifiedPaxos, 300*time.Millisecond, 0.5)
+}
+
+// TestLiveChaosRegimeBConsensus runs the B-Consensus protocol through 30ms
+// of 50% pre-TS loss on in-process channels.
+func TestLiveChaosRegimeBConsensus(t *testing.T) {
+	runLiveChaosRegime(t, BackendLive, harness.ModifiedBConsensus, 30*time.Millisecond, 0.5)
+}
+
+// TestLiveChaosRegimeRefusesOracleProtocol pins that both live backends
+// refuse traditional Paxos, which needs the simulator's leader oracle, and
+// say why.
+func TestLiveChaosRegimeRefusesOracleProtocol(t *testing.T) {
+	for _, backend := range []string{BackendLive, BackendLiveTCP} {
+		_, err := Run(liveChaosRegime(backend, harness.TraditionalPaxos, 50*time.Millisecond, 0.5))
+		if err == nil || !strings.Contains(err.Error(), "leader oracle") {
+			t.Errorf("%s: got err %v, want a leader-oracle refusal", backend, err)
+		}
+	}
+}

@@ -306,12 +306,8 @@ func (n *Node) ObserveValue(name string, v int64) {
 	n.nw.collector.ObserveValue(name, v)
 }
 
-// Logf implements consensus.Environment.
-func (n *Node) Logf(format string, args ...any) {
-	if n.nw.cfg.Debug {
-		n.nw.collector.Logf(n.nw.eng.Now(), int(n.id), format, args...)
-	}
-}
+// Logf implements consensus.Environment: the simulator keeps no log.
+func (n *Node) Logf(string, ...any) {}
 
 // --- inspection helpers for tests and the harness ---
 

@@ -52,8 +52,6 @@ type Config struct {
 	// (see Arena). The engine passed to New must then be the arena's own
 	// (Arena.Engine), so node timer state and event storage reset together.
 	Arena *Arena
-	// Debug enables Logf forwarding into the collector.
-	Debug bool
 }
 
 func (c *Config) validate() error {

@@ -47,9 +47,6 @@ type Collector struct {
 	// a copy, under mu.
 	byName    atomic.Pointer[map[string]*typeCounters]
 	series    map[string][]Sample
-	logs      []string
-	logLimit  int
-	logging   bool
 	observers []func(kind string, s Sample)
 
 	// Interned counter table: a type name's dense ID is its index in types
@@ -79,7 +76,7 @@ type Collector struct {
 	histByID []*Histogram
 }
 
-// NewCollector returns an empty collector with logging disabled.
+// NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
 // Intern returns the dense counter ID for a message-type name, assigning
@@ -143,15 +140,6 @@ func (c *Collector) SentIDN(id, n int) { c.sentByID[id] += int64(n) }
 
 // DroppedIDN records n drops of one type in a single increment.
 func (c *Collector) DroppedIDN(id, n int) { c.droppedByID[id] += int64(n) }
-
-// EnableLogging turns on retention of Logf lines, keeping at most limit
-// lines (0 means unlimited).
-func (c *Collector) EnableLogging(limit int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.logging = true
-	c.logLimit = limit
-}
 
 // The columns of a typeCounters.
 const (
@@ -222,28 +210,6 @@ func (c *Collector) OnEmit(fn func(kind string, s Sample)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.observers = append(c.observers, fn)
-}
-
-// Logf records a formatted log line if logging is enabled.
-func (c *Collector) Logf(at time.Duration, proc int, format string, args ...any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.logging {
-		return
-	}
-	if c.logLimit > 0 && len(c.logs) >= c.logLimit {
-		return
-	}
-	c.logs = append(c.logs, fmt.Sprintf("%10v p%-2d %s", at, proc, fmt.Sprintf(format, args...)))
-}
-
-// Logs returns the retained log lines.
-func (c *Collector) Logs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, len(c.logs))
-	copy(out, c.logs)
-	return out
 }
 
 // TotalSent returns the total number of messages sent.

@@ -77,25 +77,6 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestLogging(t *testing.T) {
-	c := NewCollector()
-	c.Logf(time.Millisecond, 0, "dropped %d", 1) // disabled: discarded
-	if len(c.Logs()) != 0 {
-		t.Fatal("logging should be off by default")
-	}
-	c.EnableLogging(2)
-	c.Logf(time.Millisecond, 0, "a")
-	c.Logf(time.Millisecond, 1, "b")
-	c.Logf(time.Millisecond, 2, "c") // over limit: discarded
-	logs := c.Logs()
-	if len(logs) != 2 {
-		t.Fatalf("got %d log lines, want 2", len(logs))
-	}
-	if !strings.Contains(logs[0], "p0") || !strings.Contains(logs[0], "a") {
-		t.Fatalf("unexpected log line %q", logs[0])
-	}
-}
-
 func TestCollectorConcurrentUse(t *testing.T) {
 	c := NewCollector()
 	var wg sync.WaitGroup
