@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core/consensus"
 	"repro/internal/core/modpaxos"
-	"repro/internal/harness"
 	"repro/internal/rsm"
 	"repro/internal/scenario"
 	"repro/internal/storage"
@@ -73,10 +72,8 @@ func Run(cfg Config) (*Result, error) {
 	// The run's TS is 0. A crashed leader's group fails over; a restarted
 	// replica rejoins and catches up (via snapshot when compaction outran it).
 	cluster := scenario.Cluster{
-		Backend: cfg.Backend,
-		Config: harness.Config{
-			N: cfg.N, Delta: cfg.Delta, Seed: cfg.Seed, Horizon: cfg.Horizon, Restarts: cfg.Restarts,
-		},
+		Backend: cfg.Backend, Delta: cfg.Delta, Seed: cfg.Seed, Horizon: cfg.Horizon,
+		Restarts: cfg.Restarts, Group: cfg.N,
 		Collector: collector, Factory: factory, Proposals: proposals, Await: clientIDs,
 	}
 	if cfg.chaos() {

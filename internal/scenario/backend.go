@@ -100,11 +100,18 @@ func (simBackend) Run(cfg harness.Config) (harness.Result, error) {
 type Cluster struct {
 	// Backend names the substrate ("" means sim).
 	Backend string
-	// Config supplies δ, TS, the pre-TS policy (defaulted as harness.Run
-	// defaults it), the seed, the horizon and the crash/restart schedule.
-	// Config.N is the group the schedule is checked against; the cluster
-	// has one process per proposal.
-	Config    harness.Config
+	Delta   time.Duration
+	TS      time.Duration
+	// Policy is the pre-TS network policy, defaulted as harness.Run
+	// defaults it.
+	Policy  simnet.Policy
+	Seed    int64
+	Horizon time.Duration
+	// Restarts is the crash/restart schedule, checked against the first
+	// Group processes (the replica group); the cluster has one process per
+	// proposal.
+	Restarts  []harness.Restart
+	Group     int
 	Collector *trace.Collector
 	Factory   consensus.Factory
 	Proposals []consensus.Value
@@ -121,37 +128,45 @@ type Cluster struct {
 // collector is final. waited is when the wait ended: virtual time on the
 // simulator, time since start on the live backends.
 func (c Cluster) Run() (decided bool, checker *consensus.SafetyChecker, waited time.Duration, err error) {
-	b, err := backendFor(c.Backend)
-	if err != nil {
-		return false, nil, 0, err
-	}
 	if c.Stores == nil {
 		c.Stores = func(consensus.ProcessID, storage.Store) {}
 	}
-	cfg := c.Config
-	if cfg.Policy == nil {
-		if cfg.TS > 0 {
-			cfg.Policy = simnet.DropAll{}
+	if c.Policy == nil {
+		if c.TS > 0 {
+			c.Policy = simnet.DropAll{}
 		} else {
-			cfg.Policy = simnet.Synchronous{}
+			c.Policy = simnet.Synchronous{}
 		}
 	}
-	if lb, ok := b.(liveBackend); ok {
-		return c.runLive(cfg, lb.tcp)
+	switch c.Backend {
+	case "", BackendSim:
+		return c.runSim()
+	case BackendLive:
+		return c.runLive(false)
+	case BackendLiveTCP:
+		return c.runLive(true)
 	}
-	eng := sim.NewEngine(cfg.Seed)
+	if _, err := backendFor(c.Backend); err != nil {
+		return false, nil, 0, err
+	}
+	return false, nil, 0, fmt.Errorf("scenario: backend %q cannot run a Cluster", c.Backend)
+}
+
+// runSim is Run on a fresh simulator engine.
+func (c Cluster) runSim() (decided bool, checker *consensus.SafetyChecker, waited time.Duration, err error) {
+	eng := sim.NewEngine(c.Seed)
 	nw, err := simnet.New(eng, simnet.Config{
-		N: len(c.Proposals), Delta: cfg.Delta, TS: cfg.TS, Policy: cfg.Policy, Collector: c.Collector,
+		N: len(c.Proposals), Delta: c.Delta, TS: c.TS, Policy: c.Policy, Collector: c.Collector,
 	}, c.Factory, c.Proposals)
 	if err != nil {
 		return false, nil, 0, err
 	}
 	nw.Start()
-	if err := harness.ScheduleRestarts(nw, cfg.Restarts, cfg.N, cfg.Delta, cfg.TS); err != nil {
+	if err := harness.ScheduleRestarts(nw, c.Restarts, c.Group, c.Delta, c.TS); err != nil {
 		return false, nil, 0, err
 	}
 	checker = nw.Checker()
-	decided = eng.RunUntil(func() bool { return checker.AllDecided(c.Await) }, cfg.Horizon)
+	decided = eng.RunUntil(func() bool { return checker.AllDecided(c.Await) }, c.Horizon)
 	waited = eng.Now()
 	if c.Settle > 0 {
 		eng.Run(eng.Now() + c.Settle)
@@ -159,7 +174,7 @@ func (c Cluster) Run() (decided bool, checker *consensus.SafetyChecker, waited t
 	for _, id := range nw.AllIDs() {
 		c.Stores(id, nw.Node(id).Store())
 	}
-	c.Collector.RecordRunPhases(cfg.TS, eng.Now())
+	c.Collector.RecordRunPhases(c.TS, eng.Now())
 	return decided, checker, waited, nil
 }
 
@@ -167,7 +182,7 @@ func (c Cluster) Run() (decided bool, checker *consensus.SafetyChecker, waited t
 // the stable network, delivering within δ; the PolicyTransport around it
 // owns everything before TS, seeded like the simulator so fault patterns
 // are reproducible.
-func (c Cluster) runLive(cfg harness.Config, tcp bool) (decided bool, checker *consensus.SafetyChecker, waited time.Duration, err error) {
+func (c Cluster) runLive(tcp bool) (decided bool, checker *consensus.SafetyChecker, waited time.Duration, err error) {
 	var inner live.Transport
 	if tcp {
 		ids := make([]consensus.ProcessID, len(c.Proposals))
@@ -178,14 +193,14 @@ func (c Cluster) runLive(cfg harness.Config, tcp bool) (decided bool, checker *c
 			return false, nil, 0, err
 		}
 	} else {
-		inner = live.NewMemTransport(live.MemTransportConfig{MaxDelay: cfg.Delta, Seed: cfg.Seed, Collector: c.Collector})
+		inner = live.NewMemTransport(live.MemTransportConfig{MaxDelay: c.Delta, Seed: c.Seed, Collector: c.Collector})
 	}
 	transport := live.NewPolicyTransport(inner, live.PolicyTransportConfig{
-		Policy: cfg.Policy, TS: cfg.TS, Delta: cfg.Delta, Seed: cfg.Seed, OnDrop: c.Collector.MessageDropped,
+		Policy: c.Policy, TS: c.TS, Delta: c.Delta, Seed: c.Seed, OnDrop: c.Collector.MessageDropped,
 	})
 	cluster, err := live.NewCluster(live.Config{
-		N: len(c.Proposals), Delta: cfg.Delta, TS: cfg.TS,
-		Transport: transport, Collector: c.Collector, Seed: cfg.Seed,
+		N: len(c.Proposals), Delta: c.Delta, TS: c.TS,
+		Transport: transport, Collector: c.Collector, Seed: c.Seed,
 	}, c.Factory, c.Proposals)
 	if err != nil {
 		_ = transport.Close()
@@ -193,16 +208,16 @@ func (c Cluster) runLive(cfg harness.Config, tcp bool) (decided bool, checker *c
 	}
 	// The schedule becomes wall-clock timers anchored at Start; Stop
 	// cancels what has not fired.
-	if err := harness.ScheduleRestarts(cluster, cfg.Restarts, cfg.N, cfg.Delta, cfg.TS); err != nil {
+	if err := harness.ScheduleRestarts(cluster, c.Restarts, c.Group, c.Delta, c.TS); err != nil {
 		_ = cluster.Stop()
 		return false, nil, 0, err
 	}
 	started := time.Now() //repro:allow detlint live backend measures wall time by design
 	cluster.Start()
-	decided = cluster.WaitDecidedAmong(c.Await, cfg.Horizon) == nil
-	waited = time.Since(started)                             //repro:allow detlint live backend measures wall time by design
-	time.Sleep(c.Settle)                                     //repro:allow detlint live backend measures wall time by design
-	c.Collector.RecordRunPhases(cfg.TS, time.Since(started)) //repro:allow detlint live backend measures wall time by design
+	decided = cluster.WaitDecidedAmong(c.Await, c.Horizon) == nil
+	waited = time.Since(started)                           //repro:allow detlint live backend measures wall time by design
+	time.Sleep(c.Settle)                                   //repro:allow detlint live backend measures wall time by design
+	c.Collector.RecordRunPhases(c.TS, time.Since(started)) //repro:allow detlint live backend measures wall time by design
 	// Stop joins every node goroutine: no process sends, decides or touches
 	// its store after it.
 	if err := cluster.Stop(); err != nil {

@@ -117,8 +117,9 @@ func (b liveBackend) Run(cfg harness.Config) (harness.Result, error) {
 	}
 	cfg.Horizon = liveHorizon(cfg)
 	decided, checker, _, err := Cluster{
-		Backend: b.Name(), Config: cfg, Collector: collector, Factory: factory,
-		Proposals: harness.DefaultProposals(cfg.N), Await: expected,
+		Backend: b.Name(), Delta: cfg.Delta, TS: cfg.TS, Policy: cfg.Policy, Seed: cfg.Seed,
+		Horizon: cfg.Horizon, Restarts: cfg.Restarts, Group: cfg.N,
+		Collector: collector, Factory: factory, Proposals: harness.DefaultProposals(cfg.N), Await: expected,
 	}.Run()
 	if err != nil {
 		return harness.Result{}, err

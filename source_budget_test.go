@@ -27,7 +27,7 @@ import (
 const (
 	// budgetGoLines counts the lines of every non-test .go file in the tree
 	// (bench/ included, testdata/ and dot-directories skipped).
-	budgetGoLines = 23565
+	budgetGoLines = 23578
 	// budgetReadmeBytes is the size of README.md.
 	budgetReadmeBytes = 54095
 )
