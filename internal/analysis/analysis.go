@@ -1,33 +1,23 @@
 // Package analysis is a stdlib-only static-analysis framework for this
-// repository's domain invariants. It loads and type-checks module packages
-// with go/parser + go/types (no external dependencies; the standard library
-// is imported from source), and runs a fixed suite of analyzers over the
-// typed syntax:
+// repository's determinism invariant. It loads and type-checks module
+// packages with go/parser + go/types (no external dependencies; the standard
+// library is imported from source), and runs one analyzer over the typed
+// syntax:
 //
-//   - detlint:      no wall-clock, global math/rand, or order-sensitive map
+//   - detlint: no wall-clock, global math/rand, or order-sensitive map
 //     iteration in determinism-sensitive packages
-//   - hotlint:      no closures, interface boxing, fmt, or per-iteration
-//     map/slice allocation in //repro:hotpath functions
-//   - tracelint:    code reachable from hot paths uses the interned dense
-//     counter API, never the string-keyed slow path
-//   - keylint:      every key passed to a storage.Store Put starts with a
-//     prefix declared in the internal/storage key registry
 //
 // Every claim the repo makes about the ε+3τ+5δ bound rests on the simulator
-// being byte-exactly deterministic, and every BENCH_*.json number rests on
-// the hot path staying allocation-free. Golden tests catch violations after
-// the fact; these analyzers point at the line that introduced them.
+// being byte-exactly deterministic. Golden tests catch violations after the
+// fact; detlint points at the line that introduced them. TestRealTreeIsClean
+// runs it over the whole module as part of `go test ./...`.
 //
-// Two source directives steer the suite:
+// One source directive steers it:
 //
-//	//repro:hotpath
-//	    in a function's doc comment: marks it as part of the simulator's
-//	    per-event/per-message hot path, enabling hotlint and tracelint.
-//
-//	//repro:allow <analyzer> <reason>
-//	    suppresses the named analyzer's diagnostics on the directive's own
-//	    line and the line below it. The reason is mandatory; a malformed
-//	    directive is itself a diagnostic.
+//	//repro:allow detlint <reason>
+//	    suppresses detlint's diagnostics on the directive's own line and
+//	    the line below it. The reason is mandatory; a malformed or unknown
+//	    //repro: directive is itself a diagnostic.
 package analysis
 
 import (
@@ -41,14 +31,14 @@ import (
 // Diagnostic is one analyzer finding.
 type Diagnostic struct {
 	// Pos locates the finding (file path as loaded, 1-based line/column).
-	Pos token.Position `json:"pos"`
+	Pos token.Position
 	// Analyzer is the reporting analyzer's name.
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// Message describes the violation and how to resolve it.
-	Message string `json:"message"`
+	Message string
 }
 
-// String renders the driver's diagnostic line format.
+// String renders the diagnostic as file:line:col: [analyzer] message.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
@@ -58,17 +48,15 @@ type Analyzer struct {
 	// Name is the analyzer's registry key — what //repro:allow directives
 	// and diagnostics refer to.
 	Name string
-	// Doc is a one-line description for the driver's listing.
-	Doc string
 	// Applies filters packages by import path; nil applies everywhere.
 	Applies func(pkgPath string) bool
 	// Run inspects the package and reports through the pass.
 	Run func(*Pass)
 }
 
-// Analyzers returns the full suite in a fixed order.
+// Analyzers returns the suite.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Detlint, Hotlint, Tracelint, Keylint}
+	return []*Analyzer{Detlint}
 }
 
 // analyzerNames is the set of valid //repro:allow targets.
@@ -89,9 +77,6 @@ type Pass struct {
 
 	diags *[]Diagnostic
 }
-
-// Fset returns the file set all syntax positions resolve through.
-func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
 
 // TypeOf returns the type of an expression, or nil if the type-checker
 // could not resolve it (analyzers must treat nil as "unknown" and stay
@@ -147,7 +132,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // sortDiagnostics orders by (file, line, column, analyzer, message) so
-// driver output and golden tests are stable.
+// test output is stable.
 func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,9 +90,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}{
 		// det masquerades as a simulator package so detlint applies.
 		{"testdata/src/det", "repro/internal/sim/testdata/det", analysis.Detlint},
-		{"testdata/src/hot", "repro/internal/analysis/testdata/src/hot", analysis.Hotlint},
-		{"testdata/src/tr", "repro/internal/analysis/testdata/src/tr", analysis.Tracelint},
-		{"testdata/src/key", "repro/internal/analysis/testdata/src/key", analysis.Keylint},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir[len("testdata/src/"):], func(t *testing.T) {
@@ -117,8 +115,7 @@ func TestDirectiveDiagnostics(t *testing.T) {
 	}{
 		{5, "//repro:allow detlint needs a reason (say why the site is safe)"},
 		{9, `//repro:allow names unknown analyzer "fmtlint"`},
-		{13, "//repro:hotpath must appear in a function's doc comment"},
-		{16, "unknown directive //repro:frobnicate"},
+		{13, "unknown directive //repro:frobnicate"},
 	}
 	var got, want []string
 	for _, d := range diags {
@@ -137,9 +134,10 @@ func TestDirectiveDiagnostics(t *testing.T) {
 	}
 }
 
-// TestRealTreeIsClean is the regression pin for the whole suite: the
-// repository's own packages must lint clean. A new wall-clock call, hot-path
-// allocation, or undeclared storage key fails this test, not just CI.
+// TestRealTreeIsClean is the determinism lint: the repository's own
+// packages must pass detlint. A new wall-clock call, global rand draw or
+// order-sensitive map range in a determinism-sensitive package fails here,
+// as does a malformed or unknown //repro: directive anywhere in the module.
 func TestRealTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
@@ -160,5 +158,24 @@ func TestRealTreeIsClean(t *testing.T) {
 		for _, d := range analysis.RunPackage(pkg, analysis.Analyzers()) {
 			t.Errorf("%s", d)
 		}
+	}
+}
+
+// TestPackageDirsSkipsNestedModules holds the loader to the go tool's module
+// boundary: bench/ has its own go.mod, so it is not a package of this module.
+func TestPackageDirsSkipsNestedModules(t *testing.T) {
+	mod, err := analysis.LoadModule("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := mod.PackageDirs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(paths, "repro/bench") {
+		t.Errorf("PackageDirs lists repro/bench, a directory with its own go.mod")
+	}
+	if !slices.Contains(paths, "repro/internal/analysis") {
+		t.Errorf("PackageDirs misses repro/internal/analysis: %v", paths)
 	}
 }

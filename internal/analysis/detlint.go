@@ -22,7 +22,6 @@ import (
 // immediately afterwards) pass silently.
 var Detlint = &Analyzer{
 	Name:    "detlint",
-	Doc:     "wall-clock, global rand, and order-sensitive map iteration in determinism-sensitive packages",
 	Applies: detSensitive,
 	Run:     runDetlint,
 }

@@ -17,41 +17,25 @@ type allowKey struct {
 }
 
 // parseDirectives scans every comment for //repro: directives, populating
-// the package's hot-function and suppression tables. Malformed directives
-// become diagnostics under the pseudo-analyzer "directive" — a suppression
-// that silently failed to parse would otherwise look like a clean run.
+// the package's suppression table. Malformed directives become diagnostics
+// under the pseudo-analyzer "directive" — a suppression that silently failed
+// to parse would otherwise look like a clean run.
 func (p *Package) parseDirectives() {
-	p.hot = make(map[*ast.FuncDecl]bool)
 	p.allows = make(map[string]map[allowKey]bool)
-
 	for _, f := range p.Files {
-		// Hot-path marks live in function doc comments.
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				if c.Text == "//repro:hotpath" || strings.HasPrefix(c.Text, "//repro:hotpath ") {
-					p.hot[fd] = true
-				}
-			}
-		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := c.Text
-				if !strings.HasPrefix(text, directivePrefix) {
-					continue
+				if strings.HasPrefix(c.Text, directivePrefix) {
+					p.parseDirective(c)
 				}
-				p.parseDirective(c, text)
 			}
 		}
 	}
 }
 
 // parseDirective handles one //repro:... comment.
-func (p *Package) parseDirective(c *ast.Comment, text string) {
-	fields := strings.Fields(strings.TrimPrefix(text, "//repro:"))
+func (p *Package) parseDirective(c *ast.Comment) {
+	fields := strings.Fields(strings.TrimPrefix(c.Text, directivePrefix))
 	pos := p.Fset.Position(c.Pos())
 	bad := func(format string, args ...any) {
 		p.badDirectives = append(p.badDirectives, Diagnostic{
@@ -63,10 +47,6 @@ func (p *Package) parseDirective(c *ast.Comment, text string) {
 		return
 	}
 	switch fields[0] {
-	case "hotpath":
-		if !p.isHotpathDoc(c) {
-			bad("//repro:hotpath must appear in a function's doc comment")
-		}
 	case "allow":
 		if len(fields) < 2 {
 			bad("//repro:allow needs an analyzer name and a reason")
@@ -94,26 +74,6 @@ func (p *Package) parseDirective(c *ast.Comment, text string) {
 	default:
 		bad("unknown directive //repro:%s", fields[0])
 	}
-}
-
-// isHotpathDoc reports whether the comment belongs to some function's doc
-// group (parseDirectives already recorded the mark; this validates stray
-// //repro:hotpath comments elsewhere in the file).
-func (p *Package) isHotpathDoc(c *ast.Comment) bool {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, dc := range fd.Doc.List {
-				if dc == c {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // hasCodeBefore reports whether any non-whitespace source precedes the

@@ -55,30 +55,13 @@ type Package struct {
 	// src holds each file's bytes (directive parsing needs line context).
 	src map[string][]byte
 
-	hot           map[*ast.FuncDecl]bool
 	allows        map[string]map[allowKey]bool
 	badDirectives []Diagnostic
 }
 
-// IsHot reports whether the function carries a //repro:hotpath directive.
-func (p *Package) IsHot(fd *ast.FuncDecl) bool { return p.hot[fd] }
-
 // Sources returns the raw bytes of each loaded file, keyed by the file name
 // positions resolve to (fixture tests scan them for expectations).
 func (p *Package) Sources() map[string][]byte { return p.src }
-
-// HotFuncs returns the //repro:hotpath functions in source order.
-func (p *Package) HotFuncs() []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && p.hot[fd] {
-				out = append(out, fd)
-			}
-		}
-	}
-	return out
-}
 
 // LoadModule prepares a loader rooted at the directory containing go.mod.
 func LoadModule(root string) (*Module, error) {
@@ -114,7 +97,9 @@ func LoadModule(root string) (*Module, error) {
 
 // PackageDirs walks the module and returns the import paths of every
 // directory holding non-test Go sources, sorted. testdata, hidden, and
-// underscore-prefixed directories are skipped, as the go tool does.
+// underscore-prefixed directories are skipped, as the go tool does, and so
+// is any directory below the root with its own go.mod: that is another
+// module.
 func (m *Module) PackageDirs() ([]string, error) {
 	var paths []string
 	err := filepath.WalkDir(m.Root, func(path string, d os.DirEntry, err error) error {
@@ -125,8 +110,13 @@ func (m *Module) PackageDirs() ([]string, error) {
 			return nil
 		}
 		name := d.Name()
-		if path != m.Root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
+		if path != m.Root {
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		files, err := goSources(path)
 		if err != nil {

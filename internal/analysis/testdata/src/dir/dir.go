@@ -10,17 +10,12 @@ func missingReason() {}
 
 func unknownAnalyzer() {}
 
-//repro:hotpath
-var notAFunction int
-
 //repro:frobnicate
 
 func unknownDirective() {}
 
-// wellFormed carries valid directives; no diagnostics.
-//
-//repro:hotpath
+// wellFormed carries a valid directive; no diagnostics.
 func wellFormed() {
 	//repro:allow detlint fixture reason
-	_ = notAFunction
+	_ = 0
 }

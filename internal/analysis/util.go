@@ -50,46 +50,6 @@ func isBuiltinCall(p *Pass, call *ast.CallExpr, name string) bool {
 	return ok
 }
 
-// namedType reports whether t (after unwrapping pointers and aliases) is
-// the named type pkgPath.name.
-func namedType(t types.Type, pkgPath, name string) bool {
-	if t == nil {
-		return false
-	}
-	t = types.Unalias(t)
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(ptr.Elem())
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
-// isInterface reports whether the type's underlying form is an interface.
-func isInterface(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Interface)
-	return ok
-}
-
-// pointerShaped reports whether storing a value of this type in an
-// interface needs no allocation (the value is a single pointer word).
-func pointerShaped(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return true
-	}
-	return false
-}
-
 // declaredWithin reports whether the object's declaration lies inside the
 // node's source range (e.g. a variable declared inside a loop body).
 func declaredWithin(obj types.Object, n ast.Node) bool {
@@ -115,12 +75,4 @@ func exprString(e ast.Expr) string {
 		return exprString(e.Fun) + "(...)"
 	}
 	return "<expr>"
-}
-
-// funcDisplayName renders "Recv.Name" or "Name" for diagnostics.
-func funcDisplayName(fd *ast.FuncDecl) string {
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		return exprString(fd.Recv.List[0].Type) + "." + fd.Name.Name
-	}
-	return fd.Name.Name
 }

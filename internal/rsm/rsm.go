@@ -177,8 +177,6 @@ type SlotMsg struct {
 // Type implements consensus.Message. Every backend asks at least twice per
 // message, so the five types a slot instance sends answer from a type
 // switch, without hashing or building a string.
-//
-//repro:hotpath
 func (m SlotMsg) Type() string {
 	switch m.Inner.(type) {
 	case nil:
@@ -916,8 +914,6 @@ func (r *Replica) instance(slot int64, proposal consensus.Value) *slotState {
 // (onSlotMsg), and gaps elsewhere are filled by the Learn protocol — without
 // this, every decided instance would gossip its decision forever and a long
 // log would drown the event queue.
-//
-//repro:hotpath
 func (r *Replica) retire(slot int64) {
 	st, ok := r.slots[slot]
 	if !ok {

@@ -76,8 +76,6 @@ func (e *slotEnv) Broadcast(m consensus.Message) {
 // SetTimer implements consensus.Environment. Inner timer IDs must fit the
 // slot's block, which starts one block up: block 0 belongs to the replica's
 // own serving-path timers (linger, catch-up). A retired slot arms nothing.
-//
-//repro:hotpath
 func (e *slotEnv) SetTimer(id consensus.TimerID, d time.Duration) {
 	if id < 0 || int64(id) >= timersPerSlot {
 		panic(fmt.Sprintf("rsm: inner timer id %d outside block size %d", id, timersPerSlot))
@@ -91,8 +89,6 @@ func (e *slotEnv) SetTimer(id consensus.TimerID, d time.Duration) {
 
 // CancelTimer implements consensus.Environment. Only this environment arms
 // the slot's block, so an ID it does not hold armed has nothing to cancel.
-//
-//repro:hotpath
 func (e *slotEnv) CancelTimer(id consensus.TimerID) {
 	if id < 0 || int64(id) >= timersPerSlot || !e.armed[id] {
 		return
@@ -117,8 +113,6 @@ func (e *slotEnv) outerTimer(id consensus.TimerID) consensus.TimerID {
 }
 
 // Store implements consensus.Environment.
-//
-//repro:hotpath
 func (e *slotEnv) Store() storage.Store { return &e.store }
 
 // Rand implements consensus.Environment.
@@ -131,8 +125,6 @@ func (e *slotEnv) Decide(v consensus.Value) { e.replica.onSlotDecided(e.slot, v)
 // Emit implements consensus.Environment. Slot instances share one series per
 // inner kind, so the number of series does not grow with the log; the
 // per-slot lane is the slot<N>-<kind> span.
-//
-//repro:hotpath
 func (e *slotEnv) Emit(kind string, value int64) {
 	e.replica.env.Emit(slotSeries(kind), value)
 }
@@ -198,16 +190,11 @@ func (s *prefixStore) key(inner string) string {
 	return s.full
 }
 
-// Put implements storage.Store. The dynamic prefix is opaque to keylint;
-// it is always the registered slot namespace (see newSlotEnv above).
-//
-//repro:hotpath
-//repro:allow keylint prefix is the registered slot<N>/ namespace, built in newSlotEnv
+// Put implements storage.Store. The prefix is always the registered slot
+// namespace (see newSlotEnv above).
 func (s *prefixStore) Put(key string, value any) error { return s.inner.Put(s.key(key), value) }
 
 // Get implements storage.Store.
-//
-//repro:hotpath
 func (s *prefixStore) Get(key string, out any) (bool, error) { return s.inner.Get(s.key(key), out) }
 
 // Delete implements storage.Store.

@@ -18,7 +18,11 @@ import (
 // at its end; its findings, and a timeout, land in Result.Violations rather
 // than the error, which is reserved for configurations that cannot run at
 // all.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
+
+// run is Run that also hands every process's store, as the run left it, to
+// stores when that is set.
+func run(cfg Config, stores func(consensus.ProcessID, storage.Store)) (*Result, error) {
 	cfg = cfg.withDefaults()
 	collector := trace.NewCollector()
 	collector.EnableHistograms()
@@ -75,6 +79,7 @@ func Run(cfg Config) (*Result, error) {
 		Backend: cfg.Backend, Delta: cfg.Delta, Seed: cfg.Seed, Horizon: cfg.Horizon,
 		Restarts: cfg.Restarts, Group: cfg.N,
 		Collector: collector, Factory: factory, Proposals: proposals, Await: clientIDs,
+		Stores: stores,
 	}
 	if cfg.chaos() {
 		// Settle window: let the restarted replica finish catching up and
@@ -83,6 +88,9 @@ func Run(cfg Config) (*Result, error) {
 		cluster.Stores = func(id consensus.ProcessID, st storage.Store) {
 			if int(id) < cfg.N {
 				res.LogKeys = append(res.LogKeys, countLogKeys(st))
+			}
+			if stores != nil {
+				stores(id, st)
 			}
 		}
 	}

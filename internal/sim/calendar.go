@@ -79,8 +79,6 @@ type calEntry struct {
 }
 
 // before reports whether a is delivered before b.
-//
-//repro:hotpath
 func (a calEntry) before(b calEntry) bool {
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
@@ -132,8 +130,6 @@ func (c *calendar) reset() {
 // place puts an entry, due at or after the engine's clock, where its time
 // selects relative to the bucket the calendar stands at. The caller counts
 // it in n if it is new.
-//
-//repro:hotpath
 func (c *calendar) place(ent calEntry) {
 	b := int64(ent.at) >> fineShift
 	if b <= c.bucket {
@@ -158,8 +154,6 @@ func (c *calendar) place(ent calEntry) {
 
 // push appends an entry to a list, linking a fresh chunk in front when the
 // head chunk is full.
-//
-//repro:hotpath
 func (c *calendar) push(head *int32, ent calEntry) {
 	ci := *head
 	if ci == 0 || c.chunks[ci].n == chunkCap {
@@ -189,8 +183,6 @@ func (c *calendar) push(head *int32, ent calEntry) {
 // entries in the order they were pushed — ascending sequence numbers, so a
 // bucket whose entries tie on the time (a policy that delays by multiples
 // of δ/10 fills whole buckets with them) reaches the sort already in order.
-//
-//repro:hotpath
 func (c *calendar) oldestFirst(head int32) int32 {
 	var prev int32
 	for head != 0 {
@@ -205,8 +197,6 @@ func (c *calendar) oldestFirst(head int32) int32 {
 // placing every entry anew. A chunk is released only once its entries are
 // placed (place hands released chunks out again) and is addressed by index
 // throughout (place may grow the slab).
-//
-//repro:hotpath
 func (c *calendar) deal(head int32) {
 	for ci := c.oldestFirst(head); ci != 0; ci = c.release(ci) {
 		for k := int32(0); k < c.chunks[ci].n; k++ {
@@ -217,8 +207,6 @@ func (c *calendar) deal(head int32) {
 
 // release returns chunk ci to the free list and reports the chunk that
 // followed it in its list.
-//
-//repro:hotpath
 func (c *calendar) release(ci int32) int32 {
 	next := c.chunks[ci].next
 	c.chunks[ci].next, c.free = c.free, ci
@@ -229,8 +217,6 @@ func (c *calendar) release(ci int32) int32 {
 // fine bucket and reports whether there is one that starts at or before
 // limit; if not it stays where the search stopped, at or before limit's
 // bucket. The caller has checked that entries are queued.
-//
-//repro:hotpath
 func (c *calendar) advance(limit time.Duration) bool {
 	c.cur, c.pos = c.cur[:0], 0
 	for len(c.cur) == 0 {
@@ -281,8 +267,6 @@ const insertionSortMax = 64
 // sortBucket orders a drained bucket by (at, seq): by insertion while it is
 // short — most hold one to a dozen entries — and by pdqsort beyond. Both are
 // linear on a bucket that is already in order.
-//
-//repro:hotpath
 func sortBucket(v []calEntry) {
 	if len(v) > insertionSortMax {
 		slices.SortFunc(v, func(a, b calEntry) int {
@@ -299,8 +283,6 @@ func sortBucket(v []calEntry) {
 }
 
 // settle moves v[i] down to its place among v[lo:i], which are in order.
-//
-//repro:hotpath
 func settle(v []calEntry, lo, i int) {
 	ent := v[i]
 	for ; i > lo && ent.before(v[i-1]); i-- {
@@ -310,8 +292,6 @@ func settle(v []calEntry, lo, i int) {
 }
 
 // nextSet returns the index of the first set bit at or after from, or -1.
-//
-//repro:hotpath
 func nextSet(set []uint64, from int) int {
 	w := from >> 6
 	if w >= len(set) {

@@ -170,8 +170,6 @@ func (ev Event) At() time.Duration {
 // left behind, growing storage only when every slot is scheduled (amortized;
 // the steady state never grows). A reset engine therefore hands out the same
 // slot indices as a fresh one: 0, 1, 2, … until the first release.
-//
-//repro:hotpath
 func (e *Engine) alloc() int32 {
 	if e.free >= 0 {
 		si := e.free
@@ -201,8 +199,6 @@ func roomForOne[E any](s []E) []E {
 // release returns a slot to the free list, bumping its generation so stale
 // handles can never touch the next occupant, and dropping references so the
 // slot does not pin callbacks or payloads for the GC.
-//
-//repro:hotpath
 func (e *Engine) release(si int32) {
 	s := &e.slots[si]
 	s.gen++
@@ -216,8 +212,6 @@ func (e *Engine) release(si int32) {
 // Schedule runs fn at virtual time at. Scheduling in the past (before Now)
 // always indicates a bug in the model, never a recoverable condition, and
 // panics.
-//
-//repro:hotpath
 func (e *Engine) Schedule(at time.Duration, fn func()) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
@@ -230,8 +224,6 @@ func (e *Engine) Schedule(at time.Duration, fn func()) Event {
 }
 
 // After runs fn d from now. Negative d is treated as zero.
-//
-//repro:hotpath
 func (e *Engine) After(d time.Duration, fn func()) Event {
 	if d < 0 {
 		d = 0
@@ -245,16 +237,12 @@ func (e *Engine) After(d time.Duration, fn func()) Event {
 // simulation — and requires SetDeliverySink to have been called. A delivery
 // cannot be canceled, so there is no handle to return. Delivery in the past
 // panics, as Schedule does.
-//
-//repro:hotpath
 func (e *Engine) ScheduleDelivery(at time.Duration, from, to int32, aux int64, payload any) {
 	si := e.fanout(from, aux, payload)
 	e.deliverAt(si, to, at)
 }
 
 // fanout takes a slot for what the recipients of one send share.
-//
-//repro:hotpath
 func (e *Engine) fanout(from int32, aux int64, payload any) int32 {
 	si := e.alloc()
 	s := &e.slots[si]
@@ -267,8 +255,6 @@ func (e *Engine) fanout(from int32, aux int64, payload any) int32 {
 
 // deliverAt queues one recipient of the fan-out in slot si, consuming the
 // next sequence number.
-//
-//repro:hotpath
 func (e *Engine) deliverAt(si, to int32, at time.Duration) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling delivery at %v before now %v", at, e.now))
@@ -284,8 +270,6 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the next pending event, advancing the clock to its time.
 // It returns false when no events remain.
-//
-//repro:hotpath
 func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
 
 // step executes the next pending event unless it is due after until, and
@@ -296,8 +280,6 @@ func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
 // delivery cannot be canceled, and execution pops before running — so a
 // head needs no liveness check. limit is the time the clock is about to
 // reach at most; the calendar is advanced no further (see calendar.go).
-//
-//repro:hotpath
 func (e *Engine) step(until time.Duration) bool {
 	c := &e.cal
 	limit, timers := until, len(e.heap) > 0
@@ -338,8 +320,6 @@ func (e *Engine) step(until time.Duration) bool {
 }
 
 // advanceClock moves the clock to the event about to execute.
-//
-//repro:hotpath
 func (e *Engine) advanceClock(at time.Duration) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", at, e.now))
@@ -428,8 +408,6 @@ type heapEntry struct {
 }
 
 // before reports whether a executes before b.
-//
-//repro:hotpath
 func (a heapEntry) before(b heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -438,16 +416,12 @@ func (a heapEntry) before(b heapEntry) bool {
 }
 
 // heapPush appends an entry and restores the heap property upward.
-//
-//repro:hotpath
 func (e *Engine) heapPush(ent heapEntry) {
 	e.heap = append(roomForOne(e.heap), ent)
 	e.siftUp(int32(len(e.heap) - 1))
 }
 
 // popMin removes the earliest entry.
-//
-//repro:hotpath
 func (e *Engine) popMin() {
 	h := e.heap
 	e.slots[h[0].si].heapIdx = -1
@@ -460,8 +434,6 @@ func (e *Engine) popMin() {
 }
 
 // heapRemove removes the entry at heap position i (Cancel's path).
-//
-//repro:hotpath
 func (e *Engine) heapRemove(i int32) {
 	h := e.heap
 	n := int32(len(h)) - 1
@@ -479,8 +451,6 @@ func (e *Engine) heapRemove(i int32) {
 }
 
 // siftUp restores the heap property from position i toward the root.
-//
-//repro:hotpath
 func (e *Engine) siftUp(i int32) {
 	h := e.heap
 	ent := h[i]
@@ -498,8 +468,6 @@ func (e *Engine) siftUp(i int32) {
 }
 
 // siftDown restores the heap property from position i toward the leaves.
-//
-//repro:hotpath
 func (e *Engine) siftDown(i int32) {
 	h := e.heap
 	n := int32(len(h))

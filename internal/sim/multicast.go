@@ -31,8 +31,6 @@ type Multicast struct {
 // need no storage reserved ahead, so the last argument (the caller's
 // expected recipient count) is not used. Requires SetDeliverySink, like
 // ScheduleDelivery.
-//
-//repro:hotpath
 func (e *Engine) BeginMulticast(from int32, aux int64, payload any, _ int) Multicast {
 	if e.sink == nil {
 		panic("sim: BeginMulticast requires a delivery sink (call SetDeliverySink)")
@@ -46,15 +44,11 @@ func (e *Engine) BeginMulticast(from int32, aux int64, payload any, _ int) Multi
 // identical. Dropped recipients are simply not added; a drop consumes no
 // sequence number on the unicast path either. Delivery in the past panics,
 // matching ScheduleDelivery.
-//
-//repro:hotpath
 func (mc Multicast) Add(to int32, at time.Duration) { mc.e.deliverAt(mc.si, to, at) }
 
 // Commit ends the fan-out. Its recipients are already queued; a multicast
 // every link dropped has none, so nothing will recycle its slot and Commit
 // does. The builder must not be used after Commit.
-//
-//repro:hotpath
 func (mc Multicast) Commit() {
 	if mc.e.slots[mc.si].rcpts == 0 {
 		mc.e.release(mc.si)

@@ -20,8 +20,6 @@ import (
 // would have, so the delivery schedule is byte-identical to a
 // loop of Send calls (broadcast_test.go holds that reference for the
 // schedule-equality test and the A/B benchmark).
-//
-//repro:hotpath
 func (n *Node) Broadcast(m consensus.Message) {
 	nw := n.nw
 	N := nw.cfg.N

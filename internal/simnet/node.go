@@ -138,8 +138,6 @@ func (n *Node) crash() {
 // a crashed process are lost (omission model). typeID is the message type
 // interned in the run's collector, carried by the delivery event so
 // accounting needs no string handling.
-//
-//repro:hotpath
 func (n *Node) deliver(from consensus.ProcessID, m consensus.Message, typeID int) {
 	if !n.up {
 		n.nw.collector.DroppedID(typeID)
@@ -168,8 +166,6 @@ func (n *Node) Now() time.Duration { return n.drift.Local(n.nw.eng.Now()) }
 func (n *Node) GlobalNow() time.Duration { return n.nw.eng.Now() }
 
 // Send implements consensus.Environment.
-//
-//repro:hotpath
 func (n *Node) Send(to consensus.ProcessID, m consensus.Message) {
 	n.nw.route(n.id, to, m)
 }
@@ -182,8 +178,6 @@ const denseTimerCap = 32
 // SetTimer implements consensus.Environment. The duration counts on the
 // process's local clock; the node converts it to global time. Re-arming an
 // already-pending timer replaces it.
-//
-//repro:hotpath
 func (n *Node) SetTimer(id consensus.TimerID, d time.Duration) {
 	i := int(id)
 	if i < 0 {
@@ -200,7 +194,6 @@ func (n *Node) SetTimer(id consensus.TimerID, d time.Duration) {
 		if n.timersXL == nil {
 			n.timersXL = make(map[consensus.TimerID]sim.Event)
 		}
-		//repro:allow hotlint sparse fallback beyond denseTimerCap, off the steady-state path
 		n.timersXL[id] = n.nw.eng.After(global, func() {
 			delete(n.timersXL, id)
 			if n.up {
@@ -217,7 +210,6 @@ func (n *Node) SetTimer(id consensus.TimerID, d time.Duration) {
 	if n.timerFns[i] == nil {
 		// Created once per (node, timer ID) and cached; re-arms reuse it,
 		// so the steady state allocates nothing.
-		//repro:allow hotlint allocated once then cached in timerFns
 		n.timerFns[i] = func() {
 			n.timers[i] = sim.Event{}
 			if n.up {
@@ -229,8 +221,6 @@ func (n *Node) SetTimer(id consensus.TimerID, d time.Duration) {
 }
 
 // CancelTimer implements consensus.Environment.
-//
-//repro:hotpath
 func (n *Node) CancelTimer(id consensus.TimerID) {
 	i := int(id)
 	if i >= denseTimerCap {

@@ -285,8 +285,6 @@ func (nw *Network) AllIDs() []consensus.ProcessID {
 // path is allocation-free: the delivery is a pooled sink event carrying
 // (from, to, interned type ID, message) — no per-message closure — and the
 // counters are interned-ID increments, not locked map writes.
-//
-//repro:hotpath
 func (nw *Network) route(from, to consensus.ProcessID, m consensus.Message) {
 	typeID := nw.collector.Intern(m.Type())
 	nw.collector.SentID(typeID)
@@ -333,15 +331,12 @@ func (nw *Network) route(from, to consensus.ProcessID, m consensus.Message) {
 // observeDelivery records a delivery latency into the per-message-type
 // histogram, mapping the interned message-type ID to an interned histogram
 // ID so the steady state is two array reads and an increment.
-//
-//repro:hotpath
 func (nw *Network) observeDelivery(typeID int, delay time.Duration) {
 	for typeID >= len(nw.deliveryHist) {
 		nw.deliveryHist = append(nw.deliveryHist, 0)
 	}
 	id := nw.deliveryHist[typeID]
 	if id == 0 {
-		//repro:allow hotlint built once per message type, then cached in deliveryHist
 		id = nw.collector.InternHist(trace.HistDeliveryPrefix+nw.collector.TypeName(typeID), trace.UnitNanos) + 1
 		nw.deliveryHist[typeID] = id
 	}
@@ -350,8 +345,6 @@ func (nw *Network) observeDelivery(typeID int, delay time.Duration) {
 
 // observeQueueDepth samples the engine's pending-event count — the
 // simulator's analogue of transport queue depth.
-//
-//repro:hotpath
 func (nw *Network) observeQueueDepth() {
 	if nw.queueHist == 0 {
 		nw.queueHist = nw.collector.InternHist(trace.HistQueueDepth, trace.UnitCount) + 1
@@ -363,8 +356,6 @@ func (nw *Network) observeQueueDepth() {
 // processes currently up: every one of them has decided, or the safety
 // checker has recorded a violation (which ends a run at once). O(1) — run
 // loops ask after every event.
-//
-//repro:hotpath
 func (nw *Network) Settled() bool {
 	settled := nw.undecidedUp == 0 || nw.violated
 	if testHookSettled != nil {

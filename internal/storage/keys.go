@@ -1,9 +1,10 @@
 package storage
 
 // The stable-storage key registry. Every key a component persists through
-// Store.Put must start with one of the prefixes declared here — the keylint
-// analyzer (internal/analysis) enforces it, so a new subsystem inventing a
-// key spelling in place fails `repro-lint` until the prefix is registered.
+// Store.Put must start with one of the prefixes declared here.
+// TestStoreKeysAreRegistered (internal/rsmbench) reads every process's store
+// after simulated runs of each protocol and of the RSM, so a new subsystem
+// inventing a key spelling in place fails it until the prefix is registered.
 // One registry keeps the namespaces visibly disjoint: restore paths scan
 // Keys() by prefix, and an undeclared key is either invisible to recovery
 // or, worse, shadows another component's namespace.
