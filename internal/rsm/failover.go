@@ -236,11 +236,11 @@ func (r *Replica) beat() Beat {
 	return Beat{Epoch: r.epoch, MaxSeen: r.maxSeen, Clients: r.clientProcs}
 }
 
-// sendBeat broadcasts the leader's liveness/epoch/frontier announcement and
-// arms the next: four beats per FailoverTimeout, so a follower must miss
-// several in a row before it suspects the leader.
+// sendBeat sends the leader's liveness/epoch/frontier announcement to every
+// peer and arms the next: four beats per FailoverTimeout, so a follower must
+// miss several in a row before it suspects the leader.
 func (r *Replica) sendBeat() {
-	r.env.Broadcast(r.beat())
+	r.sendPeers(r.beat())
 	r.env.SetTimer(beatTimer, max(r.cfg.FailoverTimeout/4, 1))
 }
 
@@ -269,9 +269,6 @@ func (r *Replica) onBeat(from consensus.ProcessID, b Beat) {
 	if b.MaxSeen > r.maxSeen && b.MaxSeen < maxSlots {
 		r.maxSeen = b.MaxSeen
 		r.checkCatchup()
-	}
-	if from == r.id {
-		return
 	}
 	if b.Epoch >= r.epoch {
 		r.clientProcs = b.Clients[:min(len(b.Clients), maxClientProcs)]

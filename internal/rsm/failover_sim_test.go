@@ -25,7 +25,9 @@ import (
 // beatBlackout drops every non-Beat message to one replica during a global
 // time window: an asymmetric partition that starves the replica of slot
 // traffic while the leader's liveness signal still arrives. It leaves a
-// deterministic decision gap for the failover repair path to close.
+// deterministic decision gap for the failover repair path to close. Every
+// Beat takes δ/2, so the followers hear the leader's last one at the same
+// instant and their silence bounds run out together.
 type beatBlackout struct {
 	target   consensus.ProcessID
 	from, to time.Duration
@@ -33,10 +35,11 @@ type beatBlackout struct {
 
 // Fate implements simnet.Policy.
 func (b beatBlackout) Fate(tx simnet.Transmission, rng *rand.Rand) simnet.Fate {
+	if _, isBeat := tx.Msg.(Beat); isBeat {
+		return simnet.Fate{Delay: tx.Delta / 2}
+	}
 	if tx.To == b.target && tx.SentAt >= b.from && tx.SentAt < b.to {
-		if _, isBeat := tx.Msg.(Beat); !isBeat {
-			return simnet.Fate{Drop: true}
-		}
+		return simnet.Fate{Drop: true}
 	}
 	return simnet.Synchronous{}.Fate(tx, rng)
 }
@@ -64,12 +67,14 @@ func clientCount(entries []appliedCmd, client int64) int {
 
 // TestSimFailoverLeaderCrash crashes the epoch-0 leader with a slot that
 // replica 2 never saw decided (a blackout hid the slot traffic, Beats still
-// arrived so maxSeen advanced). Both survivors run out the same silence
-// bound and claim at once, replica 1 epoch 1 and replica 2 epoch 2: the
+// arrived so maxSeen advanced). Both survivors hear the last Beat at once
+// (the policy gives every Beat one fixed delay), run out the same silence
+// bound and claim together, replica 1 epoch 1 and replica 2 epoch 2: the
 // higher claim must win, so replica 2 leads and repairs the gap through the
 // slot's recovery machinery, and replica 1 is deposed. The client's replayed
 // session is served exactly-once. The old leader restarts later, is deposed
-// by the higher epoch, and converges to the same log.
+// by the higher epoch, and converges to the same log. Until every Beat took
+// one fixed delay the simultaneous claim rested on the run's delay draws.
 func TestSimFailoverLeaderCrash(t *testing.T) {
 	const n = 3
 	const client = 60

@@ -11,6 +11,9 @@
 // pre-executed, so in the stable case a client command commits within three
 // message delays (client → leader, phase 2a, phase 2b), exactly the
 // ordinary-Paxos behaviour the paper says the modified algorithm can match.
+// A replica's slot messages to itself are delivered locally when the event
+// that sent them ends, so the leader's own phase-2 vote counts at once and a
+// slot decides on its fastest followers' phase-2 round trips.
 //
 // On top of the slot machinery the leader runs a serving path:
 //
@@ -33,18 +36,20 @@
 // A slot that decides in order is applied and retired inside its instance's
 // own Decide call; from then on its environment drops what the instance
 // still does (announce Decided, arm the gossip timer), so a stable-case slot
-// costs its phase-2 traffic and no announcement. A slot decided above a gap
-// cannot apply yet: it stays live, announces, and gossips until the gap
-// fills — the one time gossip helps. A retired slot speaks only when asked:
-// a P1a (an instance that has not decided sends one when it opens and every
-// ε after) or a P2a (a ballot owner still proposing) is answered with the
-// logged value; a P1b or P2b answers somebody else's question and is dropped,
-// its sender being covered by its own heartbeat. Below the snapshot horizon
-// there is no record left and nothing is answered. So a replica that missed
-// a decision relies on two things, both its own initiative: the ε heartbeat
-// of its open instance, answered from a peer's decision log, and the catch-up
-// timer's Learn for any gap below a slot it knows exists (which ships the
-// snapshot when the gap is below the peer's horizon).
+// costs its phase-2 traffic — N−1 P2a and N(N−1) P2b on the network — and
+// no announcement. A slot decided above a gap cannot apply yet: it stays
+// live, announces, and gossips until the gap fills — the one time gossip
+// helps. A retired slot speaks only when asked: a peer's P1a (an instance
+// that has not decided sends one when it opens and every ε after) or P2a (a
+// ballot owner still proposing) is answered with the logged value, and the
+// replica's own, queued locally before the slot retired, needs no answer; a
+// P1b or P2b answers somebody else's question and is dropped, its sender
+// being covered by its own heartbeat. Below the snapshot horizon there is no
+// record left and nothing is answered. So a replica that missed a decision
+// relies on two things, both its own initiative: the ε heartbeat of its open
+// instance, answered from a peer's decision log, and the catch-up timer's
+// Learn for any gap below a slot it knows exists (which ships the snapshot
+// when the gap is below the peer's horizon).
 package rsm
 
 import (
@@ -414,8 +419,9 @@ type Replica struct {
 	applier Applier
 
 	slots     map[int64]*slotState
-	nextSlot  int64 // proposer: next slot to assign
-	applied   int64 // number of contiguous slots applied
+	local     []SlotMsg // slot messages to itself, in send order (deliverLocal)
+	nextSlot  int64     // proposer: next slot to assign
+	applied   int64     // number of contiguous slots applied
 	decisions map[int64]consensus.Value
 	// decidedAt records each slot's decision time until it applies, for the
 	// decide→apply lag histogram.
@@ -596,9 +602,7 @@ func (r *Replica) Init(env consensus.Environment) {
 			env.Logf("rsm: restore %s: %v", k, err)
 		} else if ok {
 			r.decisions[slot] = v
-			if slot > r.maxSeen {
-				r.maxSeen = slot
-			}
+			r.maxSeen = max(r.maxSeen, slot)
 		}
 	}
 	var next int64
@@ -607,9 +611,7 @@ func (r *Replica) Init(env consensus.Environment) {
 	}
 	// Slots assigned before a crash may have decided elsewhere; treat them
 	// as known-to-exist so the catch-up protocol fills any gap.
-	if r.nextSlot-1 > r.maxSeen {
-		r.maxSeen = r.nextSlot - 1
-	}
+	r.maxSeen = max(r.maxSeen, r.nextSlot-1)
 	if r.maxSeen >= 0 || r.applied > 0 {
 		// Non-empty restore ⇒ this is a restart: time how long until the
 		// log is gap-free again (resolved into HistCatchupLatency).
@@ -621,9 +623,15 @@ func (r *Replica) Init(env consensus.Environment) {
 	// Probe peers for decisions made while this replica was down: their
 	// instances may be retired (no more decision gossip), so a restarted
 	// replica must ask. On a fresh cluster the probes return nothing.
+	r.sendPeers(Learn{From: r.applied})
+	r.deliverLocal()
+}
+
+// sendPeers sends one boxed message to every other replica of the group.
+func (r *Replica) sendPeers(m consensus.Message) {
 	for i := 0; i < r.n; i++ {
-		if id := consensus.ProcessID(i); id != r.id {
-			r.env.Send(id, Learn{From: r.applied})
+		if to := consensus.ProcessID(i); to != r.id {
+			r.env.Send(to, m)
 		}
 	}
 }
@@ -655,7 +663,19 @@ func (r *Replica) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	case leader.Announce:
 		r.onAnnounce(msg)
 	}
+	r.deliverLocal()
 	r.resolveCatchup()
+}
+
+// deliverLocal hands the event's self-addressed slot messages, those sent
+// while it runs included, to their instances in send order. A crash falls
+// between events, when the queue is empty: this is a schedule the model allows.
+func (r *Replica) deliverLocal() {
+	for i := 0; i < len(r.local); i++ {
+		r.onSlotMsg(r.id, r.local[i])
+	}
+	clear(r.local)
+	r.local = r.local[:0]
 }
 
 // resolveCatchup closes the restart catch-up window once the replica has
@@ -686,13 +706,10 @@ func (r *Replica) HandleTimer(id consensus.TimerID) {
 		case failoverTimer:
 			r.onFailoverTimer()
 		}
-		return
+	} else if st, ok := r.slots[int64(id)/timersPerSlot-1]; ok {
+		st.proc.HandleTimer(consensus.TimerID(int64(id) % timersPerSlot))
 	}
-	slot := int64(id)/timersPerSlot - 1
-	inner := consensus.TimerID(int64(id) % timersPerSlot)
-	if st, ok := r.slots[slot]; ok {
-		st.proc.HandleTimer(inner)
-	}
+	r.deliverLocal()
 }
 
 func (r *Replica) onPropose(from consensus.ProcessID, msg ClientPropose) {
@@ -706,12 +723,7 @@ func (r *Replica) onPropose(from consensus.ProcessID, msg ClientPropose) {
 	if msg.Seq != 0 {
 		// Dedup: already applied → ack immediately; already queued or in
 		// flight → coalesce onto the original.
-		if s, ok := r.lookupSession(msg.Client); ok && msg.Seq <= s.Seq {
-			slot := int64(-1)
-			if msg.Seq == s.Seq {
-				slot = s.Slot
-			}
-			r.env.Send(from, Committed{Slot: slot, Seq: msg.Seq, Cmd: msg.Cmd})
+		if r.ackApplied(Command{Client: msg.Client, Seq: msg.Seq, Op: msg.Cmd}, from) {
 			return
 		}
 		if qc, ok := r.tracked[sessionKey{msg.Client, msg.Seq}]; ok {
@@ -735,6 +747,23 @@ func (r *Replica) onPropose(from consensus.ProcessID, msg ClientPropose) {
 	}
 	consensus.ObserveValue(r.env, trace.HistRSMQueueDepth, int64(len(r.queue)))
 	r.tryFlush(false)
+}
+
+// ackApplied acknowledges a session'd command to its waiters if the session
+// table shows it applied (from slot −1 once the session has moved past it).
+func (r *Replica) ackApplied(cmd Command, waiters ...consensus.ProcessID) bool {
+	s, ok := r.lookupSession(cmd.Client)
+	if cmd.Seq == 0 || !ok || cmd.Seq > s.Seq {
+		return false
+	}
+	slot := int64(-1)
+	if cmd.Seq == s.Seq {
+		slot = s.Slot
+	}
+	for _, w := range waiters {
+		r.env.Send(w, Committed{Slot: slot, Seq: cmd.Seq, Cmd: cmd.Op})
+	}
+	return true
 }
 
 // tryFlush moves queued commands into consensus instances while the
@@ -766,10 +795,7 @@ func (r *Replica) tryFlush(force bool) {
 			}
 		}
 		force = false
-		take := r.cfg.MaxBatch
-		if take > len(r.queue) {
-			take = len(r.queue)
-		}
+		take := min(r.cfg.MaxBatch, len(r.queue))
 		batch := make([]*queuedCmd, take)
 		copy(batch, r.queue)
 		r.queue = r.queue[:copy(r.queue, r.queue[take:])]
@@ -872,14 +898,16 @@ func (r *Replica) onSlotMsg(from consensus.ProcessID, msg SlotMsg) {
 	st, live := r.slots[msg.Slot]
 	if !live {
 		if v, ok := r.decisions[msg.Slot]; ok {
-			// Retired instance: tell the value to a sender that is asking for
+			// Retired instance: tell the value to a peer that is asking for
 			// it — a P1a comes from an undecided instance (at open, then every
 			// ε), a P2a from a ballot owner still proposing. A P1b or P2b is an
 			// answer to somebody else's question; its sender, if undecided,
 			// asks with its own P1a within ε, and fills a gap with Learn.
 			switch msg.Inner.(type) {
 			case modpaxos.P1a, modpaxos.P2a:
-				r.env.Send(from, SlotMsg{Slot: msg.Slot, Inner: modpaxos.Decided{Val: v}})
+				if from != r.id {
+					r.env.Send(from, SlotMsg{Slot: msg.Slot, Inner: modpaxos.Decided{Val: v}})
+				}
 			}
 			return
 		}
@@ -933,9 +961,7 @@ func (r *Replica) onSlotDecided(slot int64, v consensus.Value) {
 	if err := r.env.Store().Put(slotKey(slot), v); err != nil {
 		r.env.Logf("rsm: persist slot %d: %v", slot, err)
 	}
-	if slot > r.maxSeen {
-		r.maxSeen = slot
-	}
+	r.maxSeen = max(r.maxSeen, slot)
 	r.env.Emit("rsm-slot-decided", slot)
 	r.decidedAt[slot] = r.env.Now()
 	if at, ok := r.proposedAt[slot]; ok {

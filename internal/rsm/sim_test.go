@@ -7,6 +7,7 @@ package rsm
 // process with the paper's recovery machinery.
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -129,5 +130,41 @@ func TestSimDeterministicLog(t *testing.T) {
 	a2, v2 := run()
 	if a1 != a2 || v1 != v2 {
 		t.Fatalf("nondeterministic RSM: (%d,%q) vs (%d,%q)", a1, v1, a2, v2)
+	}
+}
+
+// voteLinks is a pre-TS policy with one fast link: messages between
+// replicas 0 and 1 take δ/10, and everything else — to or from replica 2,
+// and a message a replica addresses to itself — takes δ.
+type voteLinks struct{}
+
+// Fate implements simnet.Policy.
+func (voteLinks) Fate(tx simnet.Transmission, _ *rand.Rand) simnet.Fate {
+	if tx.From != tx.To && tx.From <= 1 && tx.To <= 1 {
+		return simnet.Fate{Delay: tx.Delta / 10}
+	}
+	return simnet.Fate{Delay: tx.Delta}
+}
+
+// TestLeaderVoteIsLocal: the leader's own phase-2 vote costs no message
+// delay. Its P2a reaches replica 1 in δ/10 and replica 1's P2b comes back in
+// δ/10; with the leader's own P2b already counted that is a majority, so
+// the slot decides δ/5 after the proposal. Were the leader's P2a and P2b to
+// itself sent over the network, each would take δ here: the leader's second
+// vote would be its own at 2δ, and it would learn the decision first from
+// replica 1's Decided, at 1.2δ.
+func TestLeaderVoteIsLocal(t *testing.T) {
+	const n = 3
+	delta := 10 * time.Millisecond
+	eng, nw := simGroup(t, 1, simnet.Config{N: n, Delta: delta, TS: time.Minute, Policy: voteLinks{}})
+	nw.Start()
+	at := 5 * delta
+	nw.Inject(at, 1, Leader(), ClientPropose{Cmd: "set a 1"})
+	leader := replica(t, nw, Leader())
+	if !eng.RunUntil(func() bool { return leader.Applied() > 0 }, at+10*delta) {
+		t.Fatal("the leader never decided")
+	}
+	if got := eng.Now() - at; got != delta/5 {
+		t.Fatalf("the leader decided %v after proposing, want δ/5 = %v", got, delta/5)
 	}
 }

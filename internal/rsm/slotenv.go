@@ -21,7 +21,9 @@ import (
 // string per persist, emit and cancel.
 //
 // Once retired (the slot applied; see Replica.retire) the environment drops
-// Send, Broadcast and SetTimer.
+// Send, Broadcast and SetTimer. A message to the replica itself does not
+// cross the network: it goes onto the replica's local queue, delivered when
+// the current event ends (Replica.deliverLocal).
 type slotEnv struct {
 	replica *Replica
 	slot    int64
@@ -62,15 +64,24 @@ func (e *slotEnv) Send(to consensus.ProcessID, m consensus.Message) {
 	if e.retired {
 		return
 	}
-	e.replica.env.Send(to, SlotMsg{Slot: e.slot, Inner: m})
+	msg := SlotMsg{Slot: e.slot, Inner: m}
+	if to == e.replica.id {
+		e.replica.local = append(e.replica.local, msg)
+		return
+	}
+	e.replica.env.Send(to, msg)
 }
 
-// Broadcast implements consensus.Environment. A retired slot sends nothing.
+// Broadcast implements consensus.Environment: the peers share one boxed
+// SlotMsg, and the replica's own copy is queued locally. A retired slot
+// sends nothing.
 func (e *slotEnv) Broadcast(m consensus.Message) {
 	if e.retired {
 		return
 	}
-	e.replica.env.Broadcast(SlotMsg{Slot: e.slot, Inner: m})
+	msg := SlotMsg{Slot: e.slot, Inner: m}
+	e.replica.sendPeers(msg)
+	e.replica.local = append(e.replica.local, msg)
 }
 
 // SetTimer implements consensus.Environment. Inner timer IDs must fit the

@@ -235,20 +235,9 @@ func (r *Replica) installSnapshot(snap Snapshot) {
 			r.retire(slot)
 		}
 	}
-	// Drop proposer bookkeeping for compacted slots (only reachable when a
-	// deposed ex-leader fell behind the horizon).
-	for slot := range r.pending {
-		if slot < snap.Applied {
-			delete(r.pending, slot)
-			delete(r.proposed, slot)
-			delete(r.proposedAt, slot)
-			r.inFlight--
-		}
-	}
+	r.queue = append(r.settleProposed(snap.Applied), r.queue...)
 	r.applied = snap.Applied
-	if snap.Applied-1 > r.maxSeen {
-		r.maxSeen = snap.Applied - 1
-	}
+	r.maxSeen = max(r.maxSeen, snap.Applied-1)
 	if r.nextSlot < snap.Applied {
 		r.nextSlot = snap.Applied
 		if err := r.env.Store().Put(storage.KeyRSMNext, r.nextSlot); err != nil {
@@ -263,8 +252,38 @@ func (r *Replica) installSnapshot(snap Snapshot) {
 	}
 	r.snapBase = snap.Applied
 	r.env.Emit("rsm-snapshot-install", snap.Applied)
-	// Decisions already held above the horizon may now be contiguous.
+	// Decisions already held above the horizon may now be contiguous, and
+	// the pipeline window may have room again.
 	r.applyReady()
+	r.tryFlush(false)
+}
+
+// settleProposed closes the proposer's bookkeeping for its batches below a
+// snapshot horizon it installs (a leader behind its followers' compaction,
+// or a deposed one): pending slots, and slots decided above a gap. A command
+// the restored session table shows applied is acknowledged; the others are
+// returned in slot and batch order, waiters and session tracking intact.
+func (r *Replica) settleProposed(horizon int64) []*queuedCmd {
+	var requeue []*queuedCmd
+	for _, slot := range slices.Sorted(maps.Keys(r.proposed)) {
+		if slot >= horizon {
+			break
+		}
+		for _, qc := range r.proposed[slot] {
+			if r.ackApplied(qc.cmd, qc.waiters...) {
+				delete(r.tracked, sessionKey{qc.cmd.Client, qc.cmd.Seq})
+			} else {
+				requeue = append(requeue, qc)
+			}
+		}
+		if _, ok := r.pending[slot]; ok {
+			delete(r.pending, slot)
+			r.inFlight--
+		}
+		delete(r.proposed, slot)
+		delete(r.proposedAt, slot)
+	}
+	return requeue
 }
 
 // kvImage is the KVStore's snapshot layout: the data in key order, so that

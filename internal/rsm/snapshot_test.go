@@ -8,8 +8,11 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core/consensus"
+	"repro/internal/core/consensus/consensustest"
+	"repro/internal/core/modpaxos"
 )
 
 // filledKV applies one "set" per key, in the order given.
@@ -111,4 +114,57 @@ func FuzzKVRestore(f *testing.F) {
 		}
 		kv.Apply(0, "set a b")
 	})
+}
+
+// TestSnapshotInstallSettlesLeaderBatches: a leader whose followers compacted
+// past it installs their snapshot over three of its own slots — slot 0 in
+// flight, slot 1 decided above that gap but not applied, slot 2 in flight
+// with a command the group never applied (its slot closed as a NoOp). The
+// commands the snapshot's session table shows applied are acknowledged, the
+// other is proposed again in a fresh slot with its waiter, and no
+// bookkeeping for a compacted slot is left behind. Installing used to drop
+// the in-flight slots' batches unacknowledged and leave slot 1's behind.
+func TestSnapshotInstallSettlesLeaderBatches(t *testing.T) {
+	factory, err := New(Config{Paxos: modpaxos.Config{Delta: 10 * time.Millisecond}, MaxBatch: 1, MaxInFlight: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := consensustest.New(Leader(), 3)
+	r := factory(Leader(), 3, "").(*Replica)
+	r.Init(env)
+	cmd := func(c int64) consensus.Value { return consensus.Value(fmt.Sprintf("set k%d 1", c)) }
+	for c := int64(10); c <= 12; c++ {
+		r.HandleMessage(consensus.ProcessID(c), ClientPropose{Client: c, Seq: 1, Cmd: cmd(c)})
+	}
+	if r.InFlight() != 3 {
+		t.Fatalf("%d slots in flight, want 3", r.InFlight())
+	}
+	r.HandleMessage(1, SlotMsg{Slot: 1, Inner: modpaxos.Decided{Val: r.pending[1]}})
+	if r.Applied() != 0 || r.InFlight() != 2 {
+		t.Fatalf("applied %d with %d in flight, want slot 1 decided above the gap", r.Applied(), r.InFlight())
+	}
+
+	env.ClearOutbox()
+	r.HandleMessage(1, SnapshotMsg{Snap: Snapshot{Applied: 3, Sessions: map[int64]Session{
+		10: {Seq: 1, Slot: 0}, 11: {Seq: 1, Slot: 1},
+	}}})
+	for c, slot := range map[int64]int64{10: 0, 11: 1} {
+		want := []consensus.Message{Committed{Slot: slot, Seq: 1, Cmd: cmd(c)}}
+		if got := env.SentTo(consensus.ProcessID(c)); !slices.Equal(got, want) {
+			t.Errorf("client %d was sent %v, want %v", c, got, want)
+		}
+	}
+	if got := env.SentTo(12); len(got) != 0 {
+		t.Errorf("client 12, whose command the snapshot did not apply, was sent %v", got)
+	}
+	if r.Applied() != 3 || r.InFlight() != 1 || !slices.Equal(slices.Sorted(maps.Keys(r.proposed)), []int64{3}) {
+		t.Fatalf("applied %d, %d in flight, batches held for slots %v; want 3, 1, [3]",
+			r.Applied(), r.InFlight(), slices.Sorted(maps.Keys(r.proposed)))
+	}
+	if b := r.proposed[3]; len(b) != 1 || b[0].cmd.Client != 12 || !slices.Equal(b[0].waiters, []consensus.ProcessID{12}) {
+		t.Fatalf("slot 3 holds %+v, want client 12's command with its waiter", b)
+	}
+	if _, ok := r.tracked[sessionKey{12, 1}]; !ok || len(r.tracked) != 1 {
+		t.Errorf("tracked %v, want client 12's command only", r.tracked)
+	}
 }

@@ -307,57 +307,3 @@ func (c *clientProc) finish() {
 	c.env.CancelTimer(issueTimerID)
 	c.env.Decide(doneValue)
 }
-
-// scopedProc narrows a replica's view of the cluster to the first n nodes:
-// the bench cluster hosts N replicas plus C clients, but the consensus
-// group is the replicas only, so broadcasts (and majority math) must not
-// include client nodes.
-type scopedProc struct {
-	inner consensus.Process
-	n     int
-}
-
-func (p *scopedProc) Init(env consensus.Environment) {
-	p.inner.Init(&scopedEnv{Environment: env, n: p.n})
-}
-func (p *scopedProc) HandleMessage(from consensus.ProcessID, m consensus.Message) {
-	p.inner.HandleMessage(from, m)
-}
-func (p *scopedProc) HandleTimer(id consensus.TimerID) { p.inner.HandleTimer(id) }
-
-// scopedEnv overrides N and Broadcast to span only the replica group, and
-// forwards the optional observability interfaces the embedded interface
-// value would otherwise hide.
-type scopedEnv struct {
-	consensus.Environment
-	n int
-}
-
-func (e *scopedEnv) N() int { return e.n }
-
-func (e *scopedEnv) Broadcast(m consensus.Message) {
-	for i := 0; i < e.n; i++ {
-		e.Environment.Send(consensus.ProcessID(i), m)
-	}
-}
-
-func (e *scopedEnv) Span(kind string, begin bool, value int64) {
-	if s, ok := e.Environment.(consensus.SpanSink); ok {
-		s.Span(kind, begin, value)
-	}
-}
-
-func (e *scopedEnv) SpansEnabled() bool {
-	if s, ok := e.Environment.(interface{ SpansEnabled() bool }); ok {
-		return s.SpansEnabled()
-	}
-	return false
-}
-
-func (e *scopedEnv) ObserveDuration(name string, d time.Duration) {
-	consensus.ObserveDuration(e.Environment, name, d)
-}
-
-func (e *scopedEnv) ObserveValue(name string, v int64) {
-	consensus.ObserveValue(e.Environment, name, v)
-}

@@ -50,9 +50,10 @@ func run(cfg Config, stores func(consensus.ProcessID, storage.Store)) (*Result, 
 	factory := func(id consensus.ProcessID, _ int, proposal consensus.Value) consensus.Process {
 		if int(id) < cfg.N {
 			// The replica group is the first N nodes; the substrate's total
-			// node count includes clients and must not leak into quorum math
-			// or broadcasts.
-			return &scopedProc{inner: rsmFactory(id, cfg.N, proposal), n: cfg.N}
+			// node count includes clients. A replica sends its slot traffic
+			// and Beats peer by peer over the group it was built with, so the
+			// client nodes never leak into its quorum math or broadcasts.
+			return rsmFactory(id, cfg.N, proposal)
 		}
 		cp := newClientProc(cfg, id, hist)
 		clients[int(id)-cfg.N] = cp

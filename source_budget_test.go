@@ -29,7 +29,7 @@ const (
 	// (bench/ included, testdata/ and dot-directories skipped).
 	budgetGoLines = 22632
 	// budgetReadmeBytes is the size of README.md.
-	budgetReadmeBytes = 52322
+	budgetReadmeBytes = 53642
 )
 
 // budgetExported is the number of exported identifiers per package
