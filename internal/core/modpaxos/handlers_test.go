@@ -53,6 +53,50 @@ func TestInitBroadcastsPhase1aAndArmsTimers(t *testing.T) {
 	}
 }
 
+// TestPreparedFollowerOpensSilently: a prepared non-owner starts inside
+// session 1 with phase 1 already run (§4), so its first Init begins no
+// session and sends nothing; its ε heartbeat still speaks once it has been
+// quiet for ε. A restart from stored state announces like any restart, and
+// the owner still sends phase 2a at once.
+func TestPreparedFollowerOpensSilently(t *testing.T) {
+	factory := MustNew(Config{Delta: uDelta, Prepared: true})
+	p := factory(2, n5, "v").(*Process)
+	env := consensustest.New(2, n5)
+	p.Init(env)
+	if len(env.Outbox) != 0 {
+		t.Fatalf("a fresh prepared follower sent %v at Init, want nothing", env.Outbox)
+	}
+	if p.st.MBal != consensus.BallotFor(1, 0, n5) {
+		t.Fatalf("mbal = %v, want the prepared session-1 ballot", p.st.MBal)
+	}
+	if _, ok := env.Timers[sessionTimer]; !ok {
+		t.Fatal("session timer not armed at Init")
+	}
+	if _, ok := env.Timers[heartbeatTimer]; !ok {
+		t.Fatal("heartbeat timer not armed at Init")
+	}
+	env.Clock += p.cfg.Eps
+	p.HandleTimer(heartbeatTimer)
+	if got := env.BroadcastsOf("p1a"); got != 1 || len(env.Outbox) != n5 {
+		t.Fatalf("the heartbeat after ε sent %v, want one phase 1a broadcast", env.Outbox)
+	}
+
+	restarted := factory(2, n5, "v").(*Process)
+	env2 := consensustest.New(2, n5)
+	env2.Storage = env.Storage
+	restarted.Init(env2)
+	if got := env2.BroadcastsOf("p1a"); got != 1 {
+		t.Fatalf("a restarted prepared follower broadcast %d phase 1a rounds, want 1", got)
+	}
+
+	owner := factory(0, n5, "v").(*Process)
+	env0 := consensustest.New(0, n5)
+	owner.Init(env0)
+	if got := env0.BroadcastsOf("p2a"); got != 1 || len(env0.Outbox) != n5 {
+		t.Fatalf("the prepared owner sent %v at Init, want one phase 2a broadcast", env0.Outbox)
+	}
+}
+
 func TestP1aLowerBallotIgnoredNoReject(t *testing.T) {
 	p, env := boot(t, 3, Config{})
 	p.HandleMessage(1, P1a{Bal: 1}) // lower than mbal=3

@@ -18,7 +18,8 @@
 //  3. A process broadcasts a phase 1a message whenever it begins a new
 //     session, and re-broadcasts one every ε if it has sent no phase 1a/2a
 //     message in the last ε seconds (the heartbeat that restores
-//     communication after stabilization).
+//     communication after stabilization). A fresh Prepared non-owner starts
+//     inside session 1 and begins none, so its first phase 1a is a heartbeat.
 //  4. There is no leader election and no Reject message. Leadership is
 //     implicit: the owner of the highest ballot in the newest session wins.
 //
@@ -78,8 +79,9 @@ type Config struct {
 	// Prepared bootstraps the stable-state fast path (§4, "Reducing
 	// Message Complexity"): all processes start with mbal equal to
 	// process 0's session-1 ballot, and process 0 behaves as if phase 1
-	// had completed in advance, sending phase 2a immediately. Decisions
-	// then take 3 message delays, like ordinary stable-state Paxos.
+	// had completed in advance, sending phase 2a immediately; the others
+	// start silently (modification 3). Decisions then take 3 message
+	// delays, like ordinary stable-state Paxos.
 	Prepared bool
 }
 
@@ -230,6 +232,9 @@ func (p *Process) Init(env consensus.Environment) {
 	case p.st.Sent2a && p.ownsBallot():
 		// Restarted mid-ballot: re-announce the same chosen value.
 		p.announce2a()
+	case p.cfg.Prepared && !ok && p.id != 0:
+		// A prepared follower begins no session: it is quiet until a heartbeat.
+		p.lastAnnounce = p.env.Now()
 	default:
 		p.announce1a()
 	}

@@ -39,17 +39,19 @@
 // costs its phase-2 traffic — N−1 P2a and N(N−1) P2b on the network — and
 // no announcement. A slot decided above a gap cannot apply yet: it stays
 // live, announces, and gossips until the gap fills — the one time gossip
-// helps. A retired slot speaks only when asked: a peer's P1a (an instance
-// that has not decided sends one when it opens and every ε after) or P2a (a
-// ballot owner still proposing) is answered with the logged value, and the
-// replica's own, queued locally before the slot retired, needs no answer; a
-// P1b or P2b answers somebody else's question and is dropped, its sender
-// being covered by its own heartbeat. Below the snapshot horizon there is no
-// record left and nothing is answered. So a replica that missed a decision
-// relies on two things, both its own initiative: the ε heartbeat of its open
-// instance, answered from a peer's decision log, and the catch-up timer's
-// Learn for any gap below a slot it knows exists (which ships the snapshot
-// when the gap is below the peer's horizon).
+// helps. A retired slot speaks only when asked: a peer's P1a (an undecided
+// instance sends one after every ε of quiet, and the leader's or a restarted
+// replica's when it opens; a follower's opens silently, phase 1 having run)
+// or P2a (a ballot owner still proposing) is answered with the logged value,
+// and the replica's own, queued locally before the slot retired, needs no
+// answer; a P1b or P2b answers somebody else's question and is dropped, its
+// sender being covered by its own heartbeat. Below the snapshot horizon there
+// is no record left and nothing is answered. So a replica that missed a
+// decision relies on two things, both its own initiative: the ε heartbeat of
+// its open instance, answered from a peer's decision log, and the catch-up
+// timer, which sends Learn for any gap below a slot it knows exists (shipping
+// the snapshot when the gap is below the peer's horizon) and opens the gap's
+// lowest instances, so a slot whose messages were all lost still asks.
 package rsm
 
 import (
@@ -1109,6 +1111,14 @@ func (r *Replica) onCatchupTimer() {
 		}
 	}
 	r.env.Send(consensus.ProcessID(r.catchupPeer), Learn{From: r.applied})
+	// Open the gap's lowest instances (a follower's opens silently, so a slot
+	// whose messages were all lost has none): their ε heartbeats ask the peers.
+	for slot, opened := r.applied, 0; slot <= r.maxSeen && opened < learnChunk; slot++ {
+		if _, ok := r.decisions[slot]; !ok && r.slots[slot] == nil {
+			r.instance(slot, NoOp)
+			opened++
+		}
+	}
 	r.catchupArmed = true
 	r.env.SetTimer(catchupTimer, r.catchupInterval())
 }

@@ -96,8 +96,14 @@ func TestBatchingPipeliningBeatsSingleSlot(t *testing.T) {
 // {1,4}. The simulator counts virtual time, so duration and slot count are
 // exact; any change to batching, pipelining, the commit path's message
 // pattern or the order of RNG draws moves them. A deliberate change updates
-// the row and says why. The rows stood at 3493325256, 870482560, 452836671,
-// 267566544 ns in 1600, 1600, 203, 209 slots until a replica's self-addressed
+// the row and says why. The rows stood at 2754808226, 665567629, 354638510,
+// 232404476 ns in 1600, 1600, 204, 222 slots until a prepared follower's
+// instance stopped sending a P1a when it opens (+1.1, +2.3, +0.2, +2.6 %):
+// under uniform random delays that P1a drew a P1b to the leader, which
+// answered with a retransmitted P2a — a second delay draw that sometimes beat
+// the first, so losing it costs a little virtual time per slot. They stood
+// at 3493325256, 870482560, 452836671, 267566544 ns in 1600, 1600, 203, 209
+// slots until a replica's self-addressed
 // slot messages were delivered locally: the leader's own phase-2 vote costs
 // no delay, so its quorum is the faster follower's round trip (−13 to −24 %
 // per row), and the batched rows close slots sooner with fewer ops each.
@@ -107,13 +113,13 @@ func TestBatchingPipeliningBeatsSingleSlot(t *testing.T) {
 func TestBatchPipelineMatrix(t *testing.T) {
 	for _, row := range []struct {
 		batch, pipeline int
-		duration        time.Duration // 1600 ops: 581, 2404, 4512, 6885 ops/s
+		duration        time.Duration // 1600 ops: 575, 2350, 4502, 6708 ops/s
 		slots           int64
 	}{
-		{1, 1, 2754808226, 1600},
-		{1, 4, 665567629, 1600},
-		{8, 1, 354638510, 204},
-		{8, 4, 232404476, 222},
+		{1, 1, 2784322619, 1600},
+		{1, 4, 680839582, 1600},
+		{8, 1, 355422629, 204},
+		{8, 4, 238534867, 216},
 	} {
 		res, err := Run(Config{
 			Backend: scenario.BackendSim, Clients: 32, Ops: 50, Seed: 2,
@@ -135,13 +141,16 @@ func TestBatchPipelineMatrix(t *testing.T) {
 
 // TestMessagesPerSlotPinned holds the paper's §4 subject — what a sequence
 // of instances costs in messages — as a checked number: the consensus
-// messages of the batch 8 × pipeline 4 matrix row (222 slots, n = 3, no
+// messages of the batch 8 × pipeline 4 matrix row (216 slots, n = 3, no
 // faults), by type. The stable-case count is (N−1) phase-2a + N(N−1)
 // phase-2b network messages per slot, 2 + 6 = 8: a replica's messages to
-// itself are delivered locally. An in-order slot announces nothing, so what
-// is left of rsm-decided answers the followers' P1a (at open and every ε);
-// that P1a traffic and its P1b answers are the rows a change to how prepared
-// slots open will move. The row stood at "209 slots: p2a 936, p2b 1965,
+// itself are delivered locally. An in-order slot announces nothing and a
+// prepared follower's instance opens silently, so what is left of P1a is the
+// ε heartbeat — at ε = δ/2, a slot that takes longer than ε to decide still
+// sends it — and rsm-decided and P1b answer it. The row stood at "222 slots:
+// p2a 688, p2b 2166, decided 1629, p1a 1538, p1b 657" (30.1 per slot) until
+// follower instances stopped sending a P1a when they open (17.8 per slot),
+// and at "209 slots: p2a 936, p2b 1965,
 // decided 2295, p1a 3219, p1b 1348" (46.7 messages per slot) until
 // self-addressed slot messages stopped crossing the network (30.1 per slot);
 // while retired slots announced: p2a 902, p2b 1920, decided 5843, p1a 3189,
@@ -160,7 +169,7 @@ func TestMessagesPerSlotPinned(t *testing.T) {
 	sent := res.Collector().SentByType()
 	got := fmt.Sprintf("%d slots: p2a %d, p2b %d, decided %d, p1a %d, p1b %d",
 		res.Slots, sent["rsm-p2a"], sent["rsm-p2b"], sent["rsm-decided"], sent["rsm-p1a"], sent["rsm-p1b"])
-	const pinned = "222 slots: p2a 688, p2b 2166, decided 1629, p1a 1538, p1b 657"
+	const pinned = "216 slots: p2a 453, p2b 1754, decided 814, p1a 696, p1b 123"
 	if got != pinned {
 		t.Errorf("messages per slot moved:\n got    %s\n pinned %s", got, pinned)
 	}
@@ -388,7 +397,13 @@ func TestChaosRunIsDeterministic(t *testing.T) {
 // and Beats stopped crossing the network and a snapshot install stopped
 // dropping the leader's own batches: the seed-9 outage mean rose 26.2 →
 // 26.9 ms, while over seeds 1–40 of this config the mean outage went
-// 27.24 → 26.96 ms, the max 35.35 → 35.03 ms and retries 1121 → 739.
+// 27.24 → 26.96 ms, the max 35.35 → 35.03 ms and retries 1121 → 739. They
+// then stood at "58327390 ns, 23 slots, 14 retries, 1407 sent, log keys
+// [7 7 7], outage 32× max 29162021 ns mean 26905747 ns" until a prepared
+// follower's instance stopped sending a P1a when it opens (261 fewer
+// messages; the catch-up timer now opens the gap's instances): the seed-9
+// outage mean fell 26.9 → 26.2 ms, and over seeds 1–40 the mean outage went
+// 26.96 → 26.86 ms, the max 35.03 → 34.05 ms and retries 739 → 703.
 func TestChaosSchedulePinned(t *testing.T) {
 	res, err := Run(chaosLeaderCrash)
 	if err != nil {
@@ -400,7 +415,7 @@ func TestChaosSchedulePinned(t *testing.T) {
 	got := fmt.Sprintf("%d ns, %d slots, %d retries, %d sent, log keys %v, outage %d× max %d ns mean %d ns",
 		res.Duration, res.Slots, res.Retries, res.Collector().TotalSent(), res.LogKeys,
 		res.Outage.Count, res.Outage.Max, res.Outage.Mean)
-	const pinned = "58327390 ns, 23 slots, 14 retries, 1407 sent, log keys [7 7 7], outage 32× max 29162021 ns mean 26905747 ns"
+	const pinned = "55182695 ns, 23 slots, 15 retries, 1146 sent, log keys [7 7 7], outage 32× max 29662292 ns mean 26239037 ns"
 	if got != pinned {
 		t.Errorf("chaos schedule moved:\n got    %s\n pinned %s", got, pinned)
 	}

@@ -27,9 +27,9 @@ import (
 const (
 	// budgetGoLines counts the lines of every non-test .go file in the tree
 	// (bench/ included, testdata/ and dot-directories skipped).
-	budgetGoLines = 22632
+	budgetGoLines = 22647
 	// budgetReadmeBytes is the size of README.md.
-	budgetReadmeBytes = 53642
+	budgetReadmeBytes = 53823
 )
 
 // budgetExported is the number of exported identifiers per package
