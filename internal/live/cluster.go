@@ -39,7 +39,9 @@ import (
 // destination (on any goroutine — nodes serialize internally).
 type Transport interface {
 	// Register installs the delivery handler for a process. It must be
-	// called for every process before Send is used.
+	// called for every process before Send is used. The handler runs on the
+	// transport's delivery goroutine, with later deliveries waiting behind
+	// it, so it must not block; Node.enqueueMessage never does.
 	Register(id consensus.ProcessID, h func(from consensus.ProcessID, m consensus.Message))
 	// Send transmits m from one process to another.
 	Send(from, to consensus.ProcessID, m consensus.Message)

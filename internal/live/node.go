@@ -145,15 +145,6 @@ func (n *Node) stop() {
 	}
 }
 
-// signal wakes the loop if it sleeps, or makes its next sleep return at
-// once. It never blocks: one pending token is enough.
-func (n *Node) signal() {
-	select {
-	case n.wake <- struct{}{}:
-	default:
-	}
-}
-
 // run is the node's event loop; see Node for the shape of one turn.
 //
 // No wake-up is lost because the loop sleeps only after a swap under mu
@@ -234,7 +225,7 @@ func (n *Node) enqueueMessage(from consensus.ProcessID, m consensus.Message) {
 	n.inbox = append(n.inbox, ev)
 	n.mu.Unlock()
 	if depth == 0 {
-		n.signal()
+		notify(n.wake)
 	}
 	collector.MessageDelivered(m.Type())
 	if observing {
@@ -276,7 +267,7 @@ func (h *timerHeap) arm(id consensus.TimerID, at time.Duration) {
 	h.seq++
 	h.armed[id] = h.seq
 	h.heap = append(h.heap, timerEntry{at: at, seq: h.seq, id: id})
-	h.up(len(h.heap) - 1)
+	siftUp(h.heap, len(h.heap)-1)
 	h.sweep()
 }
 
@@ -294,7 +285,7 @@ func (h *timerHeap) cancel(id consensus.TimerID) {
 func (h *timerHeap) popDue(now time.Duration) (consensus.TimerID, bool) {
 	for len(h.heap) > 0 && h.heap[0].at <= now {
 		e := h.heap[0]
-		h.pop()
+		h.heap = popMin(h.heap)
 		if h.armed[e.id] == e.seq {
 			delete(h.armed, e.id)
 			h.sweep()
@@ -311,7 +302,7 @@ func (h *timerHeap) earliest() (time.Duration, bool) {
 		if top := h.heap[0]; h.armed[top.id] == top.seq {
 			return top.at, true
 		}
-		h.pop()
+		h.heap = popMin(h.heap)
 	}
 	return 0, false
 }
@@ -330,41 +321,7 @@ func (h *timerHeap) sweep() {
 	}
 	h.heap = live
 	for i := len(live)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-func (h *timerHeap) pop() {
-	last := len(h.heap) - 1
-	h.heap[0] = h.heap[last]
-	h.heap = h.heap[:last]
-	h.down(0)
-}
-
-func (h *timerHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.heap[i].before(h.heap[parent]) {
-			return
-		}
-		h.heap[i], h.heap[parent] = h.heap[parent], h.heap[i]
-		i = parent
-	}
-}
-
-func (h *timerHeap) down(i int) {
-	for {
-		least := i
-		for c := 2*i + 1; c <= 2*i+2 && c < len(h.heap); c++ {
-			if h.heap[c].before(h.heap[least]) {
-				least = c
-			}
-		}
-		if least == i {
-			return
-		}
-		h.heap[i], h.heap[least] = h.heap[least], h.heap[i]
-		i = least
+		siftDown(h.heap, i)
 	}
 }
 
@@ -404,7 +361,7 @@ func (n *Node) armClock() {
 	}
 	n.clockAt = at
 	if n.clock == nil {
-		n.clock = time.AfterFunc(at-now, n.signal)
+		n.clock = time.AfterFunc(at-now, func() { notify(n.wake) })
 	} else {
 		n.clock.Reset(at - now)
 	}

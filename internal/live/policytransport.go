@@ -2,7 +2,6 @@ package live
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/core/consensus"
@@ -14,7 +13,7 @@ import (
 type PolicyTransportConfig struct {
 	// Policy rules every message sent before TS (nil means Synchronous).
 	// Fates are translated verbatim: Drop loses the message, Delay and
-	// Duplicates become wall-clock timer offsets from the send instant.
+	// Duplicates become wall-clock delays from the send instant.
 	Policy simnet.Policy
 	// TS is the stabilization instant as a wall-clock offset from
 	// transport creation; messages sent at or after it bypass the policy
@@ -41,16 +40,14 @@ type PolicyTransportConfig struct {
 type PolicyTransport struct {
 	inner Transport
 	cfg   PolicyTransportConfig
-	start time.Time
 	// now returns the elapsed time since transport start; tests inject a
 	// scripted clock here to pin fate sequences byte-for-byte.
 	now func() time.Duration
 
-	mu     sync.Mutex
-	seq    map[connKey]uint64
-	timers map[*time.Timer]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	// q.mu also guards seq and rng, which each pre-TS Send re-seeds.
+	q   delayQueue
+	seq map[connKey]uint64
+	rng *rand.Rand
 }
 
 var _ Transport = (*PolicyTransport)(nil)
@@ -62,13 +59,13 @@ func NewPolicyTransport(inner Transport, cfg PolicyTransportConfig) *PolicyTrans
 		cfg.Policy = simnet.Synchronous{}
 	}
 	t := &PolicyTransport{
-		inner:  inner,
-		cfg:    cfg,
-		start:  time.Now(),
-		seq:    make(map[connKey]uint64),
-		timers: make(map[*time.Timer]struct{}),
+		inner: inner,
+		cfg:   cfg,
+		seq:   make(map[connKey]uint64),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
-	t.now = func() time.Duration { return time.Since(t.start) }
+	t.q.init(func(d delivery) { t.inner.Send(d.from, d.to, d.msg) })
+	t.now = t.q.now
 	return t
 }
 
@@ -91,85 +88,43 @@ func (t *PolicyTransport) Register(id consensus.ProcessID, h func(consensus.Proc
 
 // Send implements Transport: post-TS messages pass straight through (the
 // inner transport's native latency is the stable network); pre-TS messages
-// get a policy fate translated into wall-clock delivery timers.
+// get a policy fate, and each copy it keeps goes through the delay queue.
 func (t *PolicyTransport) Send(from, to consensus.ProcessID, m consensus.Message) {
 	elapsed := t.now()
 	if elapsed >= t.cfg.TS {
 		t.inner.Send(from, to, m)
 		return
 	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	q := &t.q
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
 		return
 	}
 	key := connKey{from, to}
 	seq := t.seq[key]
 	t.seq[key] = seq + 1
-	t.mu.Unlock()
-
-	rng := rand.New(rand.NewSource(mixSeed(t.cfg.Seed, from, to, seq)))
+	t.rng.Seed(mixSeed(t.cfg.Seed, from, to, seq))
 	fate := t.cfg.Policy.Fate(simnet.Transmission{
 		From: from, To: to, Msg: m,
 		SentAt: elapsed, TS: t.cfg.TS, Delta: t.cfg.Delta,
-	}, rng)
-	if fate.Drop {
-		if t.cfg.OnDrop != nil {
-			t.cfg.OnDrop(m.Type())
+	}, t.rng)
+	if !fate.Drop {
+		now := q.now()
+		q.push(delivery{at: now + fate.Delay, from: from, to: to, msg: m})
+		for _, d := range fate.Duplicates {
+			q.push(delivery{at: now + d, from: from, to: to, msg: m})
 		}
-		return
 	}
-	t.deliverAfter(fate.Delay, from, to, m)
-	for _, d := range fate.Duplicates {
-		t.deliverAfter(d, from, to, m)
+	q.mu.Unlock()
+	if fate.Drop && t.cfg.OnDrop != nil {
+		t.cfg.OnDrop(m.Type())
 	}
 }
 
-// deliverAfter hands the message to the inner transport after the given
-// wall-clock delay, tracking the timer so Close can cancel it.
-func (t *PolicyTransport) deliverAfter(d time.Duration, from, to consensus.ProcessID, m consensus.Message) {
-	if d <= 0 {
-		t.inner.Send(from, to, m)
-		return
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
-	t.wg.Add(1)
-	var timer *time.Timer
-	timer = time.AfterFunc(d, func() {
-		defer t.wg.Done()
-		t.mu.Lock()
-		delete(t.timers, timer)
-		closed := t.closed
-		t.mu.Unlock()
-		if !closed {
-			t.inner.Send(from, to, m)
-		}
-	})
-	t.timers[timer] = struct{}{}
-	t.mu.Unlock()
-}
-
-// Close implements Transport: pending deliveries are cancelled, in-flight
-// callbacks drained, and the inner transport closed.
+// Close implements Transport: pending deliveries are dropped, the one in
+// progress waited for, and the inner transport closed.
 func (t *PolicyTransport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return t.inner.Close()
-	}
-	t.closed = true
-	for timer := range t.timers {
-		if timer.Stop() {
-			// Callback will never run; release its waitgroup slot.
-			t.wg.Done()
-		}
-		delete(t.timers, timer)
-	}
-	t.mu.Unlock()
-	t.wg.Wait()
+	t.q.close()
 	return t.inner.Close()
 }

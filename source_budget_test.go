@@ -27,9 +27,9 @@ import (
 const (
 	// budgetGoLines counts the lines of every non-test .go file in the tree
 	// (bench/ included, testdata/ and dot-directories skipped).
-	budgetGoLines = 22647
+	budgetGoLines = 22677
 	// budgetReadmeBytes is the size of README.md.
-	budgetReadmeBytes = 53823
+	budgetReadmeBytes = 55185
 )
 
 // budgetExported is the number of exported identifiers per package
