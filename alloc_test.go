@@ -12,10 +12,12 @@ package repro_test
 // per-message allocation trips it immediately.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/simnet"
 )
 
 // allocBudgetFullRun bounds allocations for one N=5 modified-Paxos run
@@ -78,4 +80,64 @@ func TestSingleRunAllocBudget(t *testing.T) {
 			observed, observedBudget)
 	}
 	t.Logf("plain %.0f allocs/run, observed %.0f", allocs, observed)
+}
+
+// TestWarmArenaRunAllocBudget pins one n = 9 run of each paper core on a
+// warm arena — the unit of work a sim_grid worker repeats — in allocations
+// and bytes: the measured counts plus 2 %. The arena keeps the engine, the
+// nodes, the safety checker and the last run's processes, whose tallies,
+// hold-back queue and reply boxes the next run's processes take over
+// (consensus.Reuser); what a run still allocates is what it keeps — its
+// process structs, durable state, collector and the messages it boxes. A
+// core that stopped reusing a tally or a queue would add its storage to
+// every run.
+func TestWarmArenaRunAllocBudget(t *testing.T) {
+	budgets := []struct {
+		protocol      repro.Protocol
+		allocs, bytes uint64 // per run, measured + 2 %
+	}{
+		{repro.ModifiedPaxos, 178, 12729},      // 175, 12 480
+		{repro.TraditionalPaxos, 77, 8062},     // 76, 7 904
+		{repro.RoundBased, 129, 11938},         // 127, 11 704
+		{repro.ModifiedBConsensus, 106, 12688}, // 104, 12 440
+	}
+	arena := simnet.NewArena()
+	for _, b := range budgets {
+		cfg := repro.Config{
+			Protocol: b.protocol, N: 9,
+			Delta: 10 * time.Millisecond, TS: 200 * time.Millisecond,
+			Rho: 0.01, Seed: 7, Arena: arena,
+		}
+		run := func() {
+			res, err := repro.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Decided {
+				t.Fatalf("%s run did not decide", b.protocol)
+			}
+		}
+		// measure returns the fewest allocations and bytes of one run over
+		// a few: MemStats counts every goroutine, and a stray runtime
+		// allocation cannot land in every reading.
+		measure := func() (allocs, bytes uint64) {
+			allocs, bytes = ^uint64(0), ^uint64(0)
+			for i := 0; i < 5; i++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				run()
+				runtime.ReadMemStats(&after)
+				allocs = min(allocs, after.Mallocs-before.Mallocs)
+				bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+			}
+			return allocs, bytes
+		}
+		run() // the arena's nodes now hold this core's processes
+		allocs, bytes := measure()
+		t.Logf("%s n=9 on a warm arena: %d allocations, %d bytes per run", b.protocol, allocs, bytes)
+		if budget := b.allocs + raceAllocAllowance; allocs > budget || bytes > b.bytes+raceByteAllowance {
+			t.Errorf("%s n=9 on a warm arena: %d allocations, %d bytes per run; budget %d, %d",
+				b.protocol, allocs, bytes, budget, b.bytes+raceByteAllowance)
+		}
+	}
 }

@@ -195,10 +195,22 @@ func MustNew(cfg Config) consensus.Factory {
 	return f
 }
 
+// Reuse implements consensus.Reuser: p takes over old's queue, map, tallies, replies.
+func (p *Process) Reuse(old consensus.Process) {
+	if o, ok := old.(*Process); ok {
+		p.hb, p.firstDelivered, p.firstVotes, p.secondVotes = o.hb, o.firstDelivered, o.firstVotes, o.secondVotes
+		p.wabReply, p.decidedReply = o.wabReply, o.decidedReply
+		*o = Process{}
+	}
+}
+
 // Init implements consensus.Process.
 func (p *Process) Init(env consensus.Environment) {
 	p.env = env
-	p.firstDelivered = make(map[int64]consensus.Value)
+	clear(p.firstDelivered)
+	if p.firstDelivered == nil {
+		p.firstDelivered = make(map[int64]consensus.Value)
+	}
 	p.hb.Reset(p.n)
 	p.firstVotes.Reset(p.n)
 	p.secondVotes.Reset(p.n)

@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +29,6 @@ type Decision struct {
 // across node goroutines.
 type SafetyChecker struct {
 	mu        sync.Mutex
-	n         int
 	proposals Tally[Value]
 	decisions Tally[Decision]
 	order     []Decision // decisions in arrival order
@@ -39,12 +39,21 @@ type SafetyChecker struct {
 }
 
 // NewSafetyChecker returns an empty checker for an n-process cluster. Its
-// tables are sized for n processes when first written.
+// tables are sized for n processes.
 func NewSafetyChecker(n int) *SafetyChecker {
-	c := &SafetyChecker{n: n}
+	c := &SafetyChecker{}
+	c.Reset(n)
+	return c
+}
+
+// Reset empties the checker for a new n-process run, keeping its storage.
+func (c *SafetyChecker) Reset(n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.proposals.Reset(n)
 	c.decisions.Reset(n)
-	return c
+	c.order, c.violation = slices.Grow(c.order[:0], n), nil
+	c.decided.Store(0)
 }
 
 // RecordProposal registers the value proposed by p (used for validity).
@@ -86,9 +95,6 @@ func (c *SafetyChecker) RecordDecision(d Decision) error {
 		return c.violate("validity: process %d decided %q, which no process proposed", d.Proc, d.Value)
 	}
 	c.decisions.Set(d.Proc, d)
-	if c.order == nil {
-		c.order = make([]Decision, 0, c.n)
-	}
 	c.order = append(c.order, d)
 	c.decided.Add(1)
 	return nil

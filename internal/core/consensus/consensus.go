@@ -94,6 +94,12 @@ type Process interface {
 	HandleTimer(id TimerID)
 }
 
+// Reuser is a Process that takes over the storage (tallies, queues, reply
+// boxes; never state) a discarded process of its own type grew, which must
+// not run again. A substrate that keeps discarded processes calls Reuse on
+// a fresh process before Init, which resets that storage as its own.
+type Reuser interface{ Reuse(old Process) }
+
 // Factory constructs a protocol instance for one process. It is invoked at
 // start and again at every restart.
 type Factory func(id ProcessID, n int, proposal Value) Process

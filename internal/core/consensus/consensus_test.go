@@ -168,6 +168,37 @@ func TestCheckerQueries(t *testing.T) {
 	}
 }
 
+// TestCheckerReset: a checker reset for a new run — the one a simulator
+// arena keeps — forgets the last run's proposals, decisions and violation
+// and judges the new run as a fresh checker would.
+func TestCheckerReset(t *testing.T) {
+	c := NewSafetyChecker(3)
+	for p := ProcessID(0); p < 3; p++ {
+		c.RecordProposal(p, "a")
+	}
+	_ = c.RecordDecision(Decision{Proc: 0, Value: "a", At: 1})
+	_ = c.RecordDecision(Decision{Proc: 1, Value: "a", At: 2})
+	_ = c.RecordDecision(Decision{Proc: 2, Value: "zzz", At: 3}) // a validity violation
+	c.Reset(2)
+	if c.Violation() != nil || c.DecidedCount() != 0 || len(c.Decisions()) != 0 {
+		t.Fatalf("after Reset: violation %v, %d decided, decisions %v", c.Violation(), c.DecidedCount(), c.Decisions())
+	}
+	if _, ok := c.FirstDecision(); ok || c.AllDecided([]ProcessID{0}) {
+		t.Fatal("after Reset the last run's decisions still count")
+	}
+	c.RecordProposal(0, "b")
+	c.RecordProposal(1, "c")
+	if err := c.RecordDecision(Decision{Proc: 1, Value: "a", At: 4}); err == nil {
+		t.Fatal("after Reset a value only the last run proposed is still valid")
+	}
+	if err := c.RecordDecision(Decision{Proc: 1, Value: "b", At: 5}); err != nil {
+		t.Fatalf("after Reset: %v", err)
+	}
+	if !c.AllDecided([]ProcessID{1}) || c.AllDecided([]ProcessID{0, 1}) {
+		t.Fatal("after Reset AllDecided answers wrongly")
+	}
+}
+
 // Property: the checker accepts any sequence of identical decisions over any
 // subset of proposers and never reports a violation.
 func TestQuickCheckerAcceptsUnanimity(t *testing.T) {

@@ -190,6 +190,14 @@ func MustNew(cfg Config) consensus.Factory {
 	return f
 }
 
+// Reuse implements consensus.Reuser: p takes over old's tallies and replies.
+func (p *Process) Reuse(old consensus.Process) {
+	if o, ok := old.(*Process); ok {
+		p.contacts, p.p1bs, p.p2bs, p.p1bReply, p.decidedReply = o.contacts, o.p1bs, o.p2bs, o.p1bReply, o.decidedReply
+		*o = Process{}
+	}
+}
+
 // Init implements consensus.Process. On a restart the process resumes from
 // stable storage with a fresh session timer, as the paper prescribes.
 func (p *Process) Init(env consensus.Environment) {

@@ -97,6 +97,14 @@ func New(cfg Config) consensus.Factory {
 	}
 }
 
+// Reuse implements consensus.Reuser: p takes over old's tallies and replies.
+func (p *Process) Reuse(old consensus.Process) {
+	if o, ok := old.(*Process); ok {
+		p.p1bs, p.p2bs, p.p1bReply, p.decidedReply = o.p1bs, o.p2bs, o.p1bReply, o.decidedReply
+		*o = Process{}
+	}
+}
+
 // Init implements consensus.Process. On restart it resumes from stable
 // storage, exactly as §2 prescribes.
 func (p *Process) Init(env consensus.Environment) {

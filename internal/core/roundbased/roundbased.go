@@ -146,6 +146,15 @@ func MustNew(cfg Config) consensus.Factory {
 	return f
 }
 
+// Reuse implements consensus.Reuser: p takes over old's tallies (which only
+// a round entry resets, but a decided process never reads) and reply.
+func (p *Process) Reuse(old consensus.Process) {
+	if o, ok := old.(*Process); ok {
+		p.inRound, p.estimates, p.acks, p.decidedReply = o.inRound, o.estimates, o.acks, o.decidedReply
+		*o = Process{}
+	}
+}
+
 // Init implements consensus.Process.
 func (p *Process) Init(env consensus.Environment) {
 	p.env = env

@@ -53,11 +53,14 @@ type Holdback struct {
 	size      int    // cluster size, from Reset
 }
 
-// Reset empties the queue, keeping its storage, and records that it orders
-// the messages of an n-process cluster.
+// Reset empties the queue (held messages, Ready's scratch, the delivered
+// count), keeping its storage, and records the cluster size n.
 func (h *Holdback) Reset(n int) {
 	clear(h.items)
 	h.items = h.items[:0]
+	clear(h.ready)
+	h.ready = h.ready[:0]
+	h.delivered = 0
 	h.size = n
 }
 

@@ -92,6 +92,32 @@ func TestDeliveredCounter(t *testing.T) {
 	}
 }
 
+// TestResetAfterDeliveries: a queue reset mid-run — the one a restarted or
+// reused process takes over — starts empty: nothing held, nothing delivered,
+// no payload kept from the batch Ready last returned, and it delivers a new
+// batch exactly like a fresh queue.
+func TestResetAfterDeliveries(t *testing.T) {
+	var h Holdback
+	for i := 0; i < 4; i++ {
+		h.Add(Item{TS: uint64(i), ReadyAt: time.Duration(i), Payload: i})
+	}
+	batch := h.Ready(1)
+	h.Reset(5)
+	if h.Len() != 0 || h.Delivered() != 0 {
+		t.Fatalf("after Reset: Len=%d Delivered=%d, want 0,0", h.Len(), h.Delivered())
+	}
+	if batch[0].Payload != nil || batch[1].Payload != nil {
+		t.Fatalf("Reset kept the last batch's payloads: %+v", batch)
+	}
+	if _, ok := h.NextDeadline(); ok {
+		t.Fatal("NextDeadline after Reset should report false")
+	}
+	h.Add(item(9, 1, 5))
+	if got := h.Ready(5); len(got) != 1 || got[0].TS != 9 || h.Delivered() != 1 {
+		t.Fatalf("after Reset delivered %+v, count %d; want the one new item", got, h.Delivered())
+	}
+}
+
 // TestReadyReleasesDeliveredPayloads: once the caller is done with a batch —
 // marked by its next Ready call — nothing in the queue may keep the
 // delivered payloads reachable: not the vacated tail of the backing array,

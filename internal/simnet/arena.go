@@ -7,18 +7,20 @@ import (
 )
 
 // Arena pools the expensive per-run state of simulated clusters — the
-// engine's event storage and the per-process Node objects with their timer
-// tables, cached timer closures, and stable stores — so a grid sweep can
-// run thousands of cells without rebuilding any of it. Population-scale
+// engine's event storage, the safety checker and the per-process Node
+// objects with their timer tables, cached timer closures, stable stores and
+// last processes (consensus.Reuser) — so a grid sweep can run thousands of
+// cells without rebuilding any of it. Population-scale
 // cells make this matter: constructing 5000 nodes per cell costs more than
 // simulating some cells.
 //
 // One Arena serves one goroutine at a time (the scenario runner gives each
 // worker its own); runs on an arena are byte-identical to runs on fresh
-// storage, which TestArenaRunsAreIdentical pins.
+// storage, which TestArenaRunsMatchFreshRuns pins.
 type Arena struct {
-	eng   *sim.Engine
-	nodes []*Node
+	eng     *sim.Engine
+	checker consensus.SafetyChecker
+	nodes   []*Node
 }
 
 // NewArena returns an empty arena; storage grows on first use and is

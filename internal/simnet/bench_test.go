@@ -140,3 +140,38 @@ func TestBroadcastRoundAllocs(t *testing.T) {
 		t.Errorf("unicast round at N=100: %d allocations, want fewer than N", mallocs)
 	}
 }
+
+// TestDuplicateCopiesDoNotAllocate: under Duplicate{Prob: 1} a warm network
+// routes a pre-TS message and broadcasts one, every copy included, without
+// allocating — a policy appends copies to the network's own buffer
+// (Transmission.Duplicates), not to a fresh list per message.
+func TestDuplicateCopiesDoNotAllocate(t *testing.T) {
+	eng := sim.NewEngine(1)
+	factory := func(consensus.ProcessID, int, consensus.Value) consensus.Process { return nullProc{} }
+	nw, err := New(eng, Config{
+		N: 5, Delta: 10 * time.Millisecond, TS: time.Hour,
+		Policy: Duplicate{Prob: 1, MaxExtra: 2}, Collector: trace.NewCollector(),
+	}, factory, proposals(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Start()
+	var msg consensus.Message = pingMsg{V: "x"}
+	nd := nw.Node(0)
+	drain := func() { eng.Run(eng.Now() + time.Second) }
+	route := func() { nd.Send(1, msg); drain() }
+	broadcast := func() { nd.Broadcast(msg); drain() }
+	route()
+	broadcast()
+	delivered := nw.Collector().DeliveredByType()["ping"]
+	if allocs := testing.AllocsPerRun(50, route); allocs != 0 {
+		t.Errorf("route with two copies: %.1f allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, broadcast); allocs != 0 {
+		t.Errorf("broadcast with two copies per link: %.1f allocations, want 0", allocs)
+	}
+	// 51 routes and 51 broadcasts each, 3 deliveries per link.
+	if got, want := nw.Collector().DeliveredByType()["ping"]-delivered, 51*3+51*5*3; got != want {
+		t.Errorf("delivered %d messages, want %d: copies went missing", got, want)
+	}
+}

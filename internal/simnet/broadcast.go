@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/core/consensus"
@@ -53,7 +54,7 @@ func (n *Node) Broadcast(m consensus.Message) {
 	// events again regardless of representation).
 	dropped := 0
 	for to := 0; to < N; to++ {
-		fate := nw.cfg.Policy.Fate(Transmission{From: n.id, To: consensus.ProcessID(to), Msg: m, SentAt: now, TS: nw.cfg.TS, Delta: nw.cfg.Delta}, nw.eng.Rand())
+		fate := nw.cfg.Policy.Fate(Transmission{From: n.id, To: consensus.ProcessID(to), Msg: m, SentAt: now, TS: nw.cfg.TS, Delta: nw.cfg.Delta, Duplicates: nw.dups[:0]}, nw.eng.Rand())
 		if fate.Drop {
 			dropped++
 			continue
@@ -71,6 +72,7 @@ func (n *Node) Broadcast(m consensus.Message) {
 			}
 			nw.eng.ScheduleDelivery(now+d, int32(n.id), int32(to), int64(typeID), m)
 		}
+		nw.dups = slices.Grow(nw.dups[:0], len(fate.Duplicates))
 		if hist {
 			nw.observeDelivery(typeID, delay)
 			nw.observeQueueDepth()

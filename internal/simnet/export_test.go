@@ -1,5 +1,7 @@
 package simnet
 
+import "repro/internal/core/consensus"
+
 // SetSettledHook installs fn to see every answer Network.Settled gives and
 // returns a function that removes it. The hook is process-wide: tests using
 // it must not run in parallel with other simulations.
@@ -22,3 +24,7 @@ func (nw *Network) SettledByScan() bool {
 	}
 	return true
 }
+
+// Spare returns the discarded process the node keeps for the next process
+// it starts to reuse (nil when it keeps none).
+func (n *Node) Spare() consensus.Process { return n.spare }

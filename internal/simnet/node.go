@@ -25,6 +25,7 @@ type Node struct {
 	proc  consensus.Process
 	up    bool
 	store *storage.MemStore
+	spare consensus.Process // the last one discarded, if a consensus.Reuser
 
 	// timers is a dense table indexed by TimerID for IDs below
 	// denseTimerCap (protocols declare small integer constants, so their
@@ -61,34 +62,20 @@ func newNode(nw *Network, id consensus.ProcessID, factory consensus.Factory, pro
 
 // reset re-binds a pooled node (Arena reuse) to a new run: fresh network,
 // factory, proposal, and clock; emptied stable storage; cleared decision
-// bookkeeping. The dense timer table and its cached firing closures are
-// kept — each closure captures only the node pointer and its timer index,
-// both stable across reuse, and reads the current proc/up state when it
-// fires — so a reused cell's timer churn allocates nothing from its very
-// first round. The previous run's engine has been Reset, which invalidated
-// every outstanding timer Event, so the stale handles left in the tables
-// are inert; they are zeroed here anyway to keep Pending() queries honest.
+// bookkeeping; the last run's process kept as the spare. The dense timer
+// table and its cached firing closures are kept — each closure captures
+// only the node pointer and timer index, both stable across reuse, and
+// reads the current proc/up state when it fires — so a reused cell's timer
+// churn allocates nothing. The previous run's engine has been Reset, which
+// invalidated every outstanding timer Event, so the stale handles left in
+// the tables are inert; they are zeroed anyway to keep Pending() honest.
 func (n *Node) reset(nw *Network, factory consensus.Factory, proposal consensus.Value, drift clock.Drift) {
-	n.nw = nw
-	n.factory = factory
-	n.proposal = proposal
-	n.drift = drift
-	n.proc = nil
-	n.up = false
+	n.discard()
 	n.store.Reset()
-	for i := range n.timers {
-		n.timers[i] = sim.Event{}
-	}
-	for id := range n.timersXL {
-		delete(n.timersXL, id)
-	}
-	n.decided = false
-	n.decision = ""
-	n.decidedAt = 0
-	n.startedAt = 0
-	n.crashCount = 0
-	n.restartedAt = 0
-	n.restarted = false
+	clear(n.timers)
+	clear(n.timersXL)
+	*n = Node{nw: nw, id: n.id, factory: factory, proposal: proposal, drift: drift, store: n.store,
+		spare: n.spare, timers: n.timers, timerFns: n.timerFns, timersXL: n.timersXL}
 }
 
 // start boots (or reboots) the process at the current virtual time.
@@ -108,7 +95,19 @@ func (n *Node) start() {
 		n.nw.collector.Span(n.startedAt, int(n.id), trace.SpanDown, false, int64(n.crashCount))
 	}
 	n.proc = n.factory(n.id, n.nw.cfg.N, n.proposal)
+	if r, ok := n.proc.(consensus.Reuser); ok && n.spare != nil {
+		r.Reuse(n.spare)
+	}
+	n.spare = nil
 	n.proc.Init(n)
+}
+
+// discard drops the process, keeping a consensus.Reuser as the spare.
+func (n *Node) discard() {
+	if _, ok := n.proc.(consensus.Reuser); ok {
+		n.spare = n.proc
+	}
+	n.proc = nil
 }
 
 // crash stops the process: volatile state (the Process object and all
@@ -121,7 +120,7 @@ func (n *Node) crash() {
 	if !n.decided {
 		n.nw.undecidedUp--
 	}
-	n.proc = nil
+	n.discard()
 	n.crashCount++
 	n.nw.collector.Span(n.nw.eng.Now(), int(n.id), trace.SpanDown, true, int64(n.crashCount))
 	for i := range n.timers {

@@ -17,6 +17,10 @@ type Transmission struct {
 	// TS and Delta restate the network parameters for convenience.
 	TS    time.Duration
 	Delta time.Duration
+	// Duplicates is an empty buffer the caller owns and reuses at its next
+	// Fate call (or nil): a policy appends copies to it and returns them as
+	// Fate.Duplicates, so a warm network allocates nothing per copy.
+	Duplicates []time.Duration
 }
 
 // Fate is a policy's ruling on a pre-stability message.
@@ -123,9 +127,11 @@ type Chain []Policy
 
 // Fate implements Policy.
 func (c Chain) Fate(tx Transmission, rng *rand.Rand) Fate {
-	var out Fate
+	out := Fate{Duplicates: tx.Duplicates}
 	for _, p := range c {
-		f := p.Fate(tx, rng)
+		link := tx // appends to the buffer's free tail
+		link.Duplicates = out.Duplicates[len(out.Duplicates):]
+		f := p.Fate(link, rng)
 		if f.Drop {
 			return Fate{Drop: true}
 		}
@@ -329,6 +335,7 @@ func (d Duplicate) Fate(tx Transmission, rng *rand.Rand) Fate {
 	if spread <= 0 {
 		spread = 1
 	}
+	f.Duplicates = append(tx.Duplicates, f.Duplicates...) // into the caller's buffer
 	for i := 0; i < maxExtra; i++ {
 		if rng.Float64() < prob {
 			f.Duplicates = append(f.Duplicates, f.Delay+1+time.Duration(rng.Int63n(int64(spread))))

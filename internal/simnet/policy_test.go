@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -208,6 +209,38 @@ func TestDuplicateSpawnsLateCopies(t *testing.T) {
 	zero := Transmission{From: 0, To: 1, Msg: echoMsg{}, SentAt: 0, TS: testTS, Delta: 0}
 	if f := (Duplicate{Prob: 1}).Fate(zero, rng); len(f.Duplicates) != 1 {
 		t.Errorf("Duplicate with zero Delta: %+v", f)
+	}
+}
+
+// TestDuplicatesIntoCallerBuffer: a policy given a buffer in
+// Transmission.Duplicates rules exactly as it does without one — same
+// drops, delays, copies and random draws — Chain's union included, and
+// once the buffer is large enough it appends in place.
+func TestDuplicatesIntoCallerBuffer(t *testing.T) {
+	p := Chain{
+		Duplicate{Prob: 0.7, MaxExtra: 2, Spread: testDelta},
+		Chaos{DropProb: 0.1, MaxDelay: testDelta},
+		Duplicate{Prob: 0.5, MaxExtra: 3, Base: Reorder{}},
+	}
+	plain, buffered := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	var buf []time.Duration
+	for i := 0; i < 500; i++ {
+		want := p.Fate(tx(0, 1, testTS/2), plain)
+		in := tx(0, 1, testTS/2)
+		in.Duplicates = buf[:0]
+		got := p.Fate(in, buffered)
+		if got.Drop != want.Drop || got.Delay != want.Delay || !slices.Equal(got.Duplicates, want.Duplicates) {
+			t.Fatalf("message %d: with a buffer %+v, without %+v", i, got, want)
+		}
+		if len(got.Duplicates) > 0 && cap(buf) >= 5 && &got.Duplicates[0] != &buf[:1][0] {
+			t.Fatalf("message %d: copies left a buffer of capacity %d", i, cap(buf))
+		}
+		if cap(got.Duplicates) > cap(buf) {
+			buf = got.Duplicates[:0]
+		}
+	}
+	if plain.Int63() != buffered.Int63() {
+		t.Fatal("a buffer changed the number of random draws")
 	}
 }
 

@@ -49,8 +49,9 @@ type Config struct {
 	// Collector receives trace events; one is created when nil.
 	Collector *trace.Collector
 	// Arena, when non-nil, supplies pooled node storage reused across runs
-	// (see Arena). The engine passed to New must then be the arena's own
-	// (Arena.Engine), so node timer state and event storage reset together.
+	// (see Arena), and the network's Checker is the arena's. The engine passed
+	// to New must then be the arena's own (Arena.Engine), so node timer state
+	// and event storage reset together.
 	Arena *Arena
 }
 
@@ -105,6 +106,7 @@ type Network struct {
 	// Scratch buffers returned by UpIDs/AllIDs (see their docs).
 	upScratch  []consensus.ProcessID
 	allScratch []consensus.ProcessID
+	dups       []time.Duration // the buffer policies append duplicates to
 }
 
 // DeliveryObserver is notified after every successful message delivery.
@@ -135,9 +137,14 @@ func New(eng *sim.Engine, cfg Config, factory consensus.Factory, proposals []con
 		eng:       eng,
 		cfg:       cfg,
 		collector: cfg.Collector,
-		checker:   consensus.NewSafetyChecker(cfg.N),
 		nodes:     make([]*Node, 0, cfg.N),
 	}
+	if cfg.Arena != nil {
+		nw.checker = &cfg.Arena.checker
+	} else {
+		nw.checker = new(consensus.SafetyChecker)
+	}
+	nw.checker.Reset(cfg.N)
 	// All message traffic flows through the engine's delivery sink: one
 	// closure per network instead of one per message in flight. The sink's
 	// aux value is the interned message-type ID, so delivery accounting
@@ -296,7 +303,7 @@ func (nw *Network) route(from, to consensus.ProcessID, m consensus.Message) {
 		span := nw.cfg.Delta - nw.cfg.MinDelay
 		delay = nw.cfg.MinDelay + time.Duration(nw.eng.Rand().Int63n(int64(span)+1))
 	} else {
-		fate := nw.cfg.Policy.Fate(Transmission{From: from, To: to, Msg: m, SentAt: now, TS: nw.cfg.TS, Delta: nw.cfg.Delta}, nw.eng.Rand())
+		fate := nw.cfg.Policy.Fate(Transmission{From: from, To: to, Msg: m, SentAt: now, TS: nw.cfg.TS, Delta: nw.cfg.Delta, Duplicates: nw.dups[:0]}, nw.eng.Rand())
 		if fate.Drop {
 			nw.collector.DroppedID(typeID)
 			return
@@ -316,6 +323,7 @@ func (nw *Network) route(from, to consensus.ProcessID, m consensus.Message) {
 			}
 			nw.eng.ScheduleDelivery(now+d, int32(from), int32(to), int64(typeID), m)
 		}
+		nw.dups = slices.Grow(nw.dups[:0], len(fate.Duplicates)) // room for as many next time
 	}
 
 	if nw.collector.HistogramsEnabled() {

@@ -3,3 +3,5 @@
 package repro_test
 
 const raceAllocAllowance = 0
+
+const raceByteAllowance = 0

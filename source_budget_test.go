@@ -27,9 +27,9 @@ import (
 const (
 	// budgetGoLines counts the lines of every non-test .go file in the tree
 	// (bench/ included, testdata/ and dot-directories skipped).
-	budgetGoLines = 22677
+	budgetGoLines = 22747
 	// budgetReadmeBytes is the size of README.md.
-	budgetReadmeBytes = 55185
+	budgetReadmeBytes = 57391
 )
 
 // budgetExported is the number of exported identifiers per package
@@ -40,13 +40,13 @@ var budgetExported = map[string]int{
 	"internal/adversary":                    5,
 	"internal/analysis":                     17,
 	"internal/clock":                        16,
-	"internal/core/bconsensus":              16,
-	"internal/core/consensus":               56,
+	"internal/core/bconsensus":              17,
+	"internal/core/consensus":               58,
 	"internal/core/consensus/consensustest": 26,
 	"internal/core/dynamics":                13,
-	"internal/core/modpaxos":                25,
-	"internal/core/paxos":                   23,
-	"internal/core/roundbased":              18,
+	"internal/core/modpaxos":                26,
+	"internal/core/paxos":                   24,
+	"internal/core/roundbased":              19,
 	"internal/experiments":                  19,
 	"internal/harness":                      27,
 	"internal/leader":                       4,
