@@ -97,7 +97,10 @@ type Process interface {
 // Reuser is a Process that takes over the storage (tallies, queues, reply
 // boxes; never state) a discarded process of its own type grew, which must
 // not run again. A substrate that keeps discarded processes calls Reuse on
-// a fresh process before Init, which resets that storage as its own.
+// a fresh process before Init, which resets that storage as its own: the
+// simulator's nodes do, across crashes and runs. An rsm replica, which
+// builds only modpaxos instances, keeps its retired slots' instances on a
+// free list and resets one in place (modpaxos.Process.Recycle) instead.
 type Reuser interface{ Reuse(old Process) }
 
 // Factory constructs a protocol instance for one process. It is invoked at

@@ -193,8 +193,28 @@ func MustNew(cfg Config) consensus.Factory {
 // Reuse implements consensus.Reuser: p takes over old's tallies and replies.
 func (p *Process) Reuse(old consensus.Process) {
 	if o, ok := old.(*Process); ok {
-		p.contacts, p.p1bs, p.p2bs, p.p1bReply, p.decidedReply = o.contacts, o.p1bs, o.p2bs, o.p1bReply, o.decidedReply
+		*p = p.withStorageOf(o)
 		*o = Process{}
+	}
+}
+
+// Recycle resets p in place for a new instance with the given proposal,
+// once p must not run again: it keeps p's identity, configuration and
+// storage, as Reuse would take them over, and zeroes its state, so Init
+// follows exactly as for a fresh process. A replicated log runs each new
+// slot's instance in a retired slot's this way.
+func (p *Process) Recycle(proposal consensus.Value) {
+	p.proposal = proposal
+	*p = p.withStorageOf(p)
+}
+
+// withStorageOf is a process with p's identity, configuration and proposal
+// holding old's storage — its tallies and reply boxes, never its state.
+func (p *Process) withStorageOf(old *Process) Process {
+	return Process{
+		id: p.id, n: p.n, cfg: p.cfg, proposal: p.proposal,
+		contacts: old.contacts, p1bs: old.p1bs, p2bs: old.p2bs,
+		p1bReply: old.p1bReply, decidedReply: old.decidedReply,
 	}
 }
 

@@ -33,30 +33,42 @@ func TestReuseIsInvisible(t *testing.T) {
 			b, spare.p1bs.Len(), spare.p2bs.Len(), spareEnv.Decisions)
 	}
 
-	script := func(p *Process) *consensustest.Env {
-		env := consensustest.New(0, n5)
-		p.Init(env) // ballot 0, its own
-		for from := consensus.ProcessID(0); from < 3; from++ {
-			p.HandleMessage(from, P1b{Bal: 0, ABal: consensus.NoBallot})
-		}
-		p.HandleMessage(4, P1b{Bal: 0, ABal: consensus.NoBallot}) // a straggler
-		for from := consensus.ProcessID(2); from < 5; from++ {
-			p.HandleMessage(from, P2b{Bal: 0, Val: "mine"})
-		}
-		p.HandleMessage(1, P1a{Bal: 0})
-		p.HandleTimer(gossipTimer)
-		return env
-	}
 	factory := MustNew(Config{Delta: uDelta})
-	want := script(factory(0, n5, "mine").(*Process))
 	reused := factory(0, n5, "mine").(*Process)
 	reused.Reuse(spare)
 	if !reflect.ValueOf(*spare).IsZero() {
 		t.Fatal("the spare kept its storage")
 	}
-	got := script(reused)
-	if v, ok := want.Decided(); !ok || v != "mine" {
-		t.Fatalf("script decided %q, %v; want mine", v, ok)
+	sameAsFresh(t, reused, factory(0, n5, "mine").(*Process))
+}
+
+// TestRecycleIsInvisible: a process recycled in place in the middle of a
+// session it adopted — its session timer expired, Start Phase 1 waiting for
+// a majority of contacts, a phase 2b in its tally — sends, arms and decides
+// on the script what a fresh process does. Kept, the expired timer alone
+// would start phase 1 at the script's first message.
+func TestRecycleIsInvisible(t *testing.T) {
+	factory := MustNew(Config{Delta: uDelta})
+	old := factory(0, n5, "old").(*Process)
+	old.Init(consensustest.New(0, n5))
+	b := consensus.BallotFor(1, 1, n5)
+	old.HandleMessage(1, P1a{Bal: b}) // session 1: contacts 0 and 1
+	old.HandleMessage(1, P2b{Bal: b, Val: "old"})
+	old.HandleTimer(sessionTimer)
+	if !old.timerExpired || old.st.MBal != b || old.p2bs.Len() != 1 {
+		t.Fatalf("process not waiting in session 1: timer expired %v, ballot %v, %d phase 2b", old.timerExpired, old.st.MBal, old.p2bs.Len())
+	}
+	old.Recycle("mine")
+	sameAsFresh(t, old, factory(0, n5, "mine").(*Process))
+}
+
+// sameAsFresh runs the script on a process that reused storage and on a
+// fresh one, and compares what they did.
+func sameAsFresh(t *testing.T, reused, fresh *Process) {
+	t.Helper()
+	got, want := reuseScript(reused), reuseScript(fresh)
+	if v, ok := want.Decided(); !ok || v != fresh.proposal {
+		t.Fatalf("script decided %q, %v; want %q", v, ok, fresh.proposal)
 	}
 	for _, f := range []struct {
 		what      string
@@ -72,4 +84,21 @@ func TestReuseIsInvisible(t *testing.T) {
 			t.Errorf("reused process %s %v, fresh %v", f.what, f.got, f.want)
 		}
 	}
+}
+
+// reuseScript has process 0 of 5 win ballot 0 with its own proposal, decide
+// it, and answer a straggler and a P1a, then gossip.
+func reuseScript(p *Process) *consensustest.Env {
+	env := consensustest.New(0, n5)
+	p.Init(env) // ballot 0, its own
+	for from := consensus.ProcessID(0); from < 3; from++ {
+		p.HandleMessage(from, P1b{Bal: 0, ABal: consensus.NoBallot})
+	}
+	p.HandleMessage(4, P1b{Bal: 0, ABal: consensus.NoBallot}) // a straggler
+	for from := consensus.ProcessID(2); from < 5; from++ {
+		p.HandleMessage(from, P2b{Bal: 0, Val: p.proposal})
+	}
+	p.HandleMessage(1, P1a{Bal: 0})
+	p.HandleTimer(gossipTimer)
+	return env
 }

@@ -60,14 +60,19 @@ func appendCommandHead(b []byte, c Command) []byte {
 // length the remaining bytes cannot hold, a truncated field, trailing
 // bytes) decode as a single sessionless command, so every decided non-NoOp
 // value applies exactly once somehow.
-func DecodeBatch(v consensus.Value) []Command {
-	if cmds, ok := decodeBatch(v); ok {
-		return cmds
+func DecodeBatch(v consensus.Value) []Command { return appendBatch(nil, v) }
+
+// appendBatch appends v's commands, as DecodeBatch decodes them, to dst:
+// a replica decodes each slot it applies into one buffer. Growing a short
+// dst takes one exactly sized allocation.
+func appendBatch(dst []Command, v consensus.Value) []Command {
+	if out, ok := decodeBatch(dst, v); ok {
+		return out
 	}
-	return []Command{{Op: v}}
+	return append(dst, Command{Op: v})
 }
 
-func decodeBatch(v consensus.Value) ([]Command, bool) {
+func decodeBatch(dst []Command, v consensus.Value) ([]Command, bool) {
 	if !strings.HasPrefix(string(v), batchPrefix) {
 		return nil, false
 	}
@@ -79,8 +84,11 @@ func decodeBatch(v consensus.Value) ([]Command, bool) {
 	if n <= 0 || count > uint64((len(b)-off)/minCommand) {
 		return nil, false
 	}
-	out := make([]Command, count)
-	for i := range out {
+	out := dst
+	if uint64(cap(dst)-len(dst)) < count {
+		out = append(make([]Command, 0, len(dst)+int(count)), dst...)
+	}
+	for range count {
 		client, n1 := binary.Varint(b[off:])
 		if n1 <= 0 {
 			return nil, false
@@ -94,7 +102,7 @@ func decodeBatch(v consensus.Value) ([]Command, bool) {
 		if n3 <= 0 || opLen > uint64(len(b)-off) {
 			return nil, false
 		}
-		out[i] = Command{Client: client, Seq: seq, Op: v[off : off+int(opLen)]}
+		out = append(out, Command{Client: client, Seq: seq, Op: v[off : off+int(opLen)]})
 		off += int(opLen)
 	}
 	return out, off == len(b)

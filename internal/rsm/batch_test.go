@@ -3,6 +3,7 @@ package rsm
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestDecodeMalformedFallsBack(t *testing.T) {
 
 // TestBatchCodecAllocatesOnce pins both directions at one allocation: the
 // exactly sized value, and the exactly sized command slice whose ops share
-// the value's bytes.
+// the value's bytes — none when the slice is a replica's warm buffer.
 func TestBatchCodecAllocatesOnce(t *testing.T) {
 	cmds := make([]Command, 8)
 	for i := range cmds {
@@ -86,12 +87,17 @@ func TestBatchCodecAllocatesOnce(t *testing.T) {
 	if !reflect.DeepEqual(cmds, out) {
 		t.Fatalf("round trip:\n in  %+v\n out %+v", cmds, out)
 	}
+	buf := make([]Command, 0, len(cmds))
+	if n := testing.AllocsPerRun(100, func() { buf = appendBatch(buf[:0], v) }); n != 0 {
+		t.Errorf("decoding into a buffer that holds the batch allocates %v times, want 0", n)
+	}
 }
 
 // FuzzDecodeBatch: decoding never panics; a value either is a well-formed
 // batch — then it is exactly what EncodeBatch makes of its commands, whose
 // ops are cut from the value — or decodes as one sessionless command
-// holding all of it.
+// holding all of it; appended to a buffer, it decodes the same behind what
+// the buffer held.
 func FuzzDecodeBatch(f *testing.F) {
 	for i, v := range malformedBatches {
 		f.Add(string(v), int64(i-3), uint64(i))
@@ -107,6 +113,10 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("round trip:\n in  %+v\n out %+v", cmds, got)
 		}
 		out := DecodeBatch(v)
+		kept := Command{Client: client, Seq: seq, Op: "kept"}
+		if got := appendBatch([]Command{kept}, v); got[0] != kept || !slices.Equal(got[1:], out) {
+			t.Fatalf("%q appended to %+v is %+v, decodes alone as %+v", in, kept, got, out)
+		}
 		if len(out) == 1 && out[0] == (Command{Op: v}) {
 			return // not a batch
 		}

@@ -211,11 +211,6 @@ func (r *Replica) finishRepair() {
 	r.replicaSpan(trace.SpanRSMFailover, false, r.epoch)
 }
 
-// slotClaimer is the modpaxos hook that lets a failed-over leader open a
-// slot with a ballot it owns instead of waiting out the crashed prepared
-// owner's session timer.
-type slotClaimer interface{ Claim(session int64) }
-
 // claimSlot gives a post-failover leader's instance a dominating ballot so
 // its proposals move as fast as the prepared epoch-0 path (one extra
 // phase-1 round trip, no σ wait, no NoOp duels with follower recovery).
@@ -224,11 +219,10 @@ func (r *Replica) claimSlot(st *slotState) {
 	if !r.failoverOn() || r.epoch == 0 || r.id != r.leaderID() {
 		return
 	}
-	if c, ok := st.proc.(slotClaimer); ok {
-		// Session e+1 dominates every ballot epochs < e could have used
-		// (epoch 0 proposed in the prepared session 1).
-		c.Claim(r.epoch + 1)
-	}
+	// Session e+1 dominates every ballot epochs < e could have used (epoch 0
+	// proposed in the prepared session 1); the claim opens it at once instead
+	// of waiting out the crashed prepared owner's session timer.
+	st.proc.Claim(r.epoch + 1)
 }
 
 // beat is this replica's view as a Beat.

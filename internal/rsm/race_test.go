@@ -3,6 +3,8 @@
 package rsm_test
 
 // raceAllocAllowance is what the race detector's instrumentation adds to a
-// committed operation's allocation count (measured 0.74; 1.68–1.71 while a
-// prepared follower's instance opened with a P1a).
-const raceAllocAllowance = 1.8
+// committed operation's allocation count (measured 0.74–0.78 over three runs,
+// 0.77 before slot instances were recycled; 1.68–1.71 while a prepared
+// follower's instance opened with a P1a). It was 1.8; at 1.0 a race build
+// still fails at the 15.27 it measured before slot recycling.
+const raceAllocAllowance = 1.0

@@ -18,17 +18,17 @@ import (
 	"repro/internal/simnet"
 )
 
-// handFollower returns replica 1 of 3, initialised against a scripted
+// handReplica returns replica id of 3, initialised against a scripted
 // environment whose outbox is empty again.
-func handFollower(t *testing.T, cfg Config) (*Replica, *consensustest.Env) {
+func handReplica(t *testing.T, id consensus.ProcessID, cfg Config) (*Replica, *consensustest.Env) {
 	t.Helper()
 	cfg.Paxos.Delta = 10 * time.Millisecond
 	factory, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := consensustest.New(1, 3)
-	r := factory(1, 3, "").(*Replica)
+	env := consensustest.New(id, 3)
+	r := factory(id, 3, "").(*Replica)
 	r.Init(env)
 	env.ClearOutbox()
 	return r, env
@@ -62,7 +62,7 @@ func slotTimers(env *consensustest.Env, slot int64) []consensus.TimerID {
 // logged value, once; a P1b, a P2b or a Decided is nobody's question and gets
 // nothing; below the snapshot horizon there is no record to answer from.
 func TestRetiredSlotAnswersOnlyAskers(t *testing.T) {
-	r, env := handFollower(t, Config{SnapshotEvery: 2})
+	r, env := handReplica(t, 1, Config{SnapshotEvery: 2})
 	for slot, v := range []consensus.Value{"set a 0", "set a 1", "set a 2"} {
 		decideSlot(r, int64(slot), v)
 	}
@@ -107,7 +107,7 @@ func TestRetiredSlotAnswersOnlyAskers(t *testing.T) {
 // own replica, or the answer would cross the network to a replica that holds
 // it already.
 func TestRetiredSlotDoesNotAnswerItself(t *testing.T) {
-	r, env := handFollower(t, Config{})
+	r, env := handReplica(t, 1, Config{})
 	r.HandleMessage(0, SlotMsg{Slot: 0, Inner: modpaxos.Decided{Val: "set a 0"}})
 	if r.Applied() != 1 || len(r.slots) != 0 {
 		t.Fatalf("applied %d with %d live instances, want 1 and 0", r.Applied(), len(r.slots))
@@ -126,7 +126,7 @@ func TestRetiredSlotDoesNotAnswerItself(t *testing.T) {
 // locally, and it stood at one per replica (env.NN) until self-addressed
 // slot messages stopped crossing the network.
 func TestSlotDecidedAboveGapKeepsAnnouncing(t *testing.T) {
-	r, env := handFollower(t, Config{})
+	r, env := handReplica(t, 1, Config{})
 	decideSlot(r, 1, "set b 1")
 	if _, live := r.slots[1]; !live || r.Applied() != 0 {
 		t.Fatalf("slot 1 live: %v, applied %d; want a live instance above the gap", live, r.Applied())

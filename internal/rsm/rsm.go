@@ -52,6 +52,11 @@
 // timer, which sends Learn for any gap below a slot it knows exists (shipping
 // the snapshot when the gap is below the peer's horizon) and opens the gap's
 // lowest instances, so a slot whose messages were all lost still asks.
+//
+// A retired instance is not dropped but kept for a later slot: once the
+// event that retired it has ended, the replica resets it in place
+// (modpaxos.Process.Recycle) for the next slot it opens, so a warm replica
+// opens a slot without building a process, an environment or tallies.
 package rsm
 
 import (
@@ -432,6 +437,12 @@ type Replica struct {
 	// submitted, for the slot-decision-latency histogram; entries are
 	// deleted on decision so memory tracks in-flight slots only.
 	proposedAt map[int64]time.Duration
+	// retiring holds the instances retired during the current event, which
+	// may still be on the stack; deliverLocal moves them onto free, which
+	// instance draws on before it builds a new one.
+	retiring, free []*slotState
+	// cmds is tryFlush's encode buffer and applySlot's decode buffer.
+	cmds []Command
 
 	// Serving path (leader only).
 	queue    []*queuedCmd // commands awaiting a slot
@@ -502,9 +513,9 @@ type Replica struct {
 }
 
 // slotState is one slot's protocol instance and the environment it runs
-// against, in one allocation.
+// against, in one allocation that serves slot after slot (Replica.retire).
 type slotState struct {
-	proc consensus.Process
+	proc *modpaxos.Process
 	env  slotEnv
 }
 
@@ -678,6 +689,9 @@ func (r *Replica) deliverLocal() {
 	}
 	clear(r.local)
 	r.local = r.local[:0]
+	// No instance is on the stack any more.
+	r.free = append(r.free, r.retiring...)
+	r.retiring = r.retiring[:0]
 }
 
 // resolveCatchup closes the restart catch-up window once the replica has
@@ -802,11 +816,13 @@ func (r *Replica) tryFlush(force bool) {
 		copy(batch, r.queue)
 		r.queue = r.queue[:copy(r.queue, r.queue[take:])]
 
-		cmds := make([]Command, take)
-		for i, qc := range batch {
-			cmds[i] = qc.cmd
+		for _, qc := range batch {
+			r.cmds = append(r.cmds, qc.cmd)
 		}
-		val := EncodeBatch(cmds)
+		val := EncodeBatch(r.cmds)
+		// Done with the buffer before instance, which may re-enter tryFlush.
+		clear(r.cmds)
+		r.cmds = r.cmds[:0]
 		slot := r.assignSlot()
 		r.pending[slot] = val
 		r.proposed[slot] = batch
@@ -925,25 +941,37 @@ func (r *Replica) onSlotMsg(from consensus.ProcessID, msg SlotMsg) {
 }
 
 // instance returns the slot's protocol instance, creating (and Init-ing) it
-// on demand with the given proposal.
+// on demand with the given proposal: a retired slot's, reset in place, when
+// the free list holds one.
 func (r *Replica) instance(slot int64, proposal consensus.Value) *slotState {
 	if st, ok := r.slots[slot]; ok {
 		return st
 	}
-	st := &slotState{proc: r.factory(r.id, r.n, proposal), env: newSlotEnv(r, slot)}
+	var st *slotState
+	if k := len(r.free) - 1; k >= 0 {
+		st, r.free = r.free[k], r.free[:k]
+		st.proc.Recycle(proposal)
+	} else {
+		st = &slotState{proc: r.factory(r.id, r.n, proposal).(*modpaxos.Process)}
+	}
+	st.env = newSlotEnv(r, slot)
 	r.slots[slot] = st
 	st.proc.Init(&st.env)
 	return st
 }
 
 // retire drops an applied slot's protocol instance: its environment goes
-// silent (the instance is usually still on the stack, inside the Decide that
-// applied the slot, about to announce the decision and arm its gossip timer),
-// the timers it holds armed are cancelled and its in-memory state freed. A
-// peer still asking about the slot is answered from the decision log
-// (onSlotMsg), and gaps elsewhere are filled by the Learn protocol — without
-// this, every decided instance would gossip its decision forever and a long
-// log would drown the event queue.
+// silent and the timers it holds armed are cancelled. A peer still asking
+// about the slot is answered from the decision log (onSlotMsg), and gaps
+// elsewhere are filled by the Learn protocol — without this, every decided
+// instance would gossip its decision forever and a long log would drown the
+// event queue. The instance then serves a later slot, but only once the
+// event ends (deliverLocal): it is usually still on the stack, inside the
+// Decide that applied the slot and about to announce the decision and arm
+// its gossip timer, while the same Decide refills the pipeline window —
+// recycled at once, it would announce this slot's value as the new slot's.
+// Messages and timers find an instance by slot number, so nothing addressed
+// to the retired slot reaches the slot it serves next.
 func (r *Replica) retire(slot int64) {
 	st, ok := r.slots[slot]
 	if !ok {
@@ -951,6 +979,7 @@ func (r *Replica) retire(slot int64) {
 	}
 	st.env.retire()
 	delete(r.slots, slot)
+	r.retiring = append(r.retiring, st)
 }
 
 // onSlotDecided records a slot decision, re-queues stolen batches, applies
@@ -1049,9 +1078,12 @@ func (r *Replica) applySlot(slot int64, v consensus.Value) {
 		}
 		return
 	}
-	for i, cmd := range DecodeBatch(v) {
+	r.cmds = appendBatch(r.cmds, v)
+	for i, cmd := range r.cmds {
 		r.applyCommand(ea, slot, i, cmd)
 	}
+	clear(r.cmds) // the ops share v's bytes
+	r.cmds = r.cmds[:0]
 }
 
 // applyCommand executes one command unless its session already applied it,

@@ -27,9 +27,9 @@ import (
 const (
 	// budgetGoLines counts the lines of every non-test .go file in the tree
 	// (bench/ included, testdata/ and dot-directories skipped).
-	budgetGoLines = 22747
+	budgetGoLines = 22804
 	// budgetReadmeBytes is the size of README.md.
-	budgetReadmeBytes = 57391
+	budgetReadmeBytes = 57774
 )
 
 // budgetExported is the number of exported identifiers per package
@@ -44,7 +44,7 @@ var budgetExported = map[string]int{
 	"internal/core/consensus":               58,
 	"internal/core/consensus/consensustest": 26,
 	"internal/core/dynamics":                13,
-	"internal/core/modpaxos":                26,
+	"internal/core/modpaxos":                27,
 	"internal/core/paxos":                   24,
 	"internal/core/roundbased":              19,
 	"internal/experiments":                  19,
