@@ -87,8 +87,8 @@ type Config struct {
 	Delta time.Duration
 	// TS is the stabilization time.
 	TS time.Duration
-	// Policy is the pre-TS network policy (defaults to DropAll when TS>0,
-	// Synchronous otherwise).
+	// Policy is the pre-TS network policy (nil takes PreTSPolicy's default:
+	// DropAll when TS>0, Synchronous otherwise).
 	Policy simnet.Policy
 	// Rho is the clock-rate error bound.
 	Rho float64
@@ -226,13 +226,6 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Horizon == 0 {
 		cfg.Horizon = 2 * time.Minute
 	}
-	if cfg.Policy == nil {
-		if cfg.TS > 0 {
-			cfg.Policy = simnet.DropAll{}
-		} else {
-			cfg.Policy = simnet.Synchronous{}
-		}
-	}
 	desc, err := protocol.Get(string(cfg.Protocol))
 	if err != nil {
 		return Result{}, fmt.Errorf("harness: %w", err)
@@ -242,12 +235,6 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	var eng *sim.Engine
-	if cfg.Arena != nil {
-		eng = cfg.Arena.Engine(cfg.Seed)
-	} else {
-		eng = sim.NewEngine(cfg.Seed)
-	}
 	collector := trace.NewCollector()
 	if cfg.Observe {
 		collector.EnableSpans(0)
@@ -262,19 +249,11 @@ func Run(cfg Config) (Result, error) {
 	if desc.NeedsLeaderOracle {
 		collector.Intern(leader.Announce{}.Type())
 	}
-	var minDelay time.Duration
-	if cfg.WorstCaseDelays {
-		minDelay = cfg.Delta
-	}
 	proposals := DefaultProposals(cfg.N)
 	if cfg.OpinionPool > 0 {
 		proposals = PooledProposals(cfg.N, cfg.OpinionPool)
 	}
-	nw, err := simnet.New(eng, simnet.Config{
-		N: cfg.N, Delta: cfg.Delta, TS: cfg.TS, MinDelay: minDelay,
-		Policy: cfg.Policy, Rho: cfg.Rho, Drift: cfg.Drift,
-		Collector: collector, Arena: cfg.Arena,
-	}, factory, proposals)
+	nw, err := Simulate(cfg, factory, proposals, collector)
 	if err != nil {
 		return Result{}, err
 	}
@@ -315,7 +294,7 @@ func Run(cfg Config) (Result, error) {
 	// Run-level phase spans are recorded after the fact with explicit
 	// timestamps — no events scheduled, no randomness drawn — so observed
 	// and unobserved runs replay identical schedules.
-	collector.RecordRunPhases(cfg.TS, eng.Now())
+	collector.RecordRunPhases(cfg.TS, nw.Engine().Now())
 
 	res := BuildResult(cfg, collector, nw.Checker(), nw.UpIDs(), decided)
 	// Recovery is read from the nodes, not cfg.Restarts, so restarts
@@ -326,6 +305,42 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// Simulate builds one run's simulated cluster without starting it: the
+// engine (cfg.Arena's when set), and the network under cfg's δ, TS, ρ, drift
+// and PreTSPolicy, every post-TS delivery taking exactly δ under
+// WorstCaseDelays. Every simulated run, Run's and scenario.Cluster's, is
+// built here.
+func Simulate(cfg Config, factory consensus.Factory, proposals []consensus.Value, collector *trace.Collector) (*simnet.Network, error) {
+	var eng *sim.Engine
+	if cfg.Arena != nil {
+		eng = cfg.Arena.Engine(cfg.Seed)
+	} else {
+		eng = sim.NewEngine(cfg.Seed)
+	}
+	var minDelay time.Duration
+	if cfg.WorstCaseDelays {
+		minDelay = cfg.Delta
+	}
+	return simnet.New(eng, simnet.Config{
+		N: cfg.N, Delta: cfg.Delta, TS: cfg.TS, MinDelay: minDelay,
+		Policy: PreTSPolicy(cfg.Policy, cfg.TS), Rho: cfg.Rho, Drift: cfg.Drift,
+		Collector: collector, Arena: cfg.Arena,
+	}, factory, proposals)
+}
+
+// PreTSPolicy returns policy, or when it is nil the default pre-TS policy:
+// DropAll before a positive TS, Synchronous otherwise. The simulator and the
+// live backends both take it from here.
+func PreTSPolicy(policy simnet.Policy, ts time.Duration) simnet.Policy {
+	if policy != nil {
+		return policy
+	}
+	if ts > 0 {
+		return simnet.DropAll{}
+	}
+	return simnet.Synchronous{}
 }
 
 // BuildResult assembles a Result from a run's collector and safety checker.

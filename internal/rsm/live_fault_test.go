@@ -45,11 +45,14 @@ func TestLiveCrashRestartCatchUpBounded(t *testing.T) {
 	client.SetRetryInterval(10 * d)
 	client.SetReplicas(3)
 
+	var lastSlot int64 // the slot the last write was applied in
 	propose := func(i int) {
 		t.Helper()
-		if _, err := client.Propose(consensus.Value(fmt.Sprintf("set k%d v%d", i, i))); err != nil {
+		slot, err := client.Propose(consensus.Value(fmt.Sprintf("set k%d v%d", i, i)))
+		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
+		lastSlot = slot
 	}
 	// A committed prefix through the epoch-0 leader, then kill it.
 	for i := 0; i < 4; i++ {
@@ -65,11 +68,13 @@ func TestLiveCrashRestartCatchUpBounded(t *testing.T) {
 	}
 	cluster.Restart(0)
 
-	// Get parks until replica 0 has applied ≥ ops, so a successful read IS
-	// the catch-up: the restarted replica serves the full prefix again.
-	v, found, err := client.Get(0, fmt.Sprintf("k%d", ops-1), ops)
+	// Get parks until replica 0 has applied the last write's slot, so a
+	// successful read IS the catch-up: the restarted replica serves the full
+	// prefix again. The watermark counts slots, not ops: failover can put a
+	// no-op slot before the last write.
+	v, found, err := client.Get(0, fmt.Sprintf("k%d", ops-1), lastSlot+1)
 	if err != nil || !found || v != fmt.Sprintf("v%d", ops-1) {
-		t.Fatalf("restarted replica did not catch up: k%d = (%q,%v,%v)", ops-1, v, found, err)
+		t.Fatalf("restarted replica did not catch up: k%d = (%q,%v,%v), written in slot %d", ops-1, v, found, err, lastSlot)
 	}
 	recovery := time.Since(crashed)
 	if recovery > 10*time.Second {

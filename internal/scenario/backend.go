@@ -2,38 +2,19 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core/consensus"
 	"repro/internal/harness"
 	"repro/internal/live"
 	"repro/internal/protocol"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
-// Backend is an execution substrate for scenario cells: something that can
-// take the harness configuration of one (protocol, seed) cell and produce a
-// harness.Result. The deterministic simulator and the live goroutine
-// runtime (memory or TCP transport) are the built-ins; because every
-// backend reports through the same Result schema, checks, renderers, and
-// grids work verbatim whichever substrate a Spec names.
-type Backend interface {
-	// Name is the identifier Specs and CLIs select the backend by.
-	Name() string
-	// Supports reports (with a nil error) whether the backend can execute
-	// the protocol. Spec defaulting uses it to pick the runnable subset;
-	// explicitly listed protocols fail the run instead.
-	Supports(p harness.Protocol) error
-	// Run executes one cell. Configurations carrying features the backend
-	// cannot honor must return an error, not silently degrade.
-	Run(cfg harness.Config) (harness.Result, error)
-}
-
-// The built-in backend names (Spec.Backend, `-backend` on the CLIs).
+// The built-in backend names (Spec.Backend, `-backend` on the CLIs). Every
+// backend reports through the same harness.Result schema.
 const (
 	// BackendSim is the deterministic simulator — the default.
 	BackendSim = "sim"
@@ -45,65 +26,54 @@ const (
 	BackendLiveTCP = "live-tcp"
 )
 
-// backends is the fixed registry of execution substrates.
-var backends = map[string]Backend{
-	BackendSim:     simBackend{},
-	BackendLive:    liveBackend{},
-	BackendLiveTCP: liveBackend{tcp: true},
-}
-
-// backendFor resolves a backend name ("" means sim).
-func backendFor(name string) (Backend, error) {
-	if name == "" {
-		name = BackendSim
-	}
-	b, ok := backends[name]
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown backend %q (want %v)", name, BackendNames())
-	}
-	return b, nil
-}
-
 // BackendNames lists the selectable backends, sorted — for CLI usage
 // strings and error messages.
 func BackendNames() []string {
-	names := make([]string, 0, len(backends))
-	for name := range backends {
-		names = append(names, name)
+	return []string{BackendLive, BackendLiveTCP, BackendSim}
+}
+
+// unknownBackend is the error for a name outside BackendNames.
+func unknownBackend(name string) error {
+	return fmt.Errorf("scenario: unknown backend %q (want %v)", name, BackendNames())
+}
+
+// runCell executes one (protocol, seed) cell on the named backend.
+func runCell(backend string, cfg harness.Config) (harness.Result, error) {
+	switch backend {
+	case BackendSim:
+		return harness.Run(cfg)
+	case BackendLive, BackendLiveTCP:
+		return runLiveCell(backend, cfg)
 	}
-	sort.Strings(names)
-	return names
+	return harness.Result{}, unknownBackend(backend)
 }
 
-// simBackend executes cells on the deterministic simulator via the harness.
-type simBackend struct{}
-
-// Name implements Backend.
-func (simBackend) Name() string { return BackendSim }
-
-// Supports implements Backend: the simulator runs every registered
-// protocol.
-func (simBackend) Supports(p harness.Protocol) error {
-	_, err := protocol.Get(string(p))
-	return err
+// supports reports (with a nil error) whether the backend can execute the
+// protocol: the live backends lack the simulator's leader oracle. An unknown
+// backend passes here and fails in runCell; refused here, it would narrow a
+// defaulted protocol set to an empty run that passes.
+func supports(backend string, p harness.Protocol) error {
+	d, err := protocol.Get(string(p))
+	if err != nil {
+		return err
+	}
+	if d.NeedsLeaderOracle && backend != BackendSim {
+		return fmt.Errorf("scenario: %q needs the simulator's leader oracle; the %s backend cannot provide one", p, backend)
+	}
+	return nil
 }
 
-// Run implements Backend.
-func (simBackend) Run(cfg harness.Config) (harness.Result, error) {
-	return harness.Run(cfg)
-}
-
-// Cluster is one run one level below Backend.Run: processes from any factory,
-// on any backend, waited on as the caller chooses. The live backend's cells
-// and rsm-bench both run through it, so the transport and the cluster are
-// assembled here and nowhere else.
+// Cluster is one run one level below a cell: processes from any factory, on
+// any backend, waited on as the caller chooses. The live cells and rsm-bench
+// both run through it, so every live cluster is assembled here and nowhere
+// else; its simulated runs are built by harness.Simulate.
 type Cluster struct {
 	// Backend names the substrate ("" means sim).
 	Backend string
 	Delta   time.Duration
 	TS      time.Duration
-	// Policy is the pre-TS network policy, defaulted as harness.Run
-	// defaults it.
+	// Policy is the pre-TS network policy (nil takes harness.PreTSPolicy's
+	// default, as harness.Run does).
 	Policy  simnet.Policy
 	Seed    int64
 	Horizon time.Duration
@@ -131,36 +101,24 @@ func (c Cluster) Run() (decided bool, checker *consensus.SafetyChecker, waited t
 	if c.Stores == nil {
 		c.Stores = func(consensus.ProcessID, storage.Store) {}
 	}
-	if c.Policy == nil {
-		if c.TS > 0 {
-			c.Policy = simnet.DropAll{}
-		} else {
-			c.Policy = simnet.Synchronous{}
-		}
-	}
 	switch c.Backend {
 	case "", BackendSim:
 		return c.runSim()
-	case BackendLive:
-		return c.runLive(false)
-	case BackendLiveTCP:
-		return c.runLive(true)
+	case BackendLive, BackendLiveTCP:
+		return c.runLive(c.Backend == BackendLiveTCP)
 	}
-	if _, err := backendFor(c.Backend); err != nil {
-		return false, nil, 0, err
-	}
-	return false, nil, 0, fmt.Errorf("scenario: backend %q cannot run a Cluster", c.Backend)
+	return false, nil, 0, unknownBackend(c.Backend)
 }
 
 // runSim is Run on a fresh simulator engine.
 func (c Cluster) runSim() (decided bool, checker *consensus.SafetyChecker, waited time.Duration, err error) {
-	eng := sim.NewEngine(c.Seed)
-	nw, err := simnet.New(eng, simnet.Config{
-		N: len(c.Proposals), Delta: c.Delta, TS: c.TS, Policy: c.Policy, Collector: c.Collector,
-	}, c.Factory, c.Proposals)
+	nw, err := harness.Simulate(harness.Config{
+		N: len(c.Proposals), Delta: c.Delta, TS: c.TS, Policy: c.Policy, Seed: c.Seed,
+	}, c.Factory, c.Proposals, c.Collector)
 	if err != nil {
 		return false, nil, 0, err
 	}
+	eng := nw.Engine()
 	nw.Start()
 	if err := harness.ScheduleRestarts(nw, c.Restarts, c.Group, c.Delta, c.TS); err != nil {
 		return false, nil, 0, err
@@ -196,7 +154,7 @@ func (c Cluster) runLive(tcp bool) (decided bool, checker *consensus.SafetyCheck
 		inner = live.NewMemTransport(live.MemTransportConfig{MaxDelay: c.Delta, Seed: c.Seed, Collector: c.Collector})
 	}
 	transport := live.NewPolicyTransport(inner, live.PolicyTransportConfig{
-		Policy: c.Policy, TS: c.TS, Delta: c.Delta, Seed: c.Seed, OnDrop: c.Collector.MessageDropped,
+		Policy: harness.PreTSPolicy(c.Policy, c.TS), TS: c.TS, Delta: c.Delta, Seed: c.Seed, OnDrop: c.Collector.MessageDropped,
 	})
 	cluster, err := live.NewCluster(live.Config{
 		N: len(c.Proposals), Delta: c.Delta, TS: c.TS,

@@ -10,49 +10,14 @@ import (
 	"repro/internal/trace"
 )
 
-// liveBackend executes cells on the live runtime: one goroutine per
-// process, real clocks and timers, and a PolicyTransport translating the
-// cell's pre-TS simnet policy into wall-clock fault injection over either
-// the in-memory transport or loopback TCP. TS becomes a wall-clock offset
-// from cluster start; decision latencies are measured against it through
-// the same safety checker and collector the renderers already read, so the
-// Report schema is identical to the simulator's.
-//
-// What the live runtime cannot honor is rejected, not approximated:
-// message-level adversaries and PreStart hooks need the simulator's event
-// queue, clock profiles need simulated clocks, and WorstCaseDelays needs
-// exactly-δ delivery. Crash/restart schedules run on real timers.
-type liveBackend struct {
-	// tcp selects loopback TCP (binary frames) instead of in-memory
-	// channels.
-	tcp bool
-}
-
-// Name implements Backend.
-func (b liveBackend) Name() string {
-	if b.tcp {
-		return BackendLiveTCP
-	}
-	return BackendLive
-}
-
-// Supports implements Backend: any registered protocol that does not need
-// the simulator's leader oracle.
-func (b liveBackend) Supports(p harness.Protocol) error {
-	d, err := protocol.Get(string(p))
-	if err != nil {
-		return err
-	}
-	if d.NeedsLeaderOracle {
-		return fmt.Errorf("scenario: %q needs the simulator's leader oracle; the %s backend cannot provide one", p, b.Name())
-	}
-	return nil
-}
-
-// validate rejects configuration features that have no live equivalent.
-func (b liveBackend) validate(cfg harness.Config) error {
+// validateLive rejects configuration features that have no live
+// equivalent: message-level adversaries and PreStart hooks need the
+// simulator's event queue, clock profiles need simulated clocks, and
+// WorstCaseDelays needs exactly-δ delivery. Crash/restart schedules run on
+// real timers.
+func validateLive(backend string, cfg harness.Config) error {
 	unsupported := func(what string) error {
-		return fmt.Errorf("scenario: %s backend cannot run %s (simulator only)", b.Name(), what)
+		return fmt.Errorf("scenario: %s backend cannot run %s (simulator only)", backend, what)
 	}
 	if cfg.Attack != "" && cfg.Attack != harness.NoAttack {
 		return unsupported(fmt.Sprintf("the %q adversary", cfg.Attack))
@@ -83,16 +48,20 @@ func liveHorizon(cfg harness.Config) time.Duration {
 	return h
 }
 
-// Run implements Backend.
-func (b liveBackend) Run(cfg harness.Config) (harness.Result, error) {
-	if err := b.validate(cfg); err != nil {
+// runLiveCell executes a cell on the live runtime: one goroutine per
+// process, real clocks and timers, and a PolicyTransport turning the cell's
+// pre-TS policy into wall-clock fault injection over memory or loopback TCP.
+// TS becomes a wall-clock offset from cluster start, and the Result is built
+// as the simulator's is. What the runtime cannot honor is refused.
+func runLiveCell(backend string, cfg harness.Config) (harness.Result, error) {
+	if err := validateLive(backend, cfg); err != nil {
 		return harness.Result{}, err
 	}
 	desc, err := protocol.Get(string(cfg.Protocol))
 	if err != nil {
 		return harness.Result{}, fmt.Errorf("scenario: %w", err)
 	}
-	if err := b.Supports(cfg.Protocol); err != nil {
+	if err := supports(backend, cfg.Protocol); err != nil {
 		return harness.Result{}, err
 	}
 	factory, err := desc.Build(cfg.Params())
@@ -117,7 +86,7 @@ func (b liveBackend) Run(cfg harness.Config) (harness.Result, error) {
 	}
 	cfg.Horizon = liveHorizon(cfg)
 	decided, checker, _, err := Cluster{
-		Backend: b.Name(), Delta: cfg.Delta, TS: cfg.TS, Policy: cfg.Policy, Seed: cfg.Seed,
+		Backend: backend, Delta: cfg.Delta, TS: cfg.TS, Policy: cfg.Policy, Seed: cfg.Seed,
 		Horizon: cfg.Horizon, Restarts: cfg.Restarts, Group: cfg.N,
 		Collector: collector, Factory: factory, Proposals: harness.DefaultProposals(cfg.N), Await: expected,
 	}.Run()

@@ -147,7 +147,7 @@ func TestLiveBackendRejectsBadScheduleBeforeStart(t *testing.T) {
 		{Proc: 1, CrashAt: harness.AtDeltas(1), RestartAt: harness.AfterTS(1)},
 		{Proc: 2, CrashAt: harness.AfterTS(2), RestartAt: harness.AfterTS(1)},
 	}
-	res, err := liveBackend{}.Run(cfg)
+	res, err := runLiveCell(BackendLive, cfg)
 	if err == nil || !strings.Contains(err.Error(), "before its crash") {
 		t.Fatalf("got %v, want the restart-before-crash error", err)
 	}
@@ -218,7 +218,7 @@ func TestBackendNamesStable(t *testing.T) {
 // count, not a snapshot taken while nodes were still sending.
 func TestLiveBackendResultIsFinal(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		res, err := liveBackend{}.Run(harness.Config{
+		res, err := runLiveCell(BackendLive, harness.Config{
 			Protocol: harness.ModifiedPaxos, N: 3, Delta: 5 * time.Millisecond, Seed: seed,
 		})
 		if err != nil {

@@ -162,27 +162,27 @@ func (c RecoveryBound) Check(r RunResult) error {
 	return nil
 }
 
-// MessageBudget caps the total number of messages a run may send — a
+// messageBudget caps the total number of messages a run may send — a
 // regression tripwire for message complexity, not a tight bound.
-type MessageBudget struct {
+type messageBudget struct {
 	// MaxTotal is the cap on messages handed to the network.
 	MaxTotal int
 }
 
 // Name implements Check.
-func (MessageBudget) Name() string { return "message-budget" }
+func (messageBudget) Name() string { return "message-budget" }
 
 // Check implements Check.
-func (c MessageBudget) Check(r RunResult) error {
+func (c messageBudget) Check(r RunResult) error {
 	if r.Res.Messages > c.MaxTotal {
 		return fmt.Errorf("%d messages sent, budget %d", r.Res.Messages, c.MaxTotal)
 	}
 	return nil
 }
 
-// MinorityUp names the processes of the minority side of a SplitBrain
+// minorityUp names the processes of the minority side of a SplitBrain
 // grouping — the convenience every split scenario needs.
-func MinorityUp(n int) []consensus.ProcessID {
+func minorityUp(n int) []consensus.ProcessID {
 	var out []consensus.ProcessID
 	for i := (n + 1) / 2; i < n; i++ {
 		out = append(out, consensus.ProcessID(i))

@@ -67,27 +67,27 @@ func DeltaAxis(vals ...time.Duration) Axis {
 	return durationAxis("delta", func(s *Spec, v time.Duration) { s.Delta = v }, vals)
 }
 
-// TSAxis sweeps the stabilization time. A zero value means stable from
+// tsAxis sweeps the stabilization time. A zero value means stable from
 // start (Spec.StableFromStart), which a bare zero TS cannot express.
-func TSAxis(vals ...time.Duration) Axis {
+func tsAxis(vals ...time.Duration) Axis {
 	return durationAxis("ts", func(s *Spec, v time.Duration) {
 		s.TS = v
 		s.StableFromStart = v == 0
 	}, vals)
 }
 
-// SigmaAxis sweeps σ, the modified-Paxos session-timer upper bound.
-func SigmaAxis(vals ...time.Duration) Axis {
+// sigmaAxis sweeps σ, the modified-Paxos session-timer upper bound.
+func sigmaAxis(vals ...time.Duration) Axis {
 	return durationAxis("sigma", func(s *Spec, v time.Duration) { s.Sigma = v }, vals)
 }
 
-// EpsAxis sweeps ε, the heartbeat period.
-func EpsAxis(vals ...time.Duration) Axis {
+// epsAxis sweeps ε, the heartbeat period.
+func epsAxis(vals ...time.Duration) Axis {
 	return durationAxis("eps", func(s *Spec, v time.Duration) { s.Eps = v }, vals)
 }
 
-// RhoAxis sweeps the clock-rate error bound ρ.
-func RhoAxis(vals ...float64) Axis {
+// rhoAxis sweeps the clock-rate error bound ρ.
+func rhoAxis(vals ...float64) Axis {
 	ax := Axis{Name: "rho"}
 	for _, v := range vals {
 		v := v
@@ -170,11 +170,11 @@ func ParseAxis(arg string) (Axis, error) {
 		case "delta":
 			return DeltaAxis(vals...), nil
 		case "ts":
-			return TSAxis(vals...), nil
+			return tsAxis(vals...), nil
 		case "sigma":
-			return SigmaAxis(vals...), nil
+			return sigmaAxis(vals...), nil
 		default:
-			return EpsAxis(vals...), nil
+			return epsAxis(vals...), nil
 		}
 	case "rho":
 		var vals []float64
@@ -186,7 +186,7 @@ func ParseAxis(arg string) (Axis, error) {
 			}
 			vals = append(vals, v)
 		}
-		return RhoAxis(vals...), nil
+		return rhoAxis(vals...), nil
 	case "attackk", "k":
 		var vals []int
 		for _, p := range parts {

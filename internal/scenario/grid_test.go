@@ -60,7 +60,7 @@ func TestGridFailFastStopsAtFirstViolatedCell(t *testing.T) {
 	pass := AxisValue{Label: "ok", Apply: func(*Spec) {}}
 	fail := AxisValue{Label: "bad", Apply: func(s *Spec) {
 		// An impossible budget makes the cell deterministically violated.
-		s.Checks = []Check{MessageBudget{MaxTotal: 0}}
+		s.Checks = []Check{messageBudget{MaxTotal: 0}}
 	}}
 	grid := Grid{
 		Base:     gridBase(),
@@ -174,7 +174,7 @@ func TestGridCSVGolden(t *testing.T) {
 	}
 	rep, err := Grid{
 		Base: gridBase(),
-		Axes: []Axis{NAxis(3), RhoAxis(0, 0.05)},
+		Axes: []Axis{NAxis(3), rhoAxis(0, 0.05)},
 	}.Run()
 	if err != nil {
 		t.Fatal(err)

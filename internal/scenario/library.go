@@ -68,7 +68,7 @@ func baselineSynchronous() Spec {
 		Net: func(n int, delta, ts time.Duration) simnet.Policy {
 			return simnet.Synchronous{}
 		},
-		Checks: append(checksWithBound(), MessageBudget{MaxTotal: 20000}),
+		Checks: append(checksWithBound(), messageBudget{MaxTotal: 20000}),
 	}
 }
 
@@ -98,7 +98,7 @@ func flakyMinority() Spec {
 		Description: "the minority side loses 70% of its pre-TS traffic; the majority is healthy",
 		Net: func(n int, delta, ts time.Duration) simnet.Policy {
 			targets := make(map[consensus.ProcessID]bool)
-			for _, id := range MinorityUp(n) {
+			for _, id := range minorityUp(n) {
 				targets[id] = true
 			}
 			return simnet.LossBurst{DropProb: 0.7, Targets: targets}

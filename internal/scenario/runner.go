@@ -133,22 +133,17 @@ func execute(specs []Spec, workers int) [][][]cell {
 				p := spec.Protocols[j.pi]
 				seed := spec.BaseSeed + int64(j.si)
 				slot := &out[j.gi][j.pi][j.si]
-				backend, err := backendFor(spec.Backend)
-				if err != nil {
-					slot.err = err
-					continue
-				}
 				cfg, err := spec.config(p, seed)
 				if err != nil {
 					slot.err = err
 					continue
 				}
-				if backend.Name() == BackendSim {
+				if spec.Backend == BackendSim {
 					cfg.Arena = arena
 				}
-				res, err := backend.Run(cfg)
+				res, err := runCell(spec.Backend, cfg)
 				if err != nil {
-					slot.err = fmt.Errorf("scenario %s: %s seed %d on %s: %w", spec.Name, p, seed, backend.Name(), err)
+					slot.err = fmt.Errorf("scenario %s: %s seed %d on %s: %w", spec.Name, p, seed, spec.Backend, err)
 					continue
 				}
 				slot.run = RunResult{Protocol: p, Seed: seed, Cfg: cfg, Res: res}

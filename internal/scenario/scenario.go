@@ -253,18 +253,15 @@ func (s Spec) withDefaults() Spec {
 		s.Backend = BackendSim
 	}
 	if len(s.Protocols) == 0 {
-		s.Protocols = harness.Protocols()
 		// A defaulted protocol set narrows to what the backend can run;
 		// an explicit set instead fails the run on an unsupported entry.
-		if b, err := backendFor(s.Backend); err == nil {
-			supported := s.Protocols[:0:0]
-			for _, p := range s.Protocols {
-				if b.Supports(p) == nil {
-					supported = append(supported, p)
-				}
+		var supported []harness.Protocol
+		for _, p := range harness.Protocols() {
+			if supports(s.Backend, p) == nil {
+				supported = append(supported, p)
 			}
-			s.Protocols = supported
 		}
+		s.Protocols = supported
 	}
 	if len(s.Checks) == 0 {
 		s.Checks = DefaultChecks()

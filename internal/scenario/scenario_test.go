@@ -121,7 +121,7 @@ func TestChecksCatchViolations(t *testing.T) {
 	spec, _ := Lookup("total-partition")
 	spec = fastSpec(spec)
 	spec.Protocols = []harness.Protocol{harness.ModifiedPaxos}
-	spec.Checks = []Check{MessageBudget{MaxTotal: 1}} // impossible budget
+	spec.Checks = []Check{messageBudget{MaxTotal: 1}} // impossible budget
 	rep, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)

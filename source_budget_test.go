@@ -27,9 +27,9 @@ import (
 const (
 	// budgetGoLines counts the lines of every non-test .go file in the tree
 	// (bench/ included, testdata/ and dot-directories skipped).
-	budgetGoLines = 22804
+	budgetGoLines = 22738
 	// budgetReadmeBytes is the size of README.md.
-	budgetReadmeBytes = 57774
+	budgetReadmeBytes = 57812
 )
 
 // budgetExported is the number of exported identifiers per package
@@ -48,14 +48,14 @@ var budgetExported = map[string]int{
 	"internal/core/paxos":                   24,
 	"internal/core/roundbased":              19,
 	"internal/experiments":                  19,
-	"internal/harness":                      27,
+	"internal/harness":                      29,
 	"internal/leader":                       4,
 	"internal/live":                         53,
 	"internal/oracle":                       8,
 	"internal/protocol":                     11,
 	"internal/rsm":                          68,
 	"internal/rsmbench":                     8,
-	"internal/scenario":                     74,
+	"internal/scenario":                     65,
 	"internal/sim":                          25,
 	"internal/simnet":                       75,
 	"internal/storage":                      25,
