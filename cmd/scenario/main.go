@@ -4,8 +4,8 @@
 // Usage:
 //
 //	scenario list
-//	scenario run [-backend sim|live|live-tcp] [-seeds N] [-n N] [-delta D]
-//	             [-ts D] [-short] [-format text|json]
+//	scenario run [-backend sim|live|live-tcp] [-protocol P] [-seeds N]
+//	             [-n N] [-delta D] [-ts D] [-short] [-format text|json]
 //	             [-observe] [-timeline out.json] [-hist]
 //	             [-cpuprofile F] [-memprofile F] <name>|all
 //	scenario sweep [-axis name=v1,v2,...]... [-zip] [-ns 5,9,17] [-seeds N]
@@ -26,12 +26,15 @@
 // substrate: the deterministic simulator (default), or the live runtime —
 // real goroutines and wall-clock time over in-memory channels (live) or
 // loopback TCP (live-tcp), with the scenario's pre-TS policy injected as
-// wall-clock faults. -short caps the matrix at one seed per protocol for
-// wall-clock smoke runs. `sweep` re-runs a scenario across a multi-axis
-// parameter grid (internal/scenario.Grid) and prints the median latency
-// after TS per protocol and cell — the O(δ) vs O(Nδ) shape at a glance;
-// -failfast stops scheduling cells at the first violated cell. Axes (any
-// subset, crossed by default or paired with -zip):
+// wall-clock faults. -protocol runs one registered protocol in place of the
+// scenario's set, hidden ablation variants included (`scenario run
+// -protocol modpaxos-norule obsolete-ballot-replay`); one the backend cannot
+// run is an error, not an empty run. -short caps the matrix at one seed per
+// protocol for wall-clock smoke runs. `sweep` re-runs a scenario across a
+// multi-axis parameter grid (internal/scenario.Grid) and prints the median
+// latency after TS per protocol and cell — the O(δ) vs O(Nδ) shape at a
+// glance; -failfast stops scheduling cells at the first violated cell. Axes
+// (any subset, crossed by default or paired with -zip):
 //
 //	-axis n=5,9,17 -axis delta=1ms,5ms,25ms -axis rho=0,0.01,0.1
 //	-axis ts=0,100ms,400ms -axis sigma=50ms,80ms -axis eps=1ms,5ms -axis k=0,2,8
@@ -212,6 +215,7 @@ func cmdRun(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("scenario run", flag.ContinueOnError)
 	var (
 		backend  = fs.String("backend", "", "execution substrate: "+strings.Join(scenario.BackendNames(), ", ")+" (default: scenario's own, usually sim)")
+		proto    = fs.String("protocol", "", "run only this registered protocol, hidden variants included (default: the scenario's own set)")
 		seeds    = fs.Int("seeds", 0, "seeds per protocol (0 = scenario default)")
 		n        = fs.Int("n", 0, "cluster size (0 = scenario default)")
 		delta    = fs.Duration("delta", 0, "δ override (0 = scenario default)")
@@ -237,7 +241,7 @@ func cmdRun(args []string, out io.Writer) error {
 	}
 	return withProfiles(*cpuProf, *memProf, func() error {
 		return runSpecs(specs, out, runOpts{
-			backend: *backend, seeds: *seeds, short: *short, n: *n,
+			backend: *backend, protocol: *proto, seeds: *seeds, short: *short, n: *n,
 			delta: *delta, ts: *ts, format: *format,
 			observe: *observe, timeline: *timeline, hist: *hist,
 		})
@@ -247,6 +251,7 @@ func cmdRun(args []string, out io.Writer) error {
 // runOpts carries the run subcommand's overrides.
 type runOpts struct {
 	backend  string
+	protocol string
 	seeds    int
 	short    bool
 	n        int
@@ -268,6 +273,9 @@ func runSpecs(specs []scenario.Spec, out io.Writer, opts runOpts) error {
 	for _, spec := range specs {
 		if opts.backend != "" {
 			spec.Backend = opts.backend
+		}
+		if opts.protocol != "" {
+			spec.Protocols = []harness.Protocol{harness.Protocol(opts.protocol)}
 		}
 		if opts.seeds > 0 {
 			spec.Seeds = opts.seeds

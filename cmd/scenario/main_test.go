@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -95,6 +96,59 @@ func TestRunJSON(t *testing.T) {
 func TestRunUnknownScenario(t *testing.T) {
 	if _, err := capture(t, "run", "no-such-scenario"); err == nil {
 		t.Fatal("unknown scenario should fail")
+	}
+}
+
+// runNamed runs one seed of each argument list, which names its protocol
+// with -protocol; that protocol alone must decide 1/1 in the report.
+func runNamed(t *testing.T, cases ...[]string) {
+	t.Helper()
+	for _, args := range cases {
+		out, err := capture(t, append([]string{"run", "-seeds", "1"}, args...)...)
+		if err != nil {
+			t.Errorf("%v: %v\n%s", args, err, out)
+			continue
+		}
+		rows := regexp.MustCompile(`(?m)^(\S+) +(\d+/\d+) `).FindAllStringSubmatch(out, -1)
+		if len(rows) != 1 || rows[0][1] != args[1] || rows[0][2] != "1/1" {
+			t.Errorf("%v: want one row, %s decided 1/1:\n%s", args, args[1], out)
+		}
+	}
+}
+
+// TestRunModifiedPaxos: -protocol runs one registered protocol in place of
+// the scenario's set, a hidden variant included.
+func TestRunModifiedPaxos(t *testing.T) {
+	runNamed(t,
+		[]string{"-protocol", "modpaxos", "obsolete-ballot-replay"},
+		[]string{"-protocol", "modpaxos-norule", "obsolete-ballot-replay"})
+}
+
+// TestRunWithAttackAndRestart: paxos decides under the obsolete-ballot
+// attack and under a crash/restart.
+func TestRunWithAttackAndRestart(t *testing.T) {
+	runNamed(t,
+		[]string{"-protocol", "paxos", "obsolete-ballot-replay"},
+		[]string{"-protocol", "paxos", "restart-latecomer"})
+}
+
+// TestRunSynchronousPolicyDecidesBeforeTS: modpaxos under a synchronous
+// network with TS at 1s decides before TS, which the latency checks must
+// accept.
+func TestRunSynchronousPolicyDecidesBeforeTS(t *testing.T) {
+	runNamed(t, []string{"-protocol", "modpaxos", "-ts", "1s", "baseline-synchronous"})
+}
+
+// TestRunNamedProtocolRejects: an unknown name, and a protocol the backend
+// cannot run, are errors — never a run narrowed to nothing that passes.
+func TestRunNamedProtocolRejects(t *testing.T) {
+	for _, args := range [][]string{
+		{"-protocol", "nope", "total-partition"},
+		{"-backend", "live", "-protocol", "paxos", "total-partition"},
+	} {
+		if out, err := capture(t, append([]string{"run", "-seeds", "1"}, args...)...); err == nil {
+			t.Errorf("%v: accepted:\n%s", args, out)
+		}
 	}
 }
 

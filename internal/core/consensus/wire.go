@@ -75,20 +75,48 @@ func AppendMessage(b []byte, m Message) []byte {
 	return c.append(append(b, c.tag), m)
 }
 
-// DecodeMessage parses `tag | body` as written by AppendMessage.
+// DecodeMessage parses `tag | body` as written by AppendMessage. It runs
+// once per frame, so it calls the reader directly rather than through
+// ReadWhole's func value.
 func DecodeMessage(b []byte) (Message, error) {
-	// A reader handed to a registered decoder escapes; pooling them keeps
-	// the per-message path free of that allocation.
+	r := borrowReader(b)
+	m := r.Message()
+	if !r.release() {
+		return nil, errMalformed
+	}
+	return m, nil
+}
+
+// ReadWhole runs read over b and returns what it read if b held exactly
+// that: no malformed field and no byte left over. A body that is not a
+// message — a snapshot image inside one — is read this way, without a tag
+// of its own.
+func ReadWhole[T any](b []byte, read func(*WireReader) T) (T, error) {
+	r := borrowReader(b)
+	v := read(r)
+	if !r.release() {
+		var zero T
+		return zero, errMalformed
+	}
+	return v, nil
+}
+
+// borrowReader hands out a pooled reader over b. A reader handed to a
+// registered decoder escapes; pooling them keeps the per-message path free
+// of that allocation.
+func borrowReader(b []byte) *WireReader {
 	r := readerPool.Get().(*WireReader)
 	*r = WireReader{b: b}
-	m := r.Message()
+	return r
+}
+
+// release returns r to the pool and reports whether it read its whole input
+// with no malformed field.
+func (r *WireReader) release() bool {
 	clean := !r.bad && len(r.b) == 0
 	*r = WireReader{}
 	readerPool.Put(r)
-	if !clean {
-		return nil, ErrMalformed
-	}
-	return m, nil
+	return clean
 }
 
 var readerPool = sync.Pool{New: func() any { return new(WireReader) }}
@@ -111,13 +139,13 @@ func AppendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// ErrMalformed is what DecodeMessage reports: an unknown tag, a truncated,
+// errMalformed is what ReadWhole reports: an unknown tag, a truncated,
 // overlong or out-of-range field, trailing bytes, or nesting too deep.
-var ErrMalformed = errors.New("consensus: malformed wire message")
+var errMalformed = errors.New("consensus: malformed wire message")
 
 // WireReader hands a decoder the fields of one message body. The first
 // malformed field latches the failure and every later read returns a zero
-// value, so a decoder reads all its fields unconditionally and DecodeMessage
+// value, so a decoder reads all its fields unconditionally and ReadWhole
 // checks once.
 type WireReader struct {
 	b     []byte

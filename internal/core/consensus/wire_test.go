@@ -76,8 +76,8 @@ func TestAppendAndDecodeMessage(t *testing.T) {
 			t.Errorf("%s: decoded as %#v", name, m)
 		}
 	}
-	if _, err := DecodeMessage([]byte{tagWireA, 4}); !errors.Is(err, ErrMalformed) {
-		t.Errorf("truncated body: %v, want ErrMalformed", err)
+	if _, err := DecodeMessage([]byte{tagWireA, 4}); !errors.Is(err, errMalformed) {
+		t.Errorf("truncated body: %v, want errMalformed", err)
 	}
 }
 

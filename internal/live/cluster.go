@@ -1,8 +1,8 @@
 // Package live runs the same consensus protocols natively: one goroutine
 // per process, real clocks, real timers, and pluggable transports — an
 // in-memory channel transport and a TCP transport. This is the "simulate rounds with goroutines" substrate:
-// examples and integration tests exercise protocol code identical to what
-// the deterministic simulator verifies.
+// the scenario engine's live backends and the integration tests exercise
+// protocol code identical to what the deterministic simulator verifies.
 //
 // A node's loop turns like this: fire the timers that are due; swap the
 // inbox (a slice under the node's one mutex) for an empty one; handle that

@@ -154,8 +154,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 7, 0, 2, 0x18, 0xff, 0xff, 0xff, 0x7f})          // LearnReply claiming 2^28 entries
 	f.Add([]byte{0, 0, 0, 5, 0, 2, 0, 0xde, 0xad})                         // tag 0, not a gob blob either
 	f.Add(valid(bconsensus.Second{LC: 1 << 63, Round: -1, Est: "e", HasV: true, V: "v"}))
-	// rsm's KVStore image is decodable as a message: a real one, then 16
-	// pairs that are all the empty key.
+	// rsm's KVStore image behind tag 0x1b, which no message has: a real
+	// one, then 16 pairs that are all the empty key. The image has no tag
+	// of its own, so both frames are refused.
 	f.Add([]byte{0, 0, 0, 15, 0, 2, 0x1b, 2, 1, 'a', 1, 'b', 0, 0, 1, 3, 's', 'e', 't'})
 	f.Add(append([]byte{0, 0, 0, 37, 0, 2, 0x1b, 16}, make([]byte, 33)...))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -67,8 +67,9 @@ func TestModifiedPaxosLiveMemoryTransport(t *testing.T) {
 
 func TestModifiedPaxosLiveWithUnstablePeriod(t *testing.T) {
 	// Real-time eventual synchrony: 300ms of 60% loss and long delays,
-	// then a stable network. The cluster must decide shortly after
-	// stabilization.
+	// then a stable network. p4 crashes during the loss: the other four
+	// must decide shortly after stabilization without it, and p4, restarted
+	// once they have, must learn their value.
 	transport := NewPolicyTransport(NewMemTransport(MemTransportConfig{MaxDelay: delta}),
 		PolicyTransportConfig{Policy: simnet.Chaos{DropProb: 0.6}, TS: 300 * time.Millisecond, Delta: delta})
 	c, err := NewCluster(Config{N: 5, Delta: delta, Transport: transport},
@@ -79,7 +80,9 @@ func TestModifiedPaxosLiveWithUnstablePeriod(t *testing.T) {
 	defer func() { _ = c.Stop() }()
 	start := time.Now()
 	c.Start()
-	if err := c.WaitAllDecided(20 * time.Second); err != nil {
+	time.Sleep(100 * time.Millisecond)
+	c.Crash(4)
+	if err := c.WaitDecidedAmong([]consensus.ProcessID{0, 1, 2, 3}, 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -87,6 +90,17 @@ func TestModifiedPaxosLiveWithUnstablePeriod(t *testing.T) {
 	// noise. This is a smoke bound, not a timing assertion.
 	if elapsed > 300*time.Millisecond+40*delta {
 		t.Logf("note: live decision took %v (scheduling noise)", elapsed)
+	}
+	c.Restart(4)
+	v, err := c.WaitDecided(4, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := c.Checker().DecisionOf(0); d.Value != v {
+		t.Fatalf("restarted p4 decided %q, p0 %q", v, d.Value)
+	}
+	if err := c.Checker().Violation(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -45,8 +45,8 @@ func TestCollectorReadersDuringLiveRun(t *testing.T) {
 			}
 			_ = collector.SentByType()
 			_ = collector.SentCounts()
-			_ = collector.MessageReport()
-			_ = collector.SeriesNames()
+			_ = collector.DeliveredCounts()
+			_ = collector.DroppedCounts()
 			for _, s := range collector.Series("session") {
 				_ = s
 			}

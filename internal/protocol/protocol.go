@@ -19,7 +19,7 @@
 //	})
 //
 // and the new name immediately works everywhere a protocol name is accepted:
-// harness.Config.Protocol, scenario.Spec.Protocols, `consensus-sim
+// harness.Config.Protocol, scenario.Spec.Protocols, `scenario run
 // -protocol`, and the `scenario list` enumeration.
 // No harness, scenario, or CLI source changes are needed — that is the
 // extension point every future protocol/workload PR builds on.

@@ -28,9 +28,9 @@
 //   - Backpressure: the proposal queue is bounded (MaxQueue); overflow is
 //     shed with an explicit Busy reply instead of silent loss.
 //
-// Commands are uninterpreted strings applied in slot order; a KV layer
-// ("set key value") is provided for the examples. Slots decided out of
-// order wait for the gap to fill before applying.
+// Commands are uninterpreted strings applied in slot order; the built-in
+// state machine, KVStore, reads them as "set key value". Slots decided out
+// of order wait for the gap to fill before applying.
 //
 // An applied slot retires its protocol instance, and retirement is silence.
 // A slot that decides in order is applied and retired inside its instance's

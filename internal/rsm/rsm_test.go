@@ -171,6 +171,21 @@ func TestRSMOverTCP(t *testing.T) {
 	if err != nil || !found || v != "tcp" {
 		t.Fatalf("net = (%q,%v,%v), want tcp", v, found, err)
 	}
+	// The second write of user must apply after the first on every replica.
+	var lastSlot int64
+	for _, cmd := range []consensus.Value{"set user alice", "set theme dark", "set user bob"} {
+		if lastSlot, err = client.Propose(cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for replica := consensus.ProcessID(0); replica < 3; replica++ {
+		for key, want := range map[string]string{"user": "bob", "theme": "dark", "missing": ""} {
+			v, found, err := client.Get(replica, key, lastSlot+1)
+			if err != nil || found != (want != "") || v != want {
+				t.Errorf("replica %d: %s = (%q,%v,%v), want %q", replica, key, v, found, err, want)
+			}
+		}
+	}
 }
 
 func TestKVStoreApply(t *testing.T) {

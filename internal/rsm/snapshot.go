@@ -288,32 +288,25 @@ func (r *Replica) settleProposed(horizon int64) []*queuedCmd {
 
 // kvImage is the KVStore's snapshot layout: the data in key order, so that
 // equal stores snapshot to equal bytes on every replica, then the log. It is
-// not a message any process sends; it has a codec in the wire registry
-// (wire.go) so that a peer's SnapshotMsg.State is read by the same bounded,
-// fuzzed reader as the frame that carried it.
+// a body without a wire tag: no process sends one, and a peer's
+// SnapshotMsg.State is read by the same bounded reader as the frame that
+// carried it (consensus.ReadWhole).
 type kvImage struct {
 	data map[string]string
 	log  []consensus.Value
 }
 
-// Type implements consensus.Message.
-func (kvImage) Type() string { return "rsm-kv-image" }
-
 // Snapshot implements Snapshotter.
 func (s *KVStore) Snapshot() ([]byte, error) {
-	return consensus.AppendMessage(nil, kvImage{data: s.data, log: s.log}), nil
+	return appendKVImage(nil, kvImage{data: s.data, log: s.log}), nil
 }
 
 // Restore implements Snapshotter. data may come from a peer: anything but
 // one whole image is an error and leaves the store as it was.
 func (s *KVStore) Restore(data []byte) error {
-	m, err := consensus.DecodeMessage(data)
+	img, err := consensus.ReadWhole(data, readKVImage)
 	if err != nil {
 		return fmt.Errorf("rsm: KVStore image: %w", err)
-	}
-	img, ok := m.(kvImage)
-	if !ok {
-		return fmt.Errorf("rsm: KVStore image holds a %T", m)
 	}
 	s.data, s.log = img.data, img.log
 	return nil

@@ -63,13 +63,13 @@ func TestKVSnapshotIsCanonical(t *testing.T) {
 	back.Apply(0, "set a b") // the restored map must be writable
 }
 
-// TestKVImageCountDoesNotSizeTheMap: the image's tag decodes from any frame,
+// TestKVImageCountDoesNotSizeTheMap: a peer's SnapshotMsg carries the image,
 // so a peer can claim a pair per two bytes; a million pairs that are all the
 // empty key must cost about the bytes that carried them, not a table for a
 // million keys.
 func TestKVImageCountDoesNotSizeTheMap(t *testing.T) {
 	const pairs = 1 << 20
-	img := binary.AppendUvarint([]byte{tagKVImage}, pairs)
+	img := binary.AppendUvarint(nil, pairs)
 	img = append(img, make([]byte, 2*pairs+1)...) // the pairs, then an empty log
 	kv := NewKVStore()
 	var before, after runtime.MemStats
@@ -91,12 +91,12 @@ func TestKVImageCountDoesNotSizeTheMap(t *testing.T) {
 func FuzzKVRestore(f *testing.F) {
 	whole, _ := filledKV(1, 2, 3).Snapshot()
 	f.Add(whole)
-	f.Add(whole[:len(whole)-2])                                                // truncated
-	f.Add(append(append([]byte(nil), whole...), 0))                            // trailing byte
-	f.Add([]byte{tagKVImage, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 'k', 1, 'v', 0}) // 2^32 pairs in ten bytes
-	f.Add([]byte{tagKVImage, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 'c'})         // 2^32 log entries
-	f.Add(consensus.AppendMessage(nil, Learn{From: 3}))                        // a whole message, not an image
-	f.Add(consensus.AppendMessage(nil, SlotMsg{Slot: 1, Inner: kvImage{}}))    // an image, wrapped
+	f.Add(whole[:len(whole)-2])                                    // truncated
+	f.Add(append(append([]byte(nil), whole...), 0))                // trailing byte
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 1, 'k', 1, 'v', 0}) // 2^32 pairs in ten bytes
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 'c'})         // 2^32 log entries
+	f.Add(consensus.AppendMessage(nil, Learn{From: 3}))            // a whole message, not an image
+	f.Add(append([]byte{27}, whole...))                            // an image behind tag 27, which no message has
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kv := filledKV(7)

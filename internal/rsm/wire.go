@@ -8,9 +8,9 @@ import (
 	"repro/internal/core/consensus"
 )
 
-// Wire tags of the eleven RSM messages, and of the KVStore's snapshot image
-// (range 16–47, see consensus.RegisterCodec). A new message needs a tag and
-// a codec here, or TestEveryMessageHasACodec fails.
+// Wire tags of the eleven RSM messages (range 16–47, see
+// consensus.RegisterCodec). A new message needs a tag and a codec here, or
+// TestEveryMessageHasACodec fails.
 const (
 	tagClientPropose byte = iota + 16
 	tagRedirect
@@ -23,7 +23,6 @@ const (
 	tagLearnReply
 	tagBeat
 	tagSnapshotMsg
-	tagKVImage
 )
 
 // Minimum encoded sizes, for WireReader.Count.
@@ -34,8 +33,8 @@ const (
 )
 
 // maxKVHint caps the size readKVImage's map starts at. A map entry costs many
-// times the two bytes an empty pair does, and the image's tag is decodable
-// from any frame, so the claimed count alone must not size the table.
+// times the two bytes an empty pair does, and the image comes from a peer's
+// SnapshotMsg, so the claimed count alone must not size the table.
 const maxKVHint = 1 << 12
 
 func init() {
@@ -126,7 +125,6 @@ func init() {
 	consensus.RegisterCodec(tagSnapshotMsg,
 		func(b []byte, m SnapshotMsg) []byte { return appendSnapshot(b, m.Snap) },
 		func(r *consensus.WireReader) SnapshotMsg { return SnapshotMsg{Snap: readSnapshot(r)} })
-	consensus.RegisterCodec(tagKVImage, appendKVImage, readKVImage)
 }
 
 // appendSlotMsg writes `slot | inner tag | inner body`, the inner message

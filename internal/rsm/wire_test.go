@@ -104,6 +104,11 @@ func TestDecodeRefusesMalformed(t *testing.T) {
 		"bool out of range":         {tagQueryReply, 0, 0, 2, 0, 0},
 		"inner message malformed":   {tagSlotMsg, 2, 1},
 		"inner message unknown tag": {tagSlotMsg, 2, 200},
+		// An empty KVStore image behind tag 27, which no message has: the
+		// image has no tag, so no peer can send one and no SlotMsg can wrap
+		// one.
+		"KVStore image": {27, 0, 0},
+		"wrapped image": {tagSlotMsg, 2, 27, 0, 0},
 	} {
 		if m, err := consensus.DecodeMessage(b); err == nil {
 			t.Errorf("%s: decoded %v as %#v", name, b, m)

@@ -18,13 +18,13 @@ import (
 // at its end; its findings, and a timeout, land in Result.Violations rather
 // than the error, which is reserved for configurations that cannot run at
 // all.
-func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
+func Run(cfg Config) (*Result, error) { return run(cfg, trace.NewCollector(), nil) }
 
-// run is Run that also hands every process's store, as the run left it, to
-// stores when that is set.
-func run(cfg Config, stores func(consensus.ProcessID, storage.Store)) (*Result, error) {
+// run is Run into the given fresh collector, so that a caller may observe
+// it (OnEmit) as the run goes, and it also hands every process's store, as
+// the run left it, to stores when that is set.
+func run(cfg Config, collector *trace.Collector, stores func(consensus.ProcessID, storage.Store)) (*Result, error) {
 	cfg = cfg.withDefaults()
-	collector := trace.NewCollector()
 	collector.EnableHistograms()
 	if cfg.Observe {
 		collector.EnableSpans(0)

@@ -86,7 +86,7 @@ func TestStoreKeysAreRegistered(t *testing.T) {
 		if cfg.CompactEvery > 0 {
 			name = "rsm chaos"
 		}
-		res, err := run(cfg, check(name))
+		res, err := run(cfg, trace.NewCollector(), check(name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

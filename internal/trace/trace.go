@@ -8,9 +8,7 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -327,18 +325,6 @@ func (c *Collector) Series(kind string) []Sample {
 	return out
 }
 
-// SeriesNames returns the names of all emitted series, sorted.
-func (c *Collector) SeriesNames() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.series))
-	for k := range c.series {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // MaxSeriesValueAt returns the maximum value observed in the named series at
 // or before the given time, and whether any observation exists.
 func (c *Collector) MaxSeriesValueAt(kind string, at time.Duration) (int64, bool) {
@@ -353,36 +339,4 @@ func (c *Collector) MaxSeriesValueAt(kind string, at time.Duration) (int64, bool
 		}
 	}
 	return best, found
-}
-
-// MessageReport formats the send/deliver/drop counts as a small table.
-// While a live cluster is still feeding the collector each count is exact
-// for the instant it was read, but the columns are read one after another.
-func (c *Collector) MessageReport() string {
-	sent := c.merged(colSent, c.sentByID)
-	delivered := c.merged(colDelivered, c.deliveredID)
-	dropped := c.merged(colDropped, c.droppedByID)
-	types := make(map[string]bool)
-	for k := range sent {
-		types[k] = true
-	}
-	for k := range delivered {
-		// Delivered-only types exist: oracle/adversary Inject traffic is
-		// not a protocol send but must still show in the table.
-		types[k] = true
-	}
-	for k := range dropped {
-		types[k] = true
-	}
-	names := make([]string, 0, len(types))
-	for k := range types {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %8s %10s %8s\n", "type", "sent", "delivered", "dropped")
-	for _, k := range names {
-		fmt.Fprintf(&b, "%-14s %8d %10d %8d\n", k, sent[k], delivered[k], dropped[k])
-	}
-	return b.String()
 }

@@ -1,8 +1,8 @@
 package trace
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -28,9 +28,16 @@ func TestMessageCounters(t *testing.T) {
 	if byType["p1a"] != 2 || byType["p2b"] != 1 {
 		t.Fatalf("SentByType = %v", byType)
 	}
-	report := c.MessageReport()
-	if !strings.Contains(report, "p1a") || !strings.Contains(report, "p2b") {
-		t.Fatalf("report missing types:\n%s", report)
+	for _, col := range []struct {
+		got, want []TypeCount
+	}{
+		{c.SentCounts(), []TypeCount{{"p1a", 2}, {"p2b", 1}}},
+		{c.DeliveredCounts(), []TypeCount{{"p1a", 1}}},
+		{c.DroppedCounts(), []TypeCount{{"p2b", 1}}},
+	} {
+		if !slices.Equal(col.got, col.want) {
+			t.Errorf("counts %v, want %v", col.got, col.want)
+		}
 	}
 }
 
@@ -57,9 +64,11 @@ func TestSeries(t *testing.T) {
 	if len(s) != 3 || s[1].Value != 2 || s[1].Proc != 1 {
 		t.Fatalf("Series = %+v", s)
 	}
-	names := c.SeriesNames()
-	if len(names) != 2 || names[0] != "round" || names[1] != "session" {
-		t.Fatalf("SeriesNames = %v", names)
+	if r := c.Series("round"); len(r) != 1 || r[0].Proc != 2 {
+		t.Fatalf(`Series("round") = %+v`, r)
+	}
+	if r := c.Series("nosuch"); len(r) != 0 {
+		t.Fatalf("a kind never emitted has samples: %+v", r)
 	}
 	if v, ok := c.MaxSeriesValueAt("session", 25*time.Millisecond); !ok || v != 2 {
 		t.Fatalf("MaxSeriesValueAt(25ms) = %d, %v; want 2, true", v, ok)
@@ -215,6 +224,8 @@ func TestInternedCountersMergeWithStringPath(t *testing.T) {
 	c.SentID(p1a)
 	c.DeliveredID(p1a)
 	c.DroppedID(p1a)
+	// Oracle and adversary Inject traffic is delivered without a send.
+	c.DeliveredID(c.Intern("injected"))
 	c.MessageSent("p1a") // live-path write to the same type name
 	c.MessageSent("live-only")
 	c.MessageDropped("live-only")
@@ -235,12 +246,16 @@ func TestInternedCountersMergeWithStringPath(t *testing.T) {
 	if got := c.DeliveredByType()["p1a"]; got != 1 {
 		t.Fatalf("DeliveredByType[p1a] = %d, want 1", got)
 	}
-	report := c.MessageReport()
-	if !strings.Contains(report, "p1a") || !strings.Contains(report, "live-only") {
-		t.Fatalf("MessageReport missing merged rows:\n%s", report)
-	}
-	if strings.Contains(report, "never-sent") {
-		t.Fatalf("MessageReport shows unused type:\n%s", report)
+	for _, col := range []struct {
+		got, want []TypeCount
+	}{
+		{c.SentCounts(), []TypeCount{{"live-only", 1}, {"p1a", 3}}},
+		{c.DeliveredCounts(), []TypeCount{{"injected", 1}, {"p1a", 1}}},
+		{c.DroppedCounts(), []TypeCount{{"live-only", 1}, {"p1a", 1}}},
+	} {
+		if !slices.Equal(col.got, col.want) {
+			t.Errorf("counts %v, want %v: ID and string rows merged, delivered-only types shown, unused ones not", col.got, col.want)
+		}
 	}
 }
 
@@ -304,11 +319,14 @@ func TestMessageCountersConcurrent(t *testing.T) {
 	if c.TotalSent() != total || c.TotalDropped() != 3*total {
 		t.Errorf("TotalSent %d, TotalDropped %d; want %d and %d", c.TotalSent(), c.TotalDropped(), total, 3*total)
 	}
-	report := c.MessageReport()
-	for _, name := range names {
-		row := fmt.Sprintf("%-14s %8d %10d %8d\n", name, sent[name], 2*sent[name], 3*sent[name])
-		if !strings.Contains(report, row) {
-			t.Errorf("MessageReport lacks the row %q:\n%s", row, report)
+	for m, counts := range [][]TypeCount{c.SentCounts(), c.DeliveredCounts(), c.DroppedCounts()} {
+		if len(counts) != len(names) {
+			t.Errorf("column %d lists %v, want the %d types", m, counts, len(names))
+		}
+		for _, tc := range counts {
+			if tc.Count != (m+1)*sent[tc.Type] {
+				t.Errorf("column %d, %s: %d, want %d", m, tc.Type, tc.Count, (m+1)*sent[tc.Type])
+			}
 		}
 	}
 }

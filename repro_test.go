@@ -127,3 +127,32 @@ func ExampleRun_adversarial() {
 	// Output:
 	// modified paxos faster: true
 }
+
+// ExampleRun_restart shows the paper's restart guarantee (§4): a process
+// that crashed before TS and restarts long after the others decided decides
+// within O(δ) of its restart, however late that is.
+func ExampleRun_restart() {
+	delta, ts := 10*time.Millisecond, 200*time.Millisecond
+	for _, k := range []float64{2, 10, 50, 200} {
+		back := repro.AfterTS(k)
+		res, err := repro.Run(repro.Config{
+			Protocol: repro.ModifiedPaxos,
+			N:        5, Delta: delta, TS: ts, Rho: 0.01, Seed: 3,
+			Restarts: []repro.Restart{{Proc: 4, CrashAt: repro.AtAbs(50 * time.Millisecond), RestartAt: back}},
+			Horizon:  back.Resolve(delta, ts) + time.Second,
+		})
+		if err != nil {
+			panic(err)
+		}
+		if res.Violation != nil {
+			panic(res.Violation)
+		}
+		rec, ok := res.RestartRecovery[4]
+		fmt.Printf("restart at TS+%vδ: decided=%v %.1fδ after it\n", k, ok, float64(rec)/float64(delta))
+	}
+	// Output:
+	// restart at TS+2δ: decided=true 1.1δ after it
+	// restart at TS+10δ: decided=true 0.2δ after it
+	// restart at TS+50δ: decided=true 0.2δ after it
+	// restart at TS+200δ: decided=true 0.4δ after it
+}
