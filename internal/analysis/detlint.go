@@ -125,9 +125,9 @@ var orderSensitiveCalls = map[string]bool{
 	"ScheduleDelivery": true,
 	// trace emission
 	"Emit": true, "Logf": true, "Span": true, "ObserveLatency": true,
-	"ObserveValue": true, "ObserveHistID": true, "SentID": true,
-	"DeliveredID": true, "DroppedID": true, "MessageSent": true,
-	"MessageDelivered": true, "MessageDropped": true, "Observe": true,
+	"ObserveValue": true, "ObserveDelivery": true, "SentID": true,
+	"DeliveredID": true, "DroppedID": true, "SentIDN": true,
+	"DroppedIDN": true, "MessageSent": true, "Observe": true,
 	// incremental report/stream writers
 	"Fprintf": true, "Fprintln": true, "Fprint": true, "Printf": true,
 	"Println": true, "Print": true, "WriteString": true, "WriteByte": true,

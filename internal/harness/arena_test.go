@@ -17,7 +17,7 @@ func headline(r Result) map[string]any {
 		"last":      r.LastDecision,
 		"msgs":      r.Messages,
 		"byType":    r.MessagesByType,
-		"delivered": r.Collector.DeliveredByType(),
+		"delivered": r.Collector.DeliveredCounts(),
 		"recovery":  r.RestartRecovery,
 	}
 }

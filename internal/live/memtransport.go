@@ -32,11 +32,10 @@ type MemTransportConfig struct {
 type MemTransport struct {
 	cfg MemTransportConfig
 
-	// q.mu also guards rng, handlers and histNames.
-	q         delayQueue
-	rng       *rand.Rand
-	handlers  map[consensus.ProcessID]func(consensus.ProcessID, consensus.Message)
-	histNames map[string]string
+	// q.mu also guards rng and handlers.
+	q        delayQueue
+	rng      *rand.Rand
+	handlers map[consensus.ProcessID]func(consensus.ProcessID, consensus.Message)
 }
 
 var _ Transport = (*MemTransport)(nil)
@@ -44,10 +43,9 @@ var _ Transport = (*MemTransport)(nil)
 // NewMemTransport returns a transport with the given delay bound.
 func NewMemTransport(cfg MemTransportConfig) *MemTransport {
 	t := &MemTransport{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cmp.Or(cfg.Seed, 1))),
-		handlers:  make(map[consensus.ProcessID]func(consensus.ProcessID, consensus.Message)),
-		histNames: make(map[string]string),
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(cmp.Or(cfg.Seed, 1))),
+		handlers: make(map[consensus.ProcessID]func(consensus.ProcessID, consensus.Message)),
 	}
 	t.q.init(func(d delivery) { d.h(d.from, d.msg) })
 	return t
@@ -73,20 +71,13 @@ func (t *MemTransport) Send(from, to consensus.ProcessID, m consensus.Message) {
 	if t.cfg.MaxDelay > 0 {
 		delay = time.Duration(t.rng.Int63n(int64(t.cfg.MaxDelay) + 1))
 	}
-	var hist string // the delivery-latency histogram, named once per type
-	if c := t.cfg.Collector; c != nil && c.HistogramsEnabled() {
-		if hist = t.histNames[m.Type()]; hist == "" {
-			hist = trace.HistDeliveryPrefix + m.Type()
-			t.histNames[m.Type()] = hist
-		}
-	}
 	if h != nil && delay > 0 {
 		q.push(delivery{at: q.now() + delay, from: from, msg: m, h: h})
 	}
 	q.mu.Unlock()
 
-	if hist != "" {
-		t.cfg.Collector.ObserveLatency(hist, delay)
+	if c := t.cfg.Collector; c != nil && c.HistogramsEnabled() {
+		c.ObserveDelivery(c.Intern(m.Type()), delay)
 	}
 	if h != nil && delay == 0 {
 		h(from, m)

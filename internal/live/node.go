@@ -219,7 +219,7 @@ func (n *Node) enqueueMessage(from consensus.ProcessID, m consensus.Message) {
 	// A down node and inbox overflow are both omissions the model permits.
 	if !n.running || depth >= inboxBound {
 		n.mu.Unlock()
-		collector.MessageDropped(m.Type())
+		collector.DroppedID(collector.Intern(m.Type()))
 		return
 	}
 	n.inbox = append(n.inbox, ev)
@@ -227,7 +227,7 @@ func (n *Node) enqueueMessage(from consensus.ProcessID, m consensus.Message) {
 	if depth == 0 {
 		notify(n.wake)
 	}
-	collector.MessageDelivered(m.Type())
+	collector.DeliveredID(collector.Intern(m.Type()))
 	if observing {
 		collector.ObserveValue(trace.HistInboxDepth, int64(depth+1))
 	}
@@ -383,7 +383,7 @@ func (n *Node) Now() time.Duration { return time.Since(n.bootedAt) }
 
 // Send implements consensus.Environment.
 func (n *Node) Send(to consensus.ProcessID, m consensus.Message) {
-	n.cluster.collector.MessageSent(m.Type())
+	n.cluster.collector.SentID(n.cluster.collector.Intern(m.Type()))
 	if n.cluster.collector.HistogramsEnabled() {
 		now := time.Now()
 		if !n.lastSendAt.IsZero() {

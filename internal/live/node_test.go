@@ -2,12 +2,14 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core/consensus"
+	"repro/internal/trace"
 )
 
 // scripted is a process whose handlers are the test's closures. They run on
@@ -337,8 +339,9 @@ func TestNodeInboxOrderAndBound(t *testing.T) {
 			n.enqueueMessage(0, note(i))
 		}
 		col := c.Collector()
-		if d, ok := col.DroppedByType()["note"], col.DeliveredByType()["note"]; d != 1 || ok != inboxBound {
-			t.Fatalf("delivered %d, dropped %d; want %d and 1", ok, d, inboxBound)
+		if d, ok := col.DroppedCounts(), col.DeliveredCounts(); !slices.Equal(d, []trace.TypeCount{{Type: "note", Count: 1}}) ||
+			!slices.Equal(ok, []trace.TypeCount{{Type: "note", Count: inboxBound}}) {
+			t.Fatalf("delivered %v, dropped %v; want %d and 1 notes", ok, d, inboxBound)
 		}
 		close(release)
 		eventually(t, "the full inbox to drain", func() bool { return handled.Load() == inboxBound })
@@ -404,8 +407,8 @@ func TestNodeCrashKeepsInbox(t *testing.T) {
 	if fmt.Sprint(got[0]) != "[0 1 2]" || fmt.Sprint(got[1]) != "[3 4 5 6 7 8 9 10 11 12]" {
 		t.Fatalf("first incarnation handled %v, second %v; want [0 1 2] and [3 … 12]", got[0], got[1])
 	}
-	if d := c.Collector().DroppedByType()["note"]; d != 1 {
-		t.Fatalf("%d notes dropped, want 1 (the one sent to the crashed node)", d)
+	if d := c.Collector().DroppedCounts(); !slices.Equal(d, []trace.TypeCount{{Type: "note", Count: 1}}) {
+		t.Fatalf("dropped %v, want 1 note (the one sent to the crashed node)", d)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core/consensus"
 	"repro/internal/simnet"
+	"repro/internal/trace"
 )
 
 // PolicyTransportConfig maps a simnet pre-stabilization policy onto
@@ -26,10 +27,9 @@ type PolicyTransportConfig struct {
 	// message on each link is a pure function of the seed — reproducible
 	// even though goroutine interleaving varies between runs.
 	Seed int64
-	// OnDrop, when set, is called with the message type of every message
-	// the policy drops (the scenario backend wires the trace collector's
-	// drop accounting here; the inner transport never sees the message).
-	OnDrop func(msgType string)
+	// Collector, when set, counts every message the policy drops (the
+	// inner transport never sees it).
+	Collector *trace.Collector
 }
 
 // PolicyTransport wraps another Transport with policy-driven fault
@@ -117,8 +117,8 @@ func (t *PolicyTransport) Send(from, to consensus.ProcessID, m consensus.Message
 		}
 	}
 	q.mu.Unlock()
-	if fate.Drop && t.cfg.OnDrop != nil {
-		t.cfg.OnDrop(m.Type())
+	if c := t.cfg.Collector; fate.Drop && c != nil {
+		c.DroppedID(c.Intern(m.Type()))
 	}
 }
 

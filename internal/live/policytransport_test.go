@@ -9,6 +9,7 @@ import (
 	"repro/internal/core/consensus"
 	"repro/internal/core/modpaxos"
 	"repro/internal/simnet"
+	"repro/internal/trace"
 )
 
 // recorderTransport logs every Send it receives, for fate-sequence pins.
@@ -57,15 +58,15 @@ func (r *recorderTransport) log() []recordedSend {
 func scriptedFates(t *testing.T, seed int64) ([]recordedSend, int) {
 	t.Helper()
 	rec := &recorderTransport{}
-	drops := 0
+	col := trace.NewCollector()
 	pt := NewPolicyTransport(rec, PolicyTransportConfig{
 		Policy: simnet.Chain{
 			simnet.LossBurst{From: 0, To: 100 * time.Millisecond, DropProb: 0.5, Base: simnet.Chaos{DropProb: 0.2, MaxDelay: 1}},
 		},
-		TS:     100 * time.Millisecond,
-		Delta:  10 * time.Millisecond,
-		Seed:   seed,
-		OnDrop: func(string) { drops++ },
+		TS:        100 * time.Millisecond,
+		Delta:     10 * time.Millisecond,
+		Seed:      seed,
+		Collector: col,
 	})
 	defer func() { _ = pt.Close() }()
 	// Scripted clock: message i is sent at i ms, all before TS.
@@ -80,12 +81,12 @@ func scriptedFates(t *testing.T, seed int64) ([]recordedSend, int) {
 	// moment to fire before reading the log.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if len(rec.log())+drops == 64 || time.Now().After(deadline) {
+		if len(rec.log())+col.TotalDropped() == 64 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return rec.log(), drops
+	return rec.log(), col.TotalDropped()
 }
 
 // TestPolicyTransportDeterministicForFixedSeed pins the reproducibility
@@ -123,12 +124,12 @@ func TestPolicyTransportDeterministicForFixedSeed(t *testing.T) {
 // and post-TS messages bypass the policy entirely.
 func TestPolicyTransportMapsFatesToWallClock(t *testing.T) {
 	rec := &recorderTransport{}
-	drops := 0
+	col := trace.NewCollector()
 	pt := NewPolicyTransport(rec, PolicyTransportConfig{
-		Policy: simnet.DropAll{},
-		TS:     50 * time.Millisecond,
-		Delta:  5 * time.Millisecond,
-		OnDrop: func(string) { drops++ },
+		Policy:    simnet.DropAll{},
+		TS:        50 * time.Millisecond,
+		Delta:     5 * time.Millisecond,
+		Collector: col,
 	})
 	var elapsed time.Duration
 	pt.now = func() time.Duration { return elapsed }
@@ -138,7 +139,7 @@ func TestPolicyTransportMapsFatesToWallClock(t *testing.T) {
 		elapsed = time.Duration(i) * time.Millisecond
 		pt.Send(0, 1, modpaxos.Decided{Val: "x"})
 	}
-	if drops != 8 || len(rec.log()) != 0 {
+	if drops := col.TotalDropped(); drops != 8 || len(rec.log()) != 0 {
 		t.Fatalf("DropAll pre-TS: want 8 drops 0 sends, got %d drops %d sends", drops, len(rec.log()))
 	}
 	// Post-TS: policy bypassed, delivered synchronously.

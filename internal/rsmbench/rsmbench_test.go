@@ -261,7 +261,8 @@ func TestObserveSpansRecorded(t *testing.T) {
 		t.Fatalf("run failed: %v", res.Violations)
 	}
 	c := res.Collector()
-	spans := trace.PairSpans(c.SpanEvents(), c.SpanKindName, res.Duration)
+	kinds := c.SpanKindNames()
+	spans := trace.PairSpans(c.SpanEvents(), func(id int32) string { return kinds[id] }, res.Duration)
 	var ops, commits int
 	for _, s := range spans {
 		if s.Open {

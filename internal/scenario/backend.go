@@ -154,7 +154,7 @@ func (c Cluster) runLive(tcp bool) (decided bool, checker *consensus.SafetyCheck
 		inner = live.NewMemTransport(live.MemTransportConfig{MaxDelay: c.Delta, Seed: c.Seed, Collector: c.Collector})
 	}
 	transport := live.NewPolicyTransport(inner, live.PolicyTransportConfig{
-		Policy: harness.PreTSPolicy(c.Policy, c.TS), TS: c.TS, Delta: c.Delta, Seed: c.Seed, OnDrop: c.Collector.MessageDropped,
+		Policy: harness.PreTSPolicy(c.Policy, c.TS), TS: c.TS, Delta: c.Delta, Seed: c.Seed, Collector: c.Collector,
 	})
 	cluster, err := live.NewCluster(live.Config{
 		N: len(c.Proposals), Delta: c.Delta, TS: c.TS,

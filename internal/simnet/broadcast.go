@@ -38,7 +38,7 @@ func (n *Node) Broadcast(m consensus.Message) {
 		for to := 0; to < N; to++ {
 			delay := nw.cfg.MinDelay + time.Duration(rng.Int63n(span))
 			if hist {
-				nw.observeDelivery(typeID, delay)
+				nw.collector.ObserveDelivery(typeID, delay)
 				nw.observeQueueDepth()
 			}
 			mc.Add(int32(to), now+delay)
@@ -68,13 +68,13 @@ func (n *Node) Broadcast(m consensus.Message) {
 				d = 0
 			}
 			if hist {
-				nw.observeDelivery(typeID, d)
+				nw.collector.ObserveDelivery(typeID, d)
 			}
 			nw.eng.ScheduleDelivery(now+d, int32(n.id), int32(to), int64(typeID), m)
 		}
 		nw.dups = slices.Grow(nw.dups[:0], len(fate.Duplicates))
 		if hist {
-			nw.observeDelivery(typeID, delay)
+			nw.collector.ObserveDelivery(typeID, delay)
 			nw.observeQueueDepth()
 		}
 		mc.Add(int32(to), now+delay)

@@ -96,13 +96,6 @@ type Network struct {
 	undecidedUp int
 	violated    bool
 
-	// Interned histogram IDs for the route() hot path, populated lazily
-	// only when the collector has histograms enabled. deliveryHist is
-	// indexed by interned message-type ID and stores histID+1 (0 =
-	// unassigned); queueHist likewise stores its histID+1.
-	deliveryHist []int
-	queueHist    int
-
 	// Scratch buffers returned by UpIDs/AllIDs (see their docs).
 	upScratch  []consensus.ProcessID
 	allScratch []consensus.ProcessID
@@ -319,7 +312,7 @@ func (nw *Network) route(from, to consensus.ProcessID, m consensus.Message) {
 				d = 0
 			}
 			if nw.collector.HistogramsEnabled() {
-				nw.observeDelivery(typeID, d)
+				nw.collector.ObserveDelivery(typeID, d)
 			}
 			nw.eng.ScheduleDelivery(now+d, int32(from), int32(to), int64(typeID), m)
 		}
@@ -330,34 +323,16 @@ func (nw *Network) route(from, to consensus.ProcessID, m consensus.Message) {
 		// The delay is already computed for scheduling, so observing it
 		// consumes no randomness and schedules nothing: enabling
 		// histograms leaves the delivery schedule byte-identical.
-		nw.observeDelivery(typeID, delay)
+		nw.collector.ObserveDelivery(typeID, delay)
 		nw.observeQueueDepth()
 	}
 	nw.eng.ScheduleDelivery(now+delay, int32(from), int32(to), int64(typeID), m)
 }
 
-// observeDelivery records a delivery latency into the per-message-type
-// histogram, mapping the interned message-type ID to an interned histogram
-// ID so the steady state is two array reads and an increment.
-func (nw *Network) observeDelivery(typeID int, delay time.Duration) {
-	for typeID >= len(nw.deliveryHist) {
-		nw.deliveryHist = append(nw.deliveryHist, 0)
-	}
-	id := nw.deliveryHist[typeID]
-	if id == 0 {
-		id = nw.collector.InternHist(trace.HistDeliveryPrefix+nw.collector.TypeName(typeID), trace.UnitNanos) + 1
-		nw.deliveryHist[typeID] = id
-	}
-	nw.collector.ObserveHistID(id-1, int64(delay))
-}
-
 // observeQueueDepth samples the engine's pending-event count — the
 // simulator's analogue of transport queue depth.
 func (nw *Network) observeQueueDepth() {
-	if nw.queueHist == 0 {
-		nw.queueHist = nw.collector.InternHist(trace.HistQueueDepth, trace.UnitCount) + 1
-	}
-	nw.collector.ObserveHistID(nw.queueHist-1, int64(nw.eng.Pending()))
+	nw.collector.ObserveValue(trace.HistQueueDepth, int64(nw.eng.Pending()))
 }
 
 // Settled reports whether a run has nothing left to wait for among the

@@ -357,30 +357,23 @@ func (c *Collector) ObserveValue(name string, v int64) {
 	c.mu.Unlock()
 }
 
-// InternHist returns a dense histogram ID for the interned fast path. Like
-// Intern, it is for the single-threaded simulator only: ObserveHistID
-// increments without locking, and results are read after the run completes.
-// The histogram is also registered under name, so readers see interned and
-// string-keyed histograms identically.
-func (c *Collector) InternHist(name, unit string) int {
-	if id, ok := c.histIDs[name]; ok {
-		return id
+// ObserveDelivery records the delivery latency of a message of an
+// interned type into the type's histogram, HistDeliveryPrefix plus the type
+// name (created with UnitNanos on first use and kept with the type's
+// counters). No-op unless EnableHistograms was called. Safe for concurrent
+// use; both substrates observe delivery latency through it.
+func (c *Collector) ObserveDelivery(id int, d time.Duration) {
+	if !c.histOn {
+		return
 	}
-	if c.histIDs == nil {
-		c.histIDs = make(map[string]int, 8)
-	}
+	r := c.types.Load().rows[id]
 	c.mu.Lock()
-	h := c.histogramLocked(name, unit)
+	if r.counts.hist == nil {
+		r.counts.hist = c.histogramLocked(HistDeliveryPrefix+r.name, UnitNanos)
+	}
+	r.counts.hist.Observe(int64(d))
 	c.mu.Unlock()
-	id := len(c.histByID)
-	c.histIDs[name] = id
-	c.histByID = append(c.histByID, h)
-	return id
 }
-
-// ObserveHistID records into an interned histogram (sim backend only; see
-// InternHist). The caller gates on HistogramsEnabled.
-func (c *Collector) ObserveHistID(id int, v int64) { c.histByID[id].Observe(v) }
 
 // HistogramNames returns the names of all histograms, sorted.
 func (c *Collector) HistogramNames() []string {

@@ -119,15 +119,16 @@ func TestCollectorHistogramPaths(t *testing.T) {
 	c := NewCollector()
 	// Disabled: observations vanish.
 	c.ObserveLatency(HistDecideLatency, time.Millisecond)
+	c.ObserveDelivery(c.Intern("x"), time.Millisecond)
 	if names := c.HistogramNames(); len(names) != 0 {
 		t.Fatalf("disabled collector recorded %v", names)
 	}
 	c.EnableHistograms()
 	c.ObserveLatency(HistDecideLatency, 2*time.Millisecond)
 	c.ObserveValue(HistQueueDepth, 3)
-	id := c.InternHist("delivery/x", UnitNanos)
-	c.ObserveHistID(id, 500)
-	c.ObserveHistID(id, 700)
+	id := c.Intern("x")
+	c.ObserveDelivery(id, 500)
+	c.ObserveDelivery(id, 700)
 
 	snaps := c.HistogramSnapshots()
 	if len(snaps) != 3 {

@@ -53,7 +53,7 @@ type SpanEvent struct {
 	// Value is the kind-specific payload (session/round/ballot number,
 	// leader ID, crash count).
 	Value int64
-	// Kind is the interned span-kind ID (Collector.SpanKindName resolves).
+	// Kind is the interned span-kind ID (Collector.SpanKindNames resolves).
 	Kind int32
 	// Proc is the process the span belongs to, or −1 for run-level lanes.
 	Proc int32
@@ -114,16 +114,6 @@ func (c *Collector) Span(at time.Duration, proc int, kind string, begin bool, va
 	}
 	c.spanTotal++
 	c.mu.Unlock()
-}
-
-// SpanKindName resolves an interned span-kind ID.
-func (c *Collector) SpanKindName(id int32) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id < 0 || int(id) >= len(c.spanKindNames) {
-		return ""
-	}
-	return c.spanKindNames[id]
 }
 
 // SpanKindNames returns a copy of the interned kind table, indexed by ID.

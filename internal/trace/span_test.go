@@ -118,10 +118,12 @@ func TestRecordRunPhases(t *testing.T) {
 // branch and allocate nothing.
 func TestDisabledPathAllocFree(t *testing.T) {
 	c := NewCollector()
+	id := c.Intern("x")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Span(time.Millisecond, 0, SpanRound, true, 1)
 		c.ObserveLatency(HistDecideLatency, time.Millisecond)
 		c.ObserveValue(HistQueueDepth, 9)
+		c.ObserveDelivery(id, time.Millisecond)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled observability allocated %.1f allocs/op, want 0", allocs)

@@ -28,32 +28,25 @@ type Sample struct {
 // Collector accumulates the events of one run. The zero value is ready to
 // use.
 //
-// Message counting has two write paths. The single-threaded simulator
-// interns message-type strings into dense IDs (Intern) and bumps plain
-// per-ID counters (SentID/DeliveredID/DroppedID) — no lock, no map, no
-// allocation per message. The live goroutine runtime calls the string-keyed
-// methods (MessageSent/MessageDelivered/MessageDropped) from many
-// goroutines at once: a lock-free lookup of the type name in a read-only
-// table and an atomic add, with the lock taken only the first time a name
-// is seen. Every reader merges both tables, so reports are identical
-// whichever substrate fed the collector.
+// Messages are counted in one table of interned message types, written the
+// same way by both substrates: Intern maps a type name to a dense ID, and
+// SentID/DeliveredID/DroppedID (and the batched SentIDN/DroppedIDN) add to
+// that type's counters atomically. The single-threaded simulator and the
+// live runtime's goroutines call the same methods, and every reader reads
+// the one table.
+//
+// The table is published through one atomic pointer to data that is never
+// written after it is published, so Intern finds a name without a lock and
+// takes mu only the first time it sees one. Each type's counters are
+// allocated apart from the rows Intern scans (see typeCounts), so a counter
+// add on one goroutine does not evict the table that every other
+// goroutine's Intern reads.
 type Collector struct {
 	mu sync.Mutex
 
-	// byName is the string-keyed path's table. The map it points to is
-	// never written after it is published; a new type name replaces it with
-	// a copy, under mu.
-	byName    atomic.Pointer[map[string]*typeCounters]
+	types     atomic.Pointer[typeTable]
 	series    map[string][]Sample
 	observers []func(kind string, s Sample)
-
-	// Interned counter table: a type name's dense ID is its index in types
-	// and in the three counter slices. Written only by the single-threaded
-	// sim backend; see Intern.
-	types       []string
-	sentByID    []int64
-	deliveredID []int64
-	droppedByID []int64
 
 	// Span ring (span.go). spansOn gates emission with a plain bool read;
 	// it must be set (EnableSpans) before the run starts. spanTotal counts
@@ -66,23 +59,60 @@ type Collector struct {
 	spanKindNames []string
 
 	// Histogram registry (hist.go). histOn gates observation like spansOn.
-	// histIDs/histByID form the sim-only interned fast path, mirroring the
-	// message-type counter table above.
-	histOn   bool
-	hists    map[string]*Histogram
-	histIDs  map[string]int
-	histByID []*Histogram
+	histOn bool
+	hists  map[string]*Histogram
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Intern returns the dense counter ID for a message-type name, assigning
-// the next ID on first use. The interned fast path is deliberately
-// lock-free: only the deterministic simulator — a single goroutine — calls
-// Intern and the per-ID increment methods, and its results are read after
-// the run completes. Concurrent writers (the live runtime) must use the
-// string-keyed methods instead.
+// The columns of a typeCounts.
+const (
+	colSent = iota
+	colDelivered
+	colDropped
+	numCols
+)
+
+// typeCounts is one message type's counters and, once a delivery of the
+// type is observed, its delivery-latency histogram (guarded by
+// Collector.mu). At 32 bytes it is in another size class than the 24-byte
+// typeTable and the rows arrays (192 bytes and up), so no counter shares a
+// cache line with what Intern reads.
+type typeCounts struct {
+	n    [numCols]atomic.Int64
+	hist *Histogram
+}
+
+// typeRow is one interned message type. A type's ID is its row's index.
+type typeRow struct {
+	name   string
+	counts *typeCounts
+}
+
+// typeTable is one published version of the message-type table. Neither
+// it nor rows is written after it is published; a new type publishes a new
+// typeTable whose rows extend the old ones, in place while the backing
+// array has room.
+type typeTable struct {
+	rows []typeRow
+}
+
+// firstTableRows is the first backing array's capacity: room for a
+// protocol's message set, so interning it costs one array.
+const firstTableRows = 8
+
+// rows returns the current table's rows (nil before the first Intern).
+func (c *Collector) rows() []typeRow {
+	if tab := c.types.Load(); tab != nil {
+		return tab.rows
+	}
+	return nil
+}
+
+// Intern returns the dense ID of a message-type name, assigning the next ID
+// on a name's first use, so IDs run in first-seen order. It is safe for
+// concurrent use and lock-free for a name already in the table.
 //
 // A run interns a handful of names (a protocol's message set) and a message
 // answers Type() with the same constant every time, so the name is looked
@@ -91,97 +121,70 @@ func NewCollector() *Collector { return &Collector{} }
 // third of hashing the name and probing a map.
 func (c *Collector) Intern(name string) int {
 	p := unsafe.StringData(name)
-	for id, known := range c.types {
-		if unsafe.StringData(known) == p && len(known) == len(name) {
+	rows := c.rows()
+	for id := range rows {
+		if known := rows[id].name; unsafe.StringData(known) == p && len(known) == len(name) {
 			return id
 		}
 	}
 	return c.internByValue(name)
 }
 
-// internByValue is Intern for a name built at run time or not seen before.
-func (c *Collector) internByValue(name string) int {
-	for id, known := range c.types {
-		if known == name {
+// find returns the ID of name in rows by value, or -1.
+func find(rows []typeRow, name string) int {
+	for id := range rows {
+		if rows[id].name == name {
 			return id
 		}
 	}
-	id := len(c.types)
-	c.types = append(c.types, name)
-	c.sentByID = append(c.sentByID, 0)
-	c.deliveredID = append(c.deliveredID, 0)
-	c.droppedByID = append(c.droppedByID, 0)
-	return id
+	return -1
 }
 
-// TypeName resolves an interned message-type ID (sim backend only; the
-// table is written lock-free by Intern).
-func (c *Collector) TypeName(id int) string {
-	if id < 0 || id >= len(c.types) {
-		return ""
-	}
-	return c.types[id]
-}
-
-// SentID records a send on the interned fast path (sim backend only).
-func (c *Collector) SentID(id int) { c.sentByID[id]++ }
-
-// DeliveredID records a delivery on the interned fast path.
-func (c *Collector) DeliveredID(id int) { c.deliveredID[id]++ }
-
-// DroppedID records a drop on the interned fast path.
-func (c *Collector) DroppedID(id int) { c.droppedByID[id]++ }
-
-// SentIDN records n sends of one type in a single increment — the batched
-// broadcast path's O(1) accounting (sim backend only).
-func (c *Collector) SentIDN(id, n int) { c.sentByID[id] += int64(n) }
-
-// DroppedIDN records n drops of one type in a single increment.
-func (c *Collector) DroppedIDN(id, n int) { c.droppedByID[id] += int64(n) }
-
-// The columns of a typeCounters.
-const (
-	colSent = iota
-	colDelivered
-	colDropped
-	numCols
-)
-
-// typeCounters holds one message type's counts on the string-keyed path.
-type typeCounters [numCols]atomic.Int64
-
-// counters returns the counters of a message type: a map read when the
-// name has been seen before, a locked copy of the table when it has not.
-func (c *Collector) counters(msgType string) *typeCounters {
-	if tc := c.table()[msgType]; tc != nil {
-		return tc
+// internByValue is Intern for a name built at run time or not seen before.
+// A new name is added under mu, after a second look: another goroutine may
+// have added it while this one waited.
+func (c *Collector) internByValue(name string) int {
+	if id := find(c.rows(), name); id >= 0 {
+		return id
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := c.table()
-	if tc := old[msgType]; tc != nil {
-		return tc // another goroutine added it while this one waited
+	rows := c.rows()
+	if id := find(rows, name); id >= 0 {
+		return id
 	}
-	next := make(map[string]*typeCounters, len(old)+1)
-	for k, v := range old {
-		next[k] = v
+	if rows == nil {
+		rows = make([]typeRow, 0, firstTableRows)
 	}
-	tc := new(typeCounters)
-	next[msgType] = tc
-	c.byName.Store(&next)
-	return tc
+	rows = append(rows, typeRow{name: name, counts: new(typeCounts)})
+	c.types.Store(&typeTable{rows: rows})
+	return len(rows) - 1
 }
 
-// MessageSent records that a message of the given type was handed to the
-// network.
-func (c *Collector) MessageSent(msgType string) { c.counters(msgType)[colSent].Add(1) }
+// counts returns the counters of an interned type.
+func (c *Collector) counts(id int) *typeCounts { return c.types.Load().rows[id].counts }
 
-// MessageDelivered records a successful delivery.
-func (c *Collector) MessageDelivered(msgType string) { c.counters(msgType)[colDelivered].Add(1) }
+// SentID records a send of an interned message type.
+func (c *Collector) SentID(id int) { c.counts(id).n[colSent].Add(1) }
 
-// MessageDropped records a message lost in transit or arriving at a crashed
+// DeliveredID records a delivery.
+func (c *Collector) DeliveredID(id int) { c.counts(id).n[colDelivered].Add(1) }
+
+// DroppedID records a message lost in transit or arriving at a crashed
 // process.
-func (c *Collector) MessageDropped(msgType string) { c.counters(msgType)[colDropped].Add(1) }
+func (c *Collector) DroppedID(id int) { c.counts(id).n[colDropped].Add(1) }
+
+// SentIDN records n sends of one type in a single add — the batched
+// broadcast path's O(1) accounting.
+func (c *Collector) SentIDN(id, n int) { c.counts(id).n[colSent].Add(int64(n)) }
+
+// DroppedIDN records n drops of one type in a single add.
+func (c *Collector) DroppedIDN(id, n int) { c.counts(id).n[colDropped].Add(int64(n)) }
+
+// MessageSent records a send of the named type: Intern and SentID in one
+// call. Its one caller is the benchmark's trace-counter layer
+// (bench/layers.go); it goes when that layer is rewritten on IDs.
+func (c *Collector) MessageSent(msgType string) { c.SentID(c.Intern(msgType)) }
 
 // Emit appends an observation to the named series.
 func (c *Collector) Emit(at time.Duration, proc int, kind string, value int64) {
@@ -211,60 +214,19 @@ func (c *Collector) OnEmit(fn func(kind string, s Sample)) {
 }
 
 // TotalSent returns the total number of messages sent.
-func (c *Collector) TotalSent() int { return c.total(colSent, c.sentByID) }
+func (c *Collector) TotalSent() int { return c.total(colSent) }
 
 // TotalDropped returns the total number of messages dropped.
-func (c *Collector) TotalDropped() int { return c.total(colDropped, c.droppedByID) }
+func (c *Collector) TotalDropped() int { return c.total(colDropped) }
 
-// total sums one column of the string-keyed table and an interned column.
-func (c *Collector) total(col int, byID []int64) int {
+// total sums one column over every type.
+func (c *Collector) total(col int) int {
 	sum := 0
-	for _, tc := range c.table() {
-		sum += int(tc[col].Load())
-	}
-	for _, n := range byID {
-		sum += int(n)
+	for _, r := range c.rows() {
+		sum += int(r.counts.n[col].Load())
 	}
 	return sum
 }
-
-// table returns the current string-keyed table (nil before the first call
-// of a string-keyed method). It is read-only.
-func (c *Collector) table() map[string]*typeCounters {
-	if tab := c.byName.Load(); tab != nil {
-		return *tab
-	}
-	return nil
-}
-
-// merged returns the union of one column of the string-keyed table and an
-// interned counter column, skipping zero entries (a type only ever
-// delivered, or pre-interned and never used, must not surface as "type: 0"
-// among the sends).
-func (c *Collector) merged(col int, byID []int64) map[string]int {
-	tab := c.table()
-	out := make(map[string]int, len(tab)+len(byID))
-	for name, tc := range tab {
-		if v := tc[col].Load(); v != 0 {
-			out[name] = int(v)
-		}
-	}
-	for id, v := range byID {
-		if v != 0 {
-			out[c.types[id]] += int(v)
-		}
-	}
-	return out
-}
-
-// SentByType returns a copy of the per-type send counts.
-func (c *Collector) SentByType() map[string]int { return c.merged(colSent, c.sentByID) }
-
-// DeliveredByType returns a copy of the per-type delivery counts.
-func (c *Collector) DeliveredByType() map[string]int { return c.merged(colDelivered, c.deliveredID) }
-
-// DroppedByType returns a copy of the per-type drop counts.
-func (c *Collector) DroppedByType() map[string]int { return c.merged(colDropped, c.droppedByID) }
 
 // TypeCount is one entry of a sorted per-type counts listing.
 type TypeCount struct {
@@ -272,43 +234,43 @@ type TypeCount struct {
 	Count int    `json:"count"`
 }
 
-// sortedCounts renders a counts map as a name-sorted slice.
-func sortedCounts(m map[string]int) []TypeCount {
-	out := make([]TypeCount, 0, len(m))
-	for k, v := range m {
-		out = append(out, TypeCount{Type: k, Count: v})
+// column lists one column's non-zero counts sorted by type name: a type
+// only ever delivered, or interned and never used, must not surface as
+// "type: 0" among the sends.
+func (c *Collector) column(col int) []TypeCount {
+	rows := c.rows()
+	out := make([]TypeCount, 0, len(rows))
+	for _, r := range rows {
+		if v := r.counts.n[col].Load(); v != 0 {
+			out = append(out, TypeCount{Type: r.name, Count: int(v)})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Type < out[j].Type })
+	return out
+}
+
+// SentByType returns a copy of the per-type send counts.
+func (c *Collector) SentByType() map[string]int {
+	rows := c.rows()
+	out := make(map[string]int, len(rows))
+	for _, r := range rows {
+		if v := r.counts.n[colSent].Load(); v != 0 {
+			out[r.name] = int(v)
+		}
+	}
 	return out
 }
 
 // SentCounts returns the per-type send counts sorted by type name — the
 // deterministically ordered form of SentByType, for renderers and tests
 // that iterate.
-func (c *Collector) SentCounts() []TypeCount {
-	return sortedCounts(c.SentByType())
-}
+func (c *Collector) SentCounts() []TypeCount { return c.column(colSent) }
 
 // DeliveredCounts returns the per-type delivery counts sorted by type name.
-func (c *Collector) DeliveredCounts() []TypeCount {
-	return sortedCounts(c.DeliveredByType())
-}
+func (c *Collector) DeliveredCounts() []TypeCount { return c.column(colDelivered) }
 
 // DroppedCounts returns the per-type drop counts sorted by type name.
-func (c *Collector) DroppedCounts() []TypeCount {
-	return sortedCounts(c.DroppedByType())
-}
-
-// SentBetween returns how many send events of series-agnostic messages
-// occurred; the network calls MessageSent once per Send, so rates over an
-// interval are computed by the caller from snapshots.
-func (c *Collector) SentBetween(before, after map[string]int) int {
-	total := 0
-	for k, v := range after {
-		total += v - before[k]
-	}
-	return total
-}
+func (c *Collector) DroppedCounts() []TypeCount { return c.column(colDropped) }
 
 // Series returns a copy of the named time series ordered by observation
 // time (stable, so samples at the same instant keep emission order). Under
@@ -323,20 +285,4 @@ func (c *Collector) Series(kind string) []Sample {
 	c.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
-}
-
-// MaxSeriesValueAt returns the maximum value observed in the named series at
-// or before the given time, and whether any observation exists.
-func (c *Collector) MaxSeriesValueAt(kind string, at time.Duration) (int64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var best int64
-	found := false
-	for _, s := range c.series[kind] {
-		if s.At <= at && (!found || s.Value > best) {
-			best = s.Value
-			found = true
-		}
-	}
-	return best, found
 }

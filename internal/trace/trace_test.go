@@ -10,46 +10,49 @@ import (
 	"time"
 )
 
+// TestMessageCounters: the one table counts by interned ID, lists
+// delivered-only types among the deliveries, and keeps types interned but
+// never used out of every listing.
 func TestMessageCounters(t *testing.T) {
 	c := NewCollector()
-	c.MessageSent("p1a")
-	c.MessageSent("p1a")
-	c.MessageSent("p2b")
-	c.MessageDelivered("p1a")
-	c.MessageDropped("p2b")
+	p1a := c.Intern("p1a")
+	unused := c.Intern("never-sent")
+	p2b := c.Intern("p2b")
+	if p1a == unused || p1a == p2b || unused == p2b {
+		t.Fatalf("distinct names interned to IDs %d, %d, %d", p1a, unused, p2b)
+	}
+	if again := c.Intern("p1a"); again != p1a {
+		t.Fatalf("re-intern returned %d, want %d", again, p1a)
+	}
+	c.SentID(p1a)
+	c.SentID(p1a)
+	c.SentIDN(p2b, 2)
+	c.MessageSent("p2b") // the by-name shim counts in the same row
+	c.DeliveredID(p1a)
+	c.DroppedID(p2b)
+	c.DroppedIDN(p2b, 2)
+	// Oracle and adversary Inject traffic is delivered without a send.
+	c.DeliveredID(c.Intern("injected"))
 
-	if got := c.TotalSent(); got != 3 {
-		t.Fatalf("TotalSent = %d, want 3", got)
+	if got := c.TotalSent(); got != 5 {
+		t.Fatalf("TotalSent = %d, want 5", got)
 	}
-	if got := c.TotalDropped(); got != 1 {
-		t.Fatalf("TotalDropped = %d, want 1", got)
+	if got := c.TotalDropped(); got != 3 {
+		t.Fatalf("TotalDropped = %d, want 3", got)
 	}
-	byType := c.SentByType()
-	if byType["p1a"] != 2 || byType["p2b"] != 1 {
-		t.Fatalf("SentByType = %v", byType)
+	if sent := c.SentByType(); len(sent) != 2 || sent["p1a"] != 2 || sent["p2b"] != 3 {
+		t.Fatalf("SentByType = %v, want p1a 2 and p2b 3 only", sent)
 	}
 	for _, col := range []struct {
 		got, want []TypeCount
 	}{
-		{c.SentCounts(), []TypeCount{{"p1a", 2}, {"p2b", 1}}},
-		{c.DeliveredCounts(), []TypeCount{{"p1a", 1}}},
-		{c.DroppedCounts(), []TypeCount{{"p2b", 1}}},
+		{c.SentCounts(), []TypeCount{{"p1a", 2}, {"p2b", 3}}},
+		{c.DeliveredCounts(), []TypeCount{{"injected", 1}, {"p1a", 1}}},
+		{c.DroppedCounts(), []TypeCount{{"p2b", 3}}},
 	} {
 		if !slices.Equal(col.got, col.want) {
-			t.Errorf("counts %v, want %v", col.got, col.want)
+			t.Errorf("counts %v, want %v: delivered-only types shown, unused ones not", col.got, col.want)
 		}
-	}
-}
-
-func TestSentBetweenSnapshots(t *testing.T) {
-	c := NewCollector()
-	c.MessageSent("x")
-	before := c.SentByType()
-	c.MessageSent("x")
-	c.MessageSent("y")
-	after := c.SentByType()
-	if got := c.SentBetween(before, after); got != 2 {
-		t.Fatalf("SentBetween = %d, want 2", got)
 	}
 }
 
@@ -70,15 +73,6 @@ func TestSeries(t *testing.T) {
 	if r := c.Series("nosuch"); len(r) != 0 {
 		t.Fatalf("a kind never emitted has samples: %+v", r)
 	}
-	if v, ok := c.MaxSeriesValueAt("session", 25*time.Millisecond); !ok || v != 2 {
-		t.Fatalf("MaxSeriesValueAt(25ms) = %d, %v; want 2, true", v, ok)
-	}
-	if v, ok := c.MaxSeriesValueAt("session", time.Hour); !ok || v != 3 {
-		t.Fatalf("MaxSeriesValueAt(1h) = %d, %v; want 3, true", v, ok)
-	}
-	if _, ok := c.MaxSeriesValueAt("nosuch", time.Hour); ok {
-		t.Fatal("MaxSeriesValueAt on missing series should report absence")
-	}
 	// Returned slice must be a copy.
 	s[0].Value = 999
 	if c.Series("session")[0].Value == 999 {
@@ -94,7 +88,7 @@ func TestCollectorConcurrentUse(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				c.MessageSent("m")
+				c.SentID(c.Intern("m"))
 				c.Emit(time.Duration(j), p, "k", int64(j))
 			}
 		}(i)
@@ -206,141 +200,156 @@ func TestInternIsByValue(t *testing.T) {
 	}
 }
 
-// TestInternedCountersMergeWithStringPath checks the two write paths — the
-// simulator's interned lock-free counters and the live runtime's atomic
-// string-keyed methods — surface as one merged table to every reader, and
-// that pre-interned types the run never used stay invisible.
-func TestInternedCountersMergeWithStringPath(t *testing.T) {
-	c := NewCollector()
-	p1a := c.Intern("p1a")
-	unused := c.Intern("never-sent")
-	if p1a == unused {
-		t.Fatal("distinct names interned to one ID")
-	}
-	if again := c.Intern("p1a"); again != p1a {
-		t.Fatalf("re-intern returned %d, want %d", again, p1a)
-	}
-	c.SentID(p1a)
-	c.SentID(p1a)
-	c.DeliveredID(p1a)
-	c.DroppedID(p1a)
-	// Oracle and adversary Inject traffic is delivered without a send.
-	c.DeliveredID(c.Intern("injected"))
-	c.MessageSent("p1a") // live-path write to the same type name
-	c.MessageSent("live-only")
-	c.MessageDropped("live-only")
-
-	if got := c.TotalSent(); got != 4 {
-		t.Fatalf("TotalSent = %d, want 4", got)
-	}
-	if got := c.TotalDropped(); got != 2 {
-		t.Fatalf("TotalDropped = %d, want 2", got)
-	}
-	sent := c.SentByType()
-	if sent["p1a"] != 3 || sent["live-only"] != 1 {
-		t.Fatalf("SentByType = %v", sent)
-	}
-	if _, ok := sent["never-sent"]; ok {
-		t.Fatalf("unused pre-interned type surfaced in SentByType: %v", sent)
-	}
-	if got := c.DeliveredByType()["p1a"]; got != 1 {
-		t.Fatalf("DeliveredByType[p1a] = %d, want 1", got)
-	}
-	for _, col := range []struct {
-		got, want []TypeCount
-	}{
-		{c.SentCounts(), []TypeCount{{"live-only", 1}, {"p1a", 3}}},
-		{c.DeliveredCounts(), []TypeCount{{"injected", 1}, {"p1a", 1}}},
-		{c.DroppedCounts(), []TypeCount{{"live-only", 1}, {"p1a", 1}}},
-	} {
-		if !slices.Equal(col.got, col.want) {
-			t.Errorf("counts %v, want %v: ID and string rows merged, delivered-only types shown, unused ones not", col.got, col.want)
-		}
-	}
+// TestMessageCountersConcurrent hammers the counters from many goroutines
+// the way the live runtime does, interning the type name at every message,
+// two of the names appearing only mid-run: every goroutine gets the same
+// IDs, every total is exact and every reader agrees. With histograms on,
+// every delivery is also observed into its type's histogram, and each
+// histogram's count is exact.
+func TestMessageCountersConcurrent(t *testing.T) {
+	t.Run("counters", func(t *testing.T) { testCountersConcurrent(t, false) })
+	t.Run("delivery-histograms", func(t *testing.T) { testCountersConcurrent(t, true) })
+	t.Run("first-sight", testInternFirstSight)
 }
 
-// TestMessageCountersConcurrent hammers the string-keyed counters from many
-// goroutines, two of the type names appearing only mid-run: every total is
-// exact and every reader agrees.
-func TestMessageCountersConcurrent(t *testing.T) {
+func testCountersConcurrent(t *testing.T, hist bool) {
 	const workers, rounds = 8, 2000
 	names := []string{"prepare", "promise", "accept", "late-a", "late-b"}
-	methods := []func(*Collector, string){
-		(*Collector).MessageSent, (*Collector).MessageDelivered, (*Collector).MessageDropped,
-	}
+	methods := []func(*Collector, int){(*Collector).SentID, (*Collector).DeliveredID, (*Collector).DroppedID}
 	c := NewCollector()
-	var wg sync.WaitGroup
+	if hist {
+		c.EnableHistograms()
+	}
+	ids := make([][]int, workers)
+	var wg, late sync.WaitGroup
+	late.Add(workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ids[w] = make([]int, len(names))
 			for r := 0; r < rounds; r++ {
 				seen := names[:3]
+				if r == rounds/2 {
+					late.Done()
+					late.Wait() // every worker meets the late names at once
+				}
 				if r >= rounds/2 {
 					seen = names
 				}
-				for _, name := range seen {
+				for i, name := range seen {
 					for m, method := range methods {
 						for k := 0; k <= m; k++ { // sent once, delivered twice, dropped thrice
-							method(c, name)
+							id := c.Intern(name)
+							ids[w][i] = id
+							method(c, id)
+							if m == colDelivered {
+								c.ObserveDelivery(id, time.Duration(k))
+							}
 						}
 					}
 				}
-				_ = c.SentByType() // a reader in the middle of the writers
+				_ = c.SentCounts() // a reader in the middle of the writers
 			}
 		}()
 	}
 	wg.Wait()
 
-	readers := []func() map[string]int{c.SentByType, c.DeliveredByType, c.DroppedByType}
-	for m, read := range readers {
-		got := read()
-		for i, name := range names {
-			want := workers * rounds * (m + 1)
-			if i >= 3 {
-				want /= 2
-			}
-			if got[name] != want {
-				t.Errorf("column %d, %s: %d, want %d", m, name, got[name], want)
-			}
-		}
-		if len(got) != len(names) {
-			t.Errorf("column %d lists %d types, want %d: %v", m, len(got), len(names), got)
+	for w := range ids {
+		if !slices.Equal(ids[w], ids[0]) {
+			t.Fatalf("worker %d interned %v, worker 0 %v", w, ids[w], ids[0])
 		}
 	}
-	sent := c.SentByType()
-	total := 0
-	for _, tc := range c.SentCounts() {
-		if sent[tc.Type] != tc.Count {
-			t.Errorf("SentCounts has %s=%d, SentByType %d", tc.Type, tc.Count, sent[tc.Type])
+	want := func(i, m int) int {
+		n := workers * rounds * (m + 1)
+		if i >= 3 {
+			n /= 2
 		}
-		total += tc.Count
-	}
-	if c.TotalSent() != total || c.TotalDropped() != 3*total {
-		t.Errorf("TotalSent %d, TotalDropped %d; want %d and %d", c.TotalSent(), c.TotalDropped(), total, 3*total)
+		return n
 	}
 	for m, counts := range [][]TypeCount{c.SentCounts(), c.DeliveredCounts(), c.DroppedCounts()} {
 		if len(counts) != len(names) {
 			t.Errorf("column %d lists %v, want the %d types", m, counts, len(names))
 		}
+		got := map[string]int{}
 		for _, tc := range counts {
-			if tc.Count != (m+1)*sent[tc.Type] {
-				t.Errorf("column %d, %s: %d, want %d", m, tc.Type, tc.Count, (m+1)*sent[tc.Type])
+			got[tc.Type] = tc.Count
+		}
+		for i, name := range names {
+			if got[name] != want(i, m) {
+				t.Errorf("column %d, %s: %d, want %d", m, name, got[name], want(i, m))
 			}
+		}
+	}
+	sent := c.SentByType()
+	total := 0
+	for i, name := range names {
+		if sent[name] != want(i, colSent) {
+			t.Errorf("SentByType[%s] = %d, want %d", name, sent[name], want(i, colSent))
+		}
+		total += sent[name]
+	}
+	if c.TotalSent() != total || c.TotalDropped() != 3*total {
+		t.Errorf("TotalSent %d, TotalDropped %d; want %d and %d", c.TotalSent(), c.TotalDropped(), total, 3*total)
+	}
+	for i, name := range names {
+		h, ok := c.HistogramCopy(HistDeliveryPrefix + name)
+		if hist && (!ok || h.Count() != int64(want(i, colDelivered))) {
+			t.Errorf("%s%s holds %d observations, want %d", HistDeliveryPrefix, name, h.Count(), want(i, colDelivered))
+		}
+		if !hist && ok {
+			t.Errorf("histograms off, yet %s%s exists", HistDeliveryPrefix, name)
 		}
 	}
 }
 
-// TestMessageCountersDoNotAllocate: once a type name has been seen, counting
-// a message of that type allocates nothing.
+// testInternFirstSight releases goroutines together onto names no one has
+// seen, many times over: each name gets one ID, the same for every
+// goroutine, and a goroutine that finds a name another one has just added
+// finds its row complete.
+func testInternFirstSight(t *testing.T) {
+	const workers, trials = 8, 200
+	names := []string{"a", "b", "c", "d"}
+	for trial := 0; trial < trials; trial++ {
+		c := NewCollector()
+		ids := make([][]int, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for _, name := range names {
+					id := c.Intern(name)
+					c.SentID(id)
+					ids[w] = append(ids[w], id)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for w := range ids {
+			if !slices.Equal(ids[w], []int{0, 1, 2, 3}) {
+				t.Fatalf("trial %d: worker %d interned %v, want [0 1 2 3]", trial, w, ids[w])
+			}
+		}
+		if got := c.TotalSent(); got != workers*len(names) {
+			t.Fatalf("trial %d: TotalSent = %d, want %d", trial, got, workers*len(names))
+		}
+	}
+}
+
+// TestMessageCountersDoNotAllocate: once a type name has been seen,
+// interning it and counting a message of that type allocate nothing.
 func TestMessageCountersDoNotAllocate(t *testing.T) {
 	c := NewCollector()
 	names := []string{"prepare", "promise", "accept"}
 	count := func() {
 		for _, name := range names {
-			c.MessageSent(name)
-			c.MessageDelivered(name)
-			c.MessageDropped(name)
+			c.SentID(c.Intern(name))
+			c.DeliveredID(c.Intern(name))
+			c.DroppedID(c.Intern(name))
 		}
 	}
 	count()
