@@ -10,16 +10,14 @@ import (
 	"time"
 )
 
-// TestMessageCounters: the one table counts by interned ID, lists
-// delivered-only types among the deliveries, and keeps types interned but
-// never used out of every listing.
+// TestMessageCounters: the one table counts sends, deliveries and drops by
+// interned ID, and a re-interned name keeps its ID.
 func TestMessageCounters(t *testing.T) {
 	c := NewCollector()
 	p1a := c.Intern("p1a")
-	unused := c.Intern("never-sent")
 	p2b := c.Intern("p2b")
-	if p1a == unused || p1a == p2b || unused == p2b {
-		t.Fatalf("distinct names interned to IDs %d, %d, %d", p1a, unused, p2b)
+	if p1a == p2b {
+		t.Fatalf("distinct names interned to one ID %d", p1a)
 	}
 	if again := c.Intern("p1a"); again != p1a {
 		t.Fatalf("re-intern returned %d, want %d", again, p1a)
@@ -27,31 +25,71 @@ func TestMessageCounters(t *testing.T) {
 	c.SentID(p1a)
 	c.SentID(p1a)
 	c.SentIDN(p2b, 2)
-	c.MessageSent("p2b") // the by-name shim counts in the same row
 	c.DeliveredID(p1a)
 	c.DroppedID(p2b)
 	c.DroppedIDN(p2b, 2)
-	// Oracle and adversary Inject traffic is delivered without a send.
-	c.DeliveredID(c.Intern("injected"))
 
-	if got := c.TotalSent(); got != 5 {
-		t.Fatalf("TotalSent = %d, want 5", got)
+	if got := c.TotalSent(); got != 4 {
+		t.Fatalf("TotalSent = %d, want 4", got)
 	}
 	if got := c.TotalDropped(); got != 3 {
 		t.Fatalf("TotalDropped = %d, want 3", got)
 	}
-	if sent := c.SentByType(); len(sent) != 2 || sent["p1a"] != 2 || sent["p2b"] != 3 {
-		t.Fatalf("SentByType = %v, want p1a 2 and p2b 3 only", sent)
+	if sent := c.SentByType(); len(sent) != 2 || sent["p1a"] != 2 || sent["p2b"] != 2 {
+		t.Fatalf("SentByType = %v, want p1a 2 and p2b 2 only", sent)
 	}
 	for _, col := range []struct {
 		got, want []TypeCount
 	}{
-		{c.SentCounts(), []TypeCount{{"p1a", 2}, {"p2b", 3}}},
-		{c.DeliveredCounts(), []TypeCount{{"injected", 1}, {"p1a", 1}}},
+		{c.SentCounts(), []TypeCount{{"p1a", 2}, {"p2b", 2}}},
+		{c.DeliveredCounts(), []TypeCount{{"p1a", 1}}},
 		{c.DroppedCounts(), []TypeCount{{"p2b", 3}}},
 	} {
 		if !slices.Equal(col.got, col.want) {
-			t.Errorf("counts %v, want %v: delivered-only types shown, unused ones not", col.got, col.want)
+			t.Errorf("counts %v, want %v", col.got, col.want)
+		}
+	}
+}
+
+// TestInternedCountersMergeWithStringPath: a send counted by name through
+// MessageSent lands in the same row as sends counted by ID, types that are
+// only delivered are listed among the deliveries, and types interned but
+// never used stay out of every listing.
+func TestInternedCountersMergeWithStringPath(t *testing.T) {
+	c := NewCollector()
+	p1a := c.Intern("p1a")
+	unused := c.Intern("never-sent")
+	if p1a == unused {
+		t.Fatal("distinct names interned to one ID")
+	}
+	c.SentID(p1a)
+	c.SentID(p1a)
+	c.DeliveredID(p1a)
+	c.DroppedID(p1a)
+	// Oracle and adversary Inject traffic is delivered without a send.
+	c.DeliveredID(c.Intern("injected"))
+	c.MessageSent("p1a") // by-name write to an interned type
+	c.MessageSent("by-name-only")
+
+	if got := c.TotalSent(); got != 4 {
+		t.Fatalf("TotalSent = %d, want 4", got)
+	}
+	sent := c.SentByType()
+	if sent["p1a"] != 3 || sent["by-name-only"] != 1 {
+		t.Fatalf("SentByType = %v", sent)
+	}
+	if _, ok := sent["never-sent"]; ok {
+		t.Fatalf("unused pre-interned type surfaced in SentByType: %v", sent)
+	}
+	for _, col := range []struct {
+		got, want []TypeCount
+	}{
+		{c.SentCounts(), []TypeCount{{"by-name-only", 1}, {"p1a", 3}}},
+		{c.DeliveredCounts(), []TypeCount{{"injected", 1}, {"p1a", 1}}},
+		{c.DroppedCounts(), []TypeCount{{"p1a", 1}}},
+	} {
+		if !slices.Equal(col.got, col.want) {
+			t.Errorf("counts %v, want %v: by-name and ID writes merged, delivered-only types shown, unused ones not", col.got, col.want)
 		}
 	}
 }
